@@ -3,10 +3,14 @@
 // Runs a fixed in-memory job matrix (a full 12x8 source sweep plus a
 // seeded/faulty mix -- the shapes scenarios/*.json are made of) at several
 // worker counts, cold and warm plan cache, and reports jobs/sec, the mean
-// queue wait, and the plan-cache hit rate.  The interesting trends: jobs/sec
-// should scale with workers until the in-order collector serializes, queue
-// wait should stay near zero (backpressure, not buffering), and the warm
-// hit rate should approach 1 for cacheable protocols.
+// queue wait, and the plan-cache hit rate.  One pass over the matrix takes
+// only tens of milliseconds, which would mostly time thread start-up, so
+// each row repeats cold+warm pass pairs until both sides have run for at
+// least kMinRowSeconds and reports jobs over total time.  The interesting
+// trends: jobs/sec should scale with workers until the in-order collector
+// serializes, queue wait should stay near zero (backpressure, not
+// buffering), and the warm hit rate should approach 1 for cacheable
+// protocols.
 //
 //   $ scenario_throughput [--workers-list 1,2,0] [--json-out BENCH_scenario.json]
 //
@@ -106,9 +110,18 @@ std::vector<AggregatedResult> aggregate(
   return out;
 }
 
-double timed_run(const wsn::JobMatrix& matrix, std::size_t workers,
-                 wsn::PlanStore* store, const std::filesystem::path& out,
-                 double* queue_wait_ms) {
+constexpr double kMinRowSeconds = 0.5;
+
+struct Pass {
+  double seconds = 0.0;
+  std::size_t jobs = 0;
+  double queue_wait_ms = 0.0;
+};
+
+/// One timed engine pass over the whole matrix; false if the run failed.
+bool timed_run(const wsn::JobMatrix& matrix, std::size_t workers,
+               wsn::PlanStore* store, const std::filesystem::path& out,
+               Pass& pass) {
   wsn::EngineConfig config;
   config.workers = workers;
   config.store = store;
@@ -119,12 +132,57 @@ double timed_run(const wsn::JobMatrix& matrix, std::size_t workers,
       std::chrono::steady_clock::now() - start;
   if (!summary.ok) {
     std::fprintf(stderr, "run failed: %s\n", summary.error.c_str());
-    return 0.0;
+    return false;
   }
-  if (queue_wait_ms != nullptr) *queue_wait_ms = summary.queue_wait_ms_mean;
-  return elapsed.count() > 0.0
-             ? static_cast<double>(summary.jobs_run) / elapsed.count()
-             : 0.0;
+  pass.seconds = elapsed.count();
+  pass.jobs = summary.jobs_run;
+  pass.queue_wait_ms = summary.queue_wait_ms_mean;
+  return true;
+}
+
+/// One row: cold+warm pass pairs, each pair on a fresh plan store, until
+/// both the cold and the warm side have run for kMinRowSeconds.  Every
+/// pair starts from an empty store, so the mean hit rate over pairs keeps
+/// the one-pair meaning.  A failed pass zeroes the row.
+ConfigResult measure_row(const wsn::JobMatrix& matrix, std::size_t workers,
+                         const std::filesystem::path& tmp) {
+  ConfigResult r;
+  r.workers = workers;
+  Pass cold_total;
+  Pass warm_total;
+  std::size_t pairs = 0;
+  while (cold_total.seconds < kMinRowSeconds ||
+         warm_total.seconds < kMinRowSeconds) {
+    wsn::PlanStore store;
+    Pass cold;
+    Pass warm;
+    if (!timed_run(matrix, workers, &store, tmp / "cold.jsonl", cold) ||
+        !timed_run(matrix, workers, &store, tmp / "warm.jsonl", warm)) {
+      return r;
+    }
+    cold_total.seconds += cold.seconds;
+    cold_total.jobs += cold.jobs;
+    warm_total.seconds += warm.seconds;
+    warm_total.jobs += warm.jobs;
+    warm_total.queue_wait_ms += warm.queue_wait_ms;
+    const auto stats = store.memory().stats();
+    const std::size_t lookups = stats.hits + stats.misses;
+    r.cache_hit_rate += lookups == 0 ? 0.0
+                                     : static_cast<double>(stats.hits) /
+                                           static_cast<double>(lookups);
+    pairs += 1;
+  }
+  const auto rate = [](const Pass& total) {
+    return total.seconds > 0.0
+               ? static_cast<double>(total.jobs) / total.seconds
+               : 0.0;
+  };
+  r.cold_jobs_per_sec = rate(cold_total);
+  r.warm_jobs_per_sec = rate(warm_total);
+  r.queue_wait_ms_mean =
+      warm_total.queue_wait_ms / static_cast<double>(pairs);
+  r.cache_hit_rate /= static_cast<double>(pairs);
+  return r;
 }
 
 bool write_scenario_bench_json(const std::string& path, std::size_t jobs,
@@ -205,19 +263,7 @@ int main(int argc, char** argv) {
 
   std::vector<ConfigResult> results;
   for (const std::size_t workers : worker_counts) {
-    wsn::PlanStore store;
-    ConfigResult r;
-    r.workers = workers;
-    r.cold_jobs_per_sec = timed_run(matrix, workers, &store,
-                                    tmp / "cold.jsonl", nullptr);
-    r.warm_jobs_per_sec = timed_run(matrix, workers, &store,
-                                    tmp / "warm.jsonl", &r.queue_wait_ms_mean);
-    const auto stats = store.memory().stats();
-    const std::size_t lookups = stats.hits + stats.misses;
-    r.cache_hit_rate = lookups == 0 ? 0.0
-                                    : static_cast<double>(stats.hits) /
-                                          static_cast<double>(lookups);
-    results.push_back(r);
+    results.push_back(measure_row(matrix, workers, tmp));
   }
   const std::vector<AggregatedResult> aggregated = aggregate(results);
   for (const AggregatedResult& r : aggregated) {

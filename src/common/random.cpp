@@ -10,14 +10,6 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 
 }  // namespace
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept : state_{} {
   std::uint64_t sm = seed;
   for (auto& word : state_) {

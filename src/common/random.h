@@ -47,7 +47,21 @@ class Xoshiro256 {
   std::array<std::uint64_t, 4> state_;
 };
 
-/// splitmix64 single step; exposed for seeding other generators in tests.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// splitmix64's state increment (the golden-ratio gamma).
+inline constexpr std::uint64_t kSplitmix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64's output finaliser: a bijective avalanche of one word.
+constexpr std::uint64_t splitmix64_mix(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// splitmix64 single step.  Inline: the counter-mode fault models
+/// (fault/models.cpp) call it on every draw.
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  state += kSplitmix64Gamma;
+  return splitmix64_mix(state);
+}
 
 }  // namespace wsn

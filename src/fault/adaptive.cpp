@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -100,7 +101,7 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
     // Pack the wave into fresh slots after the backoff gap, serializing
     // helpers within 2 hops of each other so retries never collide.
     std::vector<std::vector<NodeId>> slots;
-    bool spent_any = false;
+    std::vector<std::pair<NodeId, Slot>> wave;  // helper, slot in the wave
     for (NodeId h : helpers) {
       if (budget == 0) {
         local.budget_exhausted = true;
@@ -118,19 +119,34 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
         if (!clash) break;
       }
       slots[s].push_back(h);
+      wave.emplace_back(h, static_cast<Slot>(s));
+      budget -= 1;
+      local.retries += 1;
+    }
+    if (wave.empty()) break;
 
-      const Slot tx_slot = t_end + gap + static_cast<Slot>(s);
+    // t_end counts transmissions that fired.  A helper whose own last
+    // scheduled transmission fell in a crash outage never fired, and that
+    // slot can lie at or past the wave; start the wave after it so every
+    // node's offsets stay strictly increasing.
+    Slot wave_start = t_end + gap;
+    for (const auto& [h, s] : wave) {
+      const auto& offsets = plan.tx_offsets[h];
+      if (offsets.empty()) continue;
+      const Slot last_scheduled = outcome.first_rx[h] + offsets.back();
+      if (last_scheduled >= wave_start + s) {
+        wave_start = last_scheduled - s + 1;
+      }
+    }
+    for (const auto& [h, s] : wave) {
+      const Slot tx_slot = wave_start + s;
       const Slot rx_slot = outcome.first_rx[h];
       WSN_ASSERT(tx_slot > rx_slot);
       auto& offsets = plan.tx_offsets[h];
       const Slot offset = tx_slot - rx_slot;
       WSN_ASSERT(offsets.empty() || offset > offsets.back());
       offsets.push_back(offset);
-      budget -= 1;
-      local.retries += 1;
-      spent_any = true;
     }
-    if (!spent_any) break;
     local.rounds += 1;
   }
 

@@ -9,13 +9,24 @@ namespace wsn {
 
 namespace {
 
-/// Counter-mode uniform in [0, 1): splitmix64 over the (seed, a, b, c)
-/// tuple, mapped to a 53-bit mantissa exactly like Xoshiro256::canonical.
-double hashed_canonical(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t c) noexcept {
+// Counter-mode uniform in [0, 1): splitmix64 absorbs the (seed, a, b, c)
+// tuple one word per round and the final state maps to a 53-bit mantissa
+// exactly like Xoshiro256::canonical.  `a` is the link key, the same for
+// every draw on a link, so the rounds are split: `absorb_link` runs the
+// seed and `a` rounds plus the b round's mix once per link, and
+// `hashed_canonical` finishes a draw in two mixes.  Bit for bit the
+// four-round original, which tests/test_fault_models.cpp keeps as its
+// oracle.
+LinkHash absorb_link(std::uint64_t seed, std::uint64_t a) noexcept {
   std::uint64_t state = seed;
   state ^= splitmix64(state) + a;
-  state ^= splitmix64(state) + b;
+  state += kSplitmix64Gamma;
+  return {state, splitmix64_mix(state)};
+}
+
+double hashed_canonical(const LinkHash& link, std::uint64_t b,
+                        std::uint64_t c) noexcept {
+  std::uint64_t state = link.state ^ (link.mixed + b);
   state ^= splitmix64(state) + c;
   const std::uint64_t bits = splitmix64(state);
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -32,8 +43,10 @@ IidLossModel::IidLossModel(double loss_rate, std::uint64_t seed) noexcept
 
 bool IidLossModel::link_delivers(NodeId tx, NodeId rx, Slot slot) {
   if (loss_rate_ <= 0.0) return true;
-  return hashed_canonical(seed_, link_key(tx, rx), slot, 0x11d) >=
-         loss_rate_;
+  const std::uint64_t key = link_key(tx, rx);
+  const LinkHash* link = last_.find(key);
+  if (link == nullptr) link = &last_.remember(key, absorb_link(seed_, key));
+  return hashed_canonical(*link, slot, 0x11d) >= loss_rate_;
 }
 
 GilbertElliottModel::GilbertElliottModel(double p_gb, double p_bg,
@@ -68,22 +81,28 @@ double GilbertElliottModel::stationary_bad() const noexcept {
   return p_gb_ + p_bg_ == 0.0 ? 0.0 : p_gb_ / (p_gb_ + p_bg_);
 }
 
-bool GilbertElliottModel::advance_to(std::uint64_t key, Slot slot) {
-  ChainState& chain = chains_[key];
-  if (slot < chain.slot) chain = ChainState{};  // out-of-order query: replay
-  while (chain.slot < slot) {
-    chain.slot += 1;
-    const double u = hashed_canonical(seed_, key, chain.slot, 0x6eb);
-    chain.bad = chain.bad ? u >= p_bg_ : u < p_gb_;
-  }
-  return chain.bad;
+GilbertElliottModel::ChainState& GilbertElliottModel::chain_for(
+    std::uint64_t key) {
+  if (ChainState* const* last = last_.find(key)) return **last;
+  const auto [it, created] = chains_.try_emplace(key);
+  if (created) it->second.hash = absorb_link(seed_, key);
+  return *last_.remember(key, &it->second);
 }
 
 bool GilbertElliottModel::link_delivers(NodeId tx, NodeId rx, Slot slot) {
-  const std::uint64_t key = link_key(tx, rx);
-  const double loss = advance_to(key, slot) ? loss_bad_ : loss_good_;
+  ChainState& chain = chain_for(link_key(tx, rx));
+  if (slot < chain.slot) {  // out-of-order query: replay from slot 0
+    chain.slot = 0;
+    chain.bad = false;
+  }
+  while (chain.slot < slot) {
+    chain.slot += 1;
+    const double u = hashed_canonical(chain.hash, chain.slot, 0x6eb);
+    chain.bad = chain.bad ? u >= p_bg_ : u < p_gb_;
+  }
+  const double loss = chain.bad ? loss_bad_ : loss_good_;
   if (loss <= 0.0) return true;
-  return hashed_canonical(seed_, key, slot, 0x105) >= loss;
+  return hashed_canonical(chain.hash, slot, 0x105) >= loss;
 }
 
 CrashScheduleModel::CrashScheduleModel(std::size_t num_nodes,

@@ -17,6 +17,53 @@
 /// would scramble.
 namespace wsn {
 
+/// The (seed, link) half of a counter-mode fault draw: the same for every
+/// draw on one directed link, so it is absorbed once per link and each
+/// draw pays only its (slot, salt) half (see models.cpp).
+struct LinkHash {
+  std::uint64_t state = 0;
+  std::uint64_t mixed = 0;
+};
+
+/// One-entry memo of the last link a model queried.  Probe passes and
+/// chain walks query one link many times in a row; the memo skips the
+/// per-link work on those repeats.  A copy or a move starts empty, and a
+/// move empties its source too, so a memo never carries state -- or a
+/// pointer -- from one model instance into another.
+template <typename T>
+class LastLinkMemo {
+ public:
+  LastLinkMemo() = default;
+  LastLinkMemo(const LastLinkMemo& /*other*/) noexcept {}
+  LastLinkMemo(LastLinkMemo&& other) noexcept { other.reset(); }
+  LastLinkMemo& operator=(const LastLinkMemo& /*other*/) noexcept {
+    reset();
+    return *this;
+  }
+  LastLinkMemo& operator=(LastLinkMemo&& other) noexcept {
+    reset();
+    other.reset();
+    return *this;
+  }
+
+  /// The remembered value for `key`, or null.
+  [[nodiscard]] const T* find(std::uint64_t key) const noexcept {
+    return valid_ && key_ == key ? &value_ : nullptr;
+  }
+  const T& remember(std::uint64_t key, const T& value) noexcept {
+    valid_ = true;
+    key_ = key;
+    value_ = value;
+    return value_;
+  }
+  void reset() noexcept { valid_ = false; }
+
+ private:
+  bool valid_ = false;
+  std::uint64_t key_ = 0;
+  T value_{};
+};
+
 /// Independent and identically distributed packet loss: each directed link
 /// drops each slot's packet with probability `loss_rate`, independently of
 /// everything else.  The memoryless baseline of every loss study.
@@ -24,6 +71,7 @@ class IidLossModel final : public FaultModel {
  public:
   IidLossModel(double loss_rate, std::uint64_t seed) noexcept;
 
+  void begin_run() override { last_.reset(); }
   [[nodiscard]] bool link_delivers(NodeId tx, NodeId rx,
                                    Slot slot) override;
   [[nodiscard]] double loss_rate() const noexcept { return loss_rate_; }
@@ -31,6 +79,7 @@ class IidLossModel final : public FaultModel {
  private:
   double loss_rate_;
   std::uint64_t seed_;
+  LastLinkMemo<LinkHash> last_;
 };
 
 /// Gilbert-Elliott bursty loss: each directed link carries a two-state
@@ -52,7 +101,10 @@ class GilbertElliottModel final : public FaultModel {
   [[nodiscard]] static GilbertElliottModel from_mean_loss(
       double mean_loss, double mean_burst, std::uint64_t seed);
 
-  void begin_run() override { chains_.clear(); }
+  void begin_run() override {
+    chains_.clear();
+    last_.reset();
+  }
   [[nodiscard]] bool link_delivers(NodeId tx, NodeId rx,
                                    Slot slot) override;
 
@@ -63,9 +115,10 @@ class GilbertElliottModel final : public FaultModel {
   struct ChainState {
     Slot slot = 0;
     bool bad = false;
+    LinkHash hash;  // absorbed when the chain is created
   };
 
-  bool advance_to(std::uint64_t link_key, Slot slot);
+  ChainState& chain_for(std::uint64_t link_key);
 
   double p_gb_;
   double p_bg_;
@@ -73,6 +126,8 @@ class GilbertElliottModel final : public FaultModel {
   double loss_bad_;
   std::uint64_t seed_;
   std::unordered_map<std::uint64_t, ChainState> chains_;
+  // Points into chains_ (node-based, so stable until clear()).
+  LastLinkMemo<ChainState*> last_;
 };
 
 /// One node outage: `node` is down for slots in [down_from, up_at);

@@ -29,32 +29,36 @@ bool event_kind_from_string(std::string_view name, EventKind& out) noexcept {
   return false;
 }
 
-EventSink::EventSink(std::size_t capacity) : ring_(capacity) {
+EventSink::EventSink(std::size_t capacity) : capacity_(capacity) {
   WSN_EXPECTS(capacity >= 1);
 }
 
 void EventSink::record(const Event& event) {
-  ring_[next_] = event;
-  next_ = (next_ + 1) % ring_.size();
-  if (size_ < ring_.size()) size_ += 1;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);
+  } else {
+    ring_[next_] = event;
+    next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+  }
   total_ += 1;
   kind_counts_[static_cast<std::size_t>(event.kind)] += 1;
 }
 
 std::vector<Event> EventSink::events() const {
   std::vector<Event> out;
-  out.reserve(size_);
-  // Oldest retained event: `next_` once the ring wrapped, 0 before.
-  const std::size_t start = size_ < ring_.size() ? 0 : next_;
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  // Oldest retained event: `next_` once the ring is full, 0 before (and
+  // `next_` stays 0 until the ring first wraps).
+  out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(next_),
+             ring_.end());
+  out.insert(out.end(), ring_.begin(),
+             ring_.begin() + static_cast<std::ptrdiff_t>(next_));
   return out;
 }
 
 void EventSink::clear() noexcept {
+  ring_.clear();  // keeps the allocation for the next run
   next_ = 0;
-  size_ = 0;
   total_ = 0;
   kind_counts_.fill(0);
 }

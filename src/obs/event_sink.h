@@ -9,9 +9,12 @@
 /// Ring-buffered event sink.
 ///
 /// Recording must be cheap enough to leave on for full paper-sized runs,
-/// so the sink is a fixed-capacity ring that keeps the *most recent*
-/// `capacity` events: long runs lose their oldest history, never their
-/// tail, and `dropped()` says exactly how much fell off.  Per-kind totals
+/// so the sink is a bounded ring that keeps the *most recent* `capacity`
+/// events: long runs lose their oldest history, never their tail, and
+/// `dropped()` says exactly how much fell off.  The ring grows on demand
+/// up to `capacity` and wraps only after that, so a sink costs memory in
+/// proportion to what it records -- a 512-node broadcast touches
+/// kilobytes, not the default capacity's 24 MB.  Per-kind totals
 /// are counted for every recorded event -- dropped or retained -- so
 /// aggregate checks (e.g. "collision events == BroadcastStats::collisions")
 /// hold regardless of retention.
@@ -37,13 +40,12 @@ class EventSink {
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   /// Events that fell off the ring (total - retained).
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ - size_;
+    return total_ - ring_.size();
   }
   /// Retained event count (<= capacity).
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  /// The configured retention bound, however far the ring has grown.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Total recorded events of `kind`, dropped ones included.
   [[nodiscard]] std::uint64_t count(EventKind kind) const noexcept {
@@ -54,9 +56,9 @@ class EventSink {
   void clear() noexcept;
 
  private:
-  std::vector<Event> ring_;
-  std::size_t next_ = 0;   // ring slot the next event lands in
-  std::size_t size_ = 0;   // retained events
+  std::size_t capacity_;
+  std::vector<Event> ring_;  // grows to capacity_, then wraps
+  std::size_t next_ = 0;     // once full: the slot the next event lands in
   std::uint64_t total_ = 0;
   std::array<std::uint64_t, kEventKindCount> kind_counts_{};
 };

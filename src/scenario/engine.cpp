@@ -470,6 +470,10 @@ struct ScenarioEngine::Impl {
   std::ofstream out;
   std::string manifest_path;
   std::string manifest_prefix;  // everything before the emitted count
+  /// Guards the manifest sidecar and the count it last recorded; taken
+  /// outside collector_mutex so the rewrite never stalls emission.
+  std::mutex manifest_mutex;
+  std::size_t manifest_emitted = 0;
   std::size_t jobs_total = 0;
   std::size_t emitted = 0;
   std::size_t errors = 0;
@@ -730,14 +734,22 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
     }
   }
 
-  const auto write_manifest = [&](std::size_t emitted, bool complete) {
+  // The manifest only ever moves forward: workers finish their batches in
+  // any order, so a rewrite whose count is not past the last recorded one
+  // is skipped.  It trails the results file (each count is written after
+  // its records were flushed), never leads it.  Every emission passes
+  // through submit(), so the last batch leaves the final count.
+  const auto write_manifest = [&](std::size_t emitted, bool force) {
     if (impl.manifest_path.empty()) return;
+    const std::lock_guard<std::mutex> lock(impl.manifest_mutex);
+    if (!force && emitted <= impl.manifest_emitted) return;
+    impl.manifest_emitted = emitted;
     std::ofstream manifest(impl.manifest_path, std::ios::trunc);
     if (!manifest) return;
-    manifest << impl.manifest_prefix << emitted
-             << ",\"complete\":" << (complete ? "true" : "false") << "}\n";
+    manifest << impl.manifest_prefix << emitted << ",\"complete\":"
+             << (emitted == impl.jobs_total ? "true" : "false") << "}\n";
   };
-  write_manifest(completed, completed == summary.jobs_total);
+  write_manifest(completed, true);
 
   {
     const std::lock_guard<std::mutex> lock(run_mutex_);
@@ -750,15 +762,15 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
   // record text being a pure function of the job) is the whole
   // byte-identity story.
   const auto submit = [&](std::size_t index, ExecResult result) -> bool {
-    std::function<void(std::size_t)> notify;
+    std::size_t notify_batch_start = 0;
     std::size_t notify_emitted = 0;
     std::size_t notify_errors = 0;
     bool resolved_here = true;
-    // Time the whole serialized section -- collector-lock acquisition,
-    // in-order flush and manifest rewrite -- as "emission stall": the
-    // serial tail every worker pays per completed job.  The clock is read
-    // only when the histogram is bound; the WSN_SPAN costs one relaxed
-    // load when profiling is fully off.
+    // Time the whole serialized section -- collector-lock acquisition
+    // and the in-order drain with its one flush -- as "emission stall":
+    // the serial tail every worker pays per completed job.  The clock is
+    // read only when the histogram is bound; the WSN_SPAN costs one
+    // relaxed load when profiling is fully off.
     std::chrono::steady_clock::time_point stall_start{};
     if (impl.emit_stall_metric != nullptr) {
       stall_start = std::chrono::steady_clock::now();
@@ -774,13 +786,11 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
       } else {
         impl.resolved[index] = 1;
         impl.pending.emplace(index, std::move(result));
+        notify_batch_start = impl.emitted;
         while (true) {
           const auto it = impl.pending.find(impl.next_to_emit);
           if (it == impl.pending.end()) break;
-          if (impl.out.is_open()) {
-            impl.out << it->second.line << '\n';
-            impl.out.flush();
-          }
+          if (impl.out.is_open()) impl.out << it->second.line << '\n';
           if (config_.on_record) {
             config_.on_record(impl.next_to_emit, it->second.line);
           }
@@ -797,7 +807,12 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
           impl.pending.erase(it);
           impl.next_to_emit += 1;
           impl.emitted += 1;
-          write_manifest(impl.emitted, impl.emitted == impl.jobs_total);
+        }
+        // One flush per drained batch, still under the lock: the results
+        // file is the checkpoint, so a batch reaches it before the
+        // manifest or on_emit report it.
+        if (impl.emitted != notify_batch_start && impl.out.is_open()) {
+          impl.out.flush();
         }
         notify_emitted = impl.emitted;
         notify_errors = impl.errors;
@@ -810,15 +825,18 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
               .count());
     }
     if (!resolved_here) return false;
+    write_manifest(notify_emitted, false);
     // The hook runs outside the collector lock so it may call
     // request_cancel() (the kill/resume tests do exactly that).
     if (config_.on_emit) config_.on_emit(notify_emitted);
     // Heartbeat on the emission count crossing a multiple of the cadence.
-    // Live pool telemetry is snapshotted here, outside the lock -- it is
-    // advisory and never reaches the results stream.
+    // A batch can jump past a multiple without landing on it, so compare
+    // the multiples below its start and its end.  Live pool telemetry is
+    // snapshotted here, outside the lock -- it is advisory and never
+    // reaches the results stream.
     if (config_.heartbeat_every > 0 && config_.on_heartbeat &&
-        notify_emitted > 0 &&
-        notify_emitted % config_.heartbeat_every == 0) {
+        notify_emitted / config_.heartbeat_every >
+            notify_batch_start / config_.heartbeat_every) {
       HeartbeatRecord beat;
       beat.emitted = notify_emitted;
       beat.jobs_total = impl.jobs_total;
@@ -1025,7 +1043,6 @@ RunSummary ScenarioEngine::run(const std::string& results_path) {
           : impl.queue_wait_ms_sum /
                 static_cast<double>(impl.queue_wait_samples);
   summary.envelopes = std::move(envelopes);
-  write_manifest(summary.emitted, summary.emitted == summary.jobs_total);
   return summary;
 }
 

@@ -82,7 +82,8 @@ struct EngineConfig {
   /// failed check names -- to its record.  Observability stays opt-in:
   /// without this flag jobs run unobserved exactly as before.
   bool audit = false;
-  /// Fire `on_heartbeat` every N emitted records (0 = off).
+  /// Fire `on_heartbeat` when emission crosses a multiple of N records,
+  /// once per in-order batch that crosses one (0 = off).
   std::size_t heartbeat_every = 0;
   /// Heartbeat hook; runs on a worker thread, outside the collector lock.
   std::function<void(const HeartbeatRecord&)> on_heartbeat;

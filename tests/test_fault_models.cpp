@@ -2,8 +2,307 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/random.h"
+#include "fault/link_estimator.h"
+#include "topology/factory.h"
+
 namespace wsn {
 namespace {
+
+// ---- oracle -------------------------------------------------------------
+// A frozen copy of the models' original counter-mode draw: four full
+// splitmix64 rounds over (seed, a, b, c), mapped to a 53-bit mantissa.
+// The models may compute it faster, never differently -- every lossy
+// scenario record downstream depends on these exact bits.
+
+std::uint64_t oracle_splitmix(std::uint64_t& state) {
+  state += 0x9e3779b97f4a7c15ull;
+  std::uint64_t z = state;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+double oracle_canonical(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                        std::uint64_t c) {
+  std::uint64_t state = seed;
+  std::uint64_t mixed = oracle_splitmix(state);
+  state ^= mixed + a;
+  mixed = oracle_splitmix(state);
+  state ^= mixed + b;
+  mixed = oracle_splitmix(state);
+  state ^= mixed + c;
+  const std::uint64_t bits = oracle_splitmix(state);
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+std::uint64_t oracle_link(NodeId tx, NodeId rx) {
+  return (static_cast<std::uint64_t>(tx) << 32) | rx;
+}
+
+struct OracleIid {
+  double loss;
+  std::uint64_t seed;
+
+  bool delivers(NodeId tx, NodeId rx, Slot slot) {
+    if (loss <= 0.0) return true;
+    return oracle_canonical(seed, oracle_link(tx, rx), slot, 0x11d) >= loss;
+  }
+  void begin_run() {}
+};
+
+// The Gilbert-Elliott chain as first written: per-link (slot, state)
+// memo in an ordered map, advanced forward, replayed from slot 0 on an
+// out-of-order query.
+struct OracleGe {
+  double p_gb, p_bg, loss_good, loss_bad;
+  std::uint64_t seed;
+  std::map<std::uint64_t, std::pair<Slot, bool>> chains;
+
+  bool delivers(NodeId tx, NodeId rx, Slot slot) {
+    const std::uint64_t key = oracle_link(tx, rx);
+    auto& [at, bad] = chains[key];
+    if (slot < at) {
+      at = 0;
+      bad = false;
+    }
+    while (at < slot) {
+      at += 1;
+      const double u = oracle_canonical(seed, key, at, 0x6eb);
+      bad = bad ? u >= p_bg : u < p_gb;
+    }
+    const double loss = bad ? loss_bad : loss_good;
+    if (loss <= 0.0) return true;
+    return oracle_canonical(seed, key, slot, 0x105) >= loss;
+  }
+  void begin_run() { chains.clear(); }
+};
+
+// from_mean_loss's parameterisation, restated.
+OracleGe oracle_ge_from_mean(double mean_loss, double mean_burst,
+                             std::uint64_t seed) {
+  const double p_bg = 1.0 / mean_burst;
+  const double pi_b = mean_loss / 0.9;
+  const double p_gb = p_bg * pi_b / (1.0 - pi_b);
+  return OracleGe{std::min(p_gb, 1.0), p_bg, 0.0, 0.9, seed, {}};
+}
+
+struct Query {
+  NodeId tx;
+  NodeId rx;
+  Slot slot;
+};
+
+// Seeded query sequences in the shapes the callers produce.
+std::vector<Query> in_order_queries(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Query> out;
+  for (int link = 0; link < 6; ++link) {
+    const auto tx = static_cast<NodeId>(rng.below(600));
+    const auto rx = static_cast<NodeId>(rng.below(600));
+    for (Slot s = 1; s <= 120; s += 1 + static_cast<Slot>(rng.below(3))) {
+      out.push_back({tx, rx, s});
+    }
+  }
+  return out;
+}
+
+std::vector<Query> out_of_order_queries(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Query> out;
+  for (int i = 0; i < 600; ++i) {
+    const auto tx = static_cast<NodeId>(rng.below(3));
+    out.push_back({tx, tx + 1, static_cast<Slot>(rng.below(250))});
+  }
+  return out;
+}
+
+std::vector<Query> interleaved_queries(std::uint64_t seed) {
+  // Simulator-shaped: slot by slot, a random subset of links fires, and
+  // a link may be queried twice in a row or revisited slots later.
+  Xoshiro256 rng(seed);
+  std::vector<Query> out;
+  for (Slot s = 0; s < 150; ++s) {
+    for (NodeId tx = 0; tx < 8; ++tx) {
+      if (!rng.chance(0.4)) continue;
+      const auto rx = static_cast<NodeId>(8 + rng.below(4));
+      out.push_back({tx, rx, s});
+      if (rng.chance(0.2)) out.push_back({tx, rx, s});
+    }
+  }
+  return out;
+}
+
+template <typename Model, typename Oracle>
+void expect_matches_oracle(Model& model, Oracle& oracle,
+                           const std::vector<Query>& queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    ASSERT_EQ(model.link_delivers(q.tx, q.rx, q.slot),
+              oracle.delivers(q.tx, q.rx, q.slot))
+        << "query " << i << ": " << q.tx << "->" << q.rx << " @" << q.slot;
+  }
+}
+
+template <typename Model, typename Oracle>
+void expect_all_shapes_match(Model& model, Oracle& oracle) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expect_matches_oracle(model, oracle, in_order_queries(seed));
+    expect_matches_oracle(model, oracle, out_of_order_queries(seed));
+    expect_matches_oracle(model, oracle, interleaved_queries(seed));
+    model.begin_run();
+    oracle.begin_run();
+    expect_matches_oracle(model, oracle, interleaved_queries(seed + 10));
+    expect_matches_oracle(model, oracle, in_order_queries(seed + 10));
+  }
+}
+
+TEST(FaultOracle, IidMatchesTheFrozenDraw) {
+  for (const double loss : {0.05, 0.3, 0.75}) {
+    for (const std::uint64_t seed : {0ull, 17ull, 0xdeadbeefcafef00dull}) {
+      IidLossModel model(loss, seed);
+      OracleIid oracle{loss, seed};
+      expect_all_shapes_match(model, oracle);
+    }
+  }
+}
+
+TEST(FaultOracle, GilbertElliottMatchesTheFrozenChain) {
+  for (const std::uint64_t seed : {3ull, 91ull, 0x123456789abcdefull}) {
+    GilbertElliottModel model(0.08, 0.3, 0.05, 0.85, seed);
+    OracleGe oracle{0.08, 0.3, 0.05, 0.85, seed, {}};
+    expect_all_shapes_match(model, oracle);
+
+    GilbertElliottModel from_mean =
+        GilbertElliottModel::from_mean_loss(0.1, 4.0, seed);
+    OracleGe mean_oracle = oracle_ge_from_mean(0.1, 4.0, seed);
+    expect_all_shapes_match(from_mean, mean_oracle);
+  }
+}
+
+// estimate_link_quality's probe pass, driven by the oracle.
+template <typename Oracle>
+std::vector<double> oracle_estimate(const Topology& topo, Oracle& oracle) {
+  const LinkEstimatorConfig config;
+  oracle.begin_run();
+  std::vector<double> quality;
+  for (NodeId tx = 0; tx < topo.num_nodes(); ++tx) {
+    for (NodeId rx : topo.neighbors(tx)) {
+      std::size_t delivered = 0;
+      for (std::size_t round = 0; round < config.probe_rounds; ++round) {
+        const Slot slot = 1 + static_cast<Slot>(round) * config.slot_stride;
+        if (oracle.delivers(tx, rx, slot)) delivered += 1;
+      }
+      const double p = static_cast<double>(delivered) /
+                       static_cast<double>(config.probe_rounds);
+      quality.push_back(std::clamp(p, config.min_delivery, 1.0));
+    }
+  }
+  return quality;
+}
+
+TEST(FaultOracle, LinkEstimatesMatchOnThePaperMeshes) {
+  for (const char* family : {"2D-4", "2D-8"}) {
+    const std::unique_ptr<Topology> topo = make_paper_topology(family);
+    IidLossModel iid(0.1, 0xe57);
+    OracleIid iid_oracle{0.1, 0xe57};
+    EXPECT_EQ(estimate_link_quality(*topo, iid),
+              oracle_estimate(*topo, iid_oracle))
+        << family << " iid";
+
+    GilbertElliottModel ge = GilbertElliottModel::from_mean_loss(0.1, 4.0, 29);
+    OracleGe ge_oracle = oracle_ge_from_mean(0.1, 4.0, 29);
+    EXPECT_EQ(estimate_link_quality(*topo, ge),
+              oracle_estimate(*topo, ge_oracle))
+        << family << " gilbert";
+  }
+}
+
+// ---- copy and move safety -------------------------------------------------
+// The scenario engine moves models by value, so whatever a model caches
+// about the last link it hashed must not travel with a copy or a move.
+
+template <typename Model>
+void warm_up(Model& model) {
+  for (Slot s = 1; s <= 40; ++s) {
+    (void)model.link_delivers(4, 5, s);
+    (void)model.link_delivers(5, 4, s);
+  }
+  (void)model.link_delivers(4, 5, 41);
+}
+
+template <typename Model>
+void expect_answers_like(Model& model, Model& fresh) {
+  for (const std::vector<Query>& queries :
+       {interleaved_queries(7), out_of_order_queries(7)}) {
+    for (const Query& q : queries) {
+      ASSERT_EQ(model.link_delivers(q.tx, q.rx, q.slot),
+                fresh.link_delivers(q.tx, q.rx, q.slot));
+    }
+  }
+  // The warm-up links, revisited from both ends of their chains.
+  for (const Slot s : {Slot{41}, Slot{42}, Slot{3}, Slot{90}}) {
+    ASSERT_EQ(model.link_delivers(4, 5, s), fresh.link_delivers(4, 5, s));
+    ASSERT_EQ(model.link_delivers(5, 4, s), fresh.link_delivers(5, 4, s));
+  }
+}
+
+TEST(FaultModelCopies, CopyOfAUsedModelAnswersLikeAFreshOne) {
+  GilbertElliottModel used(0.1, 0.25, 0.02, 0.9, 55);
+  warm_up(used);
+  GilbertElliottModel copy(used);
+  GilbertElliottModel fresh(0.1, 0.25, 0.02, 0.9, 55);
+  expect_answers_like(copy, fresh);
+
+  GilbertElliottModel assigned(0.5, 0.5, 0.5, 0.5, 1);
+  warm_up(assigned);
+  assigned = used;
+  GilbertElliottModel fresh2(0.1, 0.25, 0.02, 0.9, 55);
+  expect_answers_like(assigned, fresh2);
+
+  IidLossModel iid_used(0.3, 55);
+  warm_up(iid_used);
+  IidLossModel iid_copy(iid_used);
+  IidLossModel iid_fresh(0.3, 55);
+  expect_answers_like(iid_copy, iid_fresh);
+}
+
+TEST(FaultModelCopies, MovedModelsAnswerLikeFreshOnes) {
+  GilbertElliottModel used(0.1, 0.25, 0.02, 0.9, 56);
+  warm_up(used);
+  GilbertElliottModel moved(std::move(used));
+  GilbertElliottModel fresh(0.1, 0.25, 0.02, 0.9, 56);
+  expect_answers_like(moved, fresh);
+
+  // The moved-from model is reusable after begin_run(), and never
+  // reaches into the chains it gave away.
+  used.begin_run();
+  GilbertElliottModel fresh2(0.1, 0.25, 0.02, 0.9, 56);
+  expect_answers_like(used, fresh2);
+  GilbertElliottModel fresh3(0.1, 0.25, 0.02, 0.9, 56);
+  expect_answers_like(moved, fresh3);
+
+  GilbertElliottModel target(0.5, 0.5, 0.5, 0.5, 1);
+  warm_up(target);
+  GilbertElliottModel source(0.1, 0.25, 0.02, 0.9, 56);
+  warm_up(source);
+  target = std::move(source);
+  GilbertElliottModel fresh4(0.1, 0.25, 0.02, 0.9, 56);
+  expect_answers_like(target, fresh4);
+
+  // The engine's own construction path: from_mean_loss into make_unique.
+  auto owned = std::make_unique<GilbertElliottModel>(
+      GilbertElliottModel::from_mean_loss(0.2, 4.0, 57));
+  GilbertElliottModel fresh5 = GilbertElliottModel::from_mean_loss(0.2, 4.0, 57);
+  expect_answers_like(*owned, fresh5);
+}
 
 TEST(IidLossModel, EmpiricalRateMatchesParameter) {
   IidLossModel model(0.25, 42);

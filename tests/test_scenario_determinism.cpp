@@ -307,6 +307,37 @@ TEST(ScenarioDeterminism, EnvelopeMatchesDirectSweep) {
   EXPECT_EQ(env.all_reached, sweep.all_fully_reached());
 }
 
+// Golden: scenarios/lossy_golden.json (iid, Gilbert and crash faults x
+// paper/etx x none/adaptive/repeat-k, audited) must keep producing the
+// committed bytes in tests/golden/lossy_golden.jsonl -- any change to a
+// fault draw, the link estimator, ARQ or the record encoding shows here.
+TEST(ScenarioGolden, LossyRecordsMatchTheCommittedBytes) {
+  const std::filesystem::path repo(WSN_REPO_DIR);
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario_file(
+      (repo / "scenarios" / "lossy_golden.json").string(), spec, error))
+      << error;
+  JobMatrix matrix;
+  ASSERT_TRUE(expand_jobs(std::move(spec), matrix, error)) << error;
+  const std::string golden =
+      read_file(repo / "tests" / "golden" / "lossy_golden.jsonl");
+  ASSERT_FALSE(golden.empty());
+
+  const TempDir tmp("golden");
+  EngineConfig one;
+  one.workers = 1;
+  one.audit = true;
+  EXPECT_EQ(run_to_string(matrix, one, tmp.path / "w1.jsonl"), golden);
+
+  PlanStore store;
+  EngineConfig four;
+  four.workers = 4;
+  four.audit = true;
+  four.store = &store;
+  EXPECT_EQ(run_to_string(matrix, four, tmp.path / "w4.jsonl"), golden);
+}
+
 // ---------------------------------------------------------------------
 // Acceptance: scenarios/paper.json reproduces Tables 1-5.
 //

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sim/simulator.h"
 
 namespace wsn {
 namespace {
@@ -297,6 +299,100 @@ TEST(ScenarioEngine, ManifestMirrorsProgress) {
   EXPECT_TRUE(manifest.bool_or("complete", false));
 }
 
+// Complete results lines in the file right now (a concurrent writer may
+// have a partial line buffered out; it does not count).
+std::size_t records_on_disk(const std::string& path) {
+  const std::string text = read_file(path);
+  const std::size_t lines =
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+  return lines == 0 ? 0 : lines - 1;  // minus the header
+}
+
+TEST(ScenarioEngine, ManifestNeverLeadsTheResultsFile) {
+  // The manifest is rewritten outside the collector lock; it may trail
+  // the results file but must never claim a record that is not on disk,
+  // at any emission -- including the ones around a mid-run cancel.
+  const TempDir tmp("manifest_lag");
+  JobMatrix matrix;
+  expand(
+      "{\"name\": \"manifest-lag\", \"scenarios\": [{"
+      "\"name\": \"sweep\", \"family\": \"2D-4\", \"dims\": [6, 5],"
+      "\"sources\": \"all\", \"protocols\": [\"paper\", \"flooding\"]}]}",
+      matrix);
+  const std::size_t jobs = matrix.jobs.size();
+  ASSERT_EQ(jobs, 60u);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    const std::string out =
+        (tmp.path / (std::to_string(workers) + "-workers.jsonl")).string();
+    const std::string manifest_path = out + ".manifest";
+    std::atomic<std::size_t> callbacks{0};
+    std::atomic<std::size_t> checked{0};
+    std::atomic<bool> manifest_led{false};
+    const auto check = [&](std::size_t /*emitted*/) {
+      callbacks.fetch_add(1);
+      JsonValue manifest;
+      // With several workers another thread may be mid-rewrite; a torn
+      // read is allowed (the manifest is advisory), a lie is not.
+      if (!parse_json(read_file(manifest_path), manifest)) return;
+      const double claimed = manifest.number_or("emitted", -1.0);
+      const std::size_t on_disk = records_on_disk(out);
+      if (claimed < 0.0 || claimed > static_cast<double>(on_disk)) {
+        manifest_led.store(true);
+      }
+      checked.fetch_add(1);
+    };
+
+    // A cancelled run first, then a resumed run to completion.
+    EngineConfig config;
+    config.workers = workers;
+    ScenarioEngine* handle = nullptr;
+    config.on_emit = [&](std::size_t emitted) {
+      check(emitted);
+      if (emitted >= jobs / 2) handle->request_cancel();
+    };
+    ScenarioEngine engine(matrix, config);
+    handle = &engine;
+    const RunSummary partial = engine.run(out);
+    ASSERT_TRUE(partial.ok) << partial.error;
+    EXPECT_TRUE(partial.cancelled);
+    if (workers == 1) {
+      // One worker makes the cut deterministic: the cancel lands before
+      // the next pop.  With more, a stalled job can hold emission back
+      // until every later job is done, and the cancel comes too late.
+      EXPECT_LT(partial.emitted, jobs);
+    }
+
+    JsonValue manifest;
+    ASSERT_TRUE(parse_json(read_file(manifest_path), manifest));
+    EXPECT_DOUBLE_EQ(manifest.number_or("emitted", -1.0),
+                     static_cast<double>(partial.emitted));
+    EXPECT_EQ(manifest.bool_or("complete", false), partial.emitted == jobs);
+    EXPECT_EQ(records_on_disk(out), partial.emitted);
+
+    EngineConfig resume;
+    resume.workers = workers;
+    resume.resume = true;
+    resume.on_emit = check;
+    ScenarioEngine resumed(matrix, resume);
+    const RunSummary rest = resumed.run(out);
+    ASSERT_TRUE(rest.ok) << rest.error;
+    EXPECT_EQ(rest.emitted, jobs);
+
+    EXPECT_FALSE(manifest_led.load());
+    EXPECT_GT(callbacks.load(), 0u);
+    if (workers == 1) {
+      EXPECT_EQ(checked.load(), callbacks.load());
+    }
+    ASSERT_TRUE(parse_json(read_file(manifest_path), manifest));
+    EXPECT_DOUBLE_EQ(manifest.number_or("emitted", -1.0),
+                     static_cast<double>(jobs));
+    EXPECT_TRUE(manifest.bool_or("complete", false));
+    EXPECT_EQ(records_on_disk(out), jobs);
+  }
+}
+
 TEST(ScenarioEngine, MetricsMirrorCountsJobs) {
   const TempDir tmp("metrics");
   JobMatrix matrix;
@@ -425,6 +521,31 @@ TEST(ScenarioEngine, EtxAdaptiveJobsEmitRetryFieldsAndAuditClean) {
     }
   }
   EXPECT_EQ(adaptive_records, 4u);
+}
+
+TEST(ScenarioEngine, AdaptiveArqSurvivesHelpersSilencedByCrashes) {
+  // Permanent crashes can silence a relay's last scheduled transmission
+  // after the last one that fired; adaptive ARQ used to pick that relay as
+  // a helper and abort on a non-increasing retry offset.  The first of
+  // these jobs hit exactly that.
+  JobMatrix matrix;
+  expand(
+      "{\"name\": \"arq-crash\", \"scenarios\": [{"
+      "\"name\": \"crashy\", \"family\": \"2D-8\", \"dims\": [8, 6],"
+      "\"sources\": \"center\", \"protocols\": [\"paper\", \"etx\"],"
+      "\"faults\": [{\"kind\": \"gilbert\", \"loss\": 0.1, \"burst\": 3,"
+      "\"crash_prob\": 0.1}],"
+      "\"recovery\": [\"adaptive\"], \"seeds\": [5], \"repeats\": 2}]}",
+      matrix);
+  ASSERT_EQ(matrix.jobs.size(), 4u);
+  Simulator sim;
+  for (const ScenarioJob& job : matrix.jobs) {
+    const std::string record =
+        run_scenario_job(matrix, job, sim, nullptr, true);
+    EXPECT_NE(record.find("\"status\":\"ok\""), std::string::npos) << record;
+    EXPECT_NE(record.find("\"retries\":"), std::string::npos) << record;
+    EXPECT_EQ(record.find("\"audit_failed\""), std::string::npos) << record;
+  }
 }
 
 TEST(ScenarioEngine, WatchdogResolvesStalledJobsIntoErrorRecords) {
