@@ -6,11 +6,7 @@
 //   $ export_trace [--family 2D-8] [--width 14] [--height 14]
 //                  [--src-x 5] [--src-y 9]
 //                  [--plan-out plan.csv] [--trace-out trace.jsonl]
-//                  [--chrome-out trace_chrome.json] [--format jsonl|csv]
-//
-// --format csv writes the deprecated sim/trace_io CSV instead (kept so
-// existing tooling keeps working; a reader for archived CSV traces lives
-// in sim/trace_io.h).
+//                  [--chrome-out trace_chrome.json]
 
 #include <cstdio>
 #include <fstream>
@@ -41,8 +37,6 @@ int main(int argc, char** argv) {
   cli.add_option("trace-out", "event trace path", "trace.jsonl");
   cli.add_option("chrome-out",
                  "Chrome/Perfetto trace-event JSON path (empty = skip)", "");
-  cli.add_option("format", "trace-out format: jsonl | csv (deprecated)",
-                 "jsonl");
   if (!cli.parse(argc, argv)) return 1;
 
   const auto topo = wsn::make_mesh(cli.get("family"),
@@ -53,12 +47,6 @@ int main(int argc, char** argv) {
   if (src >= topo->num_nodes()) {
     std::fprintf(stderr, "source id %u out of range (%zu nodes)\n", src,
                  topo->num_nodes());
-    return 1;
-  }
-  const std::string format = cli.get("format");
-  if (format != "jsonl" && format != "csv") {
-    std::fprintf(stderr, "unknown --format %s (jsonl|csv)\n",
-                 format.c_str());
     return 1;
   }
 
@@ -89,18 +77,9 @@ int main(int argc, char** argv) {
       })) {
     return 1;
   }
-  if (format == "csv") {
-    std::fprintf(stderr,
-                 "warning: --format csv is deprecated; the JSONL schema "
-                 "(obs/export.h) is the supported format\n");
-    if (!write_file(trace_path, [&](std::ostream& file) {
-          wsn::write_legacy_trace_csv(file, *topo, sink);
-        })) {
-      return 1;
-    }
-  } else if (!write_file(trace_path, [&](std::ostream& file) {
-               wsn::write_events_jsonl(file, sink);
-             })) {
+  if (!write_file(trace_path, [&](std::ostream& file) {
+        wsn::write_events_jsonl(file, sink);
+      })) {
     return 1;
   }
   if (!chrome_path.empty() &&

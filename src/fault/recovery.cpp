@@ -1,9 +1,10 @@
 #include "fault/recovery.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/assert.h"
+#include "obs/event_sink.h"
+#include "obs/observer.h"
 #include "protocol/resolver.h"
 
 namespace wsn {
@@ -51,64 +52,34 @@ RelayPlan repeat_k(RelayPlan plan, unsigned k) {
   return plan;
 }
 
-namespace {
-
-/// Per-node successful-decode counts of a finished broadcast, recomputed
-/// from its transmission log under the simulator's medium rules (single
-/// transmitting neighbor, receiver not itself transmitting).  Also records
-/// each node's deliverer when it decoded exactly once.
-struct DecodeCensus {
-  std::vector<std::uint32_t> decodes;
-  std::vector<NodeId> sole_deliverer;
-};
-
-DecodeCensus census_decodes(const Topology& topo,
-                            const BroadcastOutcome& outcome) {
-  const std::size_t n = topo.num_nodes();
-  DecodeCensus census{std::vector<std::uint32_t>(n, 0),
-                      std::vector<NodeId>(n, kInvalidNode)};
-
-  std::map<Slot, std::vector<NodeId>> by_slot;
-  for (const TxRecord& rec : outcome.transmissions) {
-    by_slot[rec.slot].push_back(rec.node);
-  }
-
-  std::vector<std::uint32_t> hear_count(n, 0);
-  std::vector<NodeId> heard_from(n, kInvalidNode);
-  std::vector<char> is_transmitting(n, 0);
-  std::vector<NodeId> touched;
-  for (const auto& [slot, transmitters] : by_slot) {
-    for (NodeId v : transmitters) is_transmitting[v] = 1;
-    touched.clear();
-    for (NodeId v : transmitters) {
-      for (NodeId u : topo.neighbors(v)) {
-        if (hear_count[u] == 0) touched.push_back(u);
-        hear_count[u] += 1;
-        heard_from[u] = v;
-      }
-    }
-    for (NodeId u : touched) {
-      const std::uint32_t contenders = hear_count[u];
-      hear_count[u] = 0;
-      if (is_transmitting[u] || contenders != 1) continue;
-      census.decodes[u] += 1;
-      census.sole_deliverer[u] =
-          census.decodes[u] == 1 ? heard_from[u] : kInvalidNode;
-    }
-    for (NodeId v : transmitters) is_transmitting[v] = 0;
-  }
-  return census;
-}
-
-}  // namespace
-
 RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
                       const SimOptions& options) {
   const std::size_t n = topo.num_nodes();
   WSN_EXPECTS(plan.num_nodes() == n);
 
-  const BroadcastOutcome outcome = simulate_broadcast(topo, plan, options);
-  const DecodeCensus census = census_decodes(topo, outcome);
+  // The probe run reports its own decodes: each kRx or kDuplicate event
+  // is one successful decode, and a node's kRx names its deliverer.  The
+  // sink cannot wrap: a transmission logs at most itself plus one event
+  // per neighbor, and a node arms its relay schedule at most once.
+  std::size_t max_events = n;
+  for (NodeId v = 0; v < n; ++v) {
+    max_events += plan.tx_offsets[v].size() * (1 + topo.degree(v));
+  }
+  EventSink sink(max_events);
+  Observer observer(&sink);
+  SimOptions probe = options;
+  probe.observer = &observer;
+  const BroadcastOutcome outcome = simulate_broadcast(topo, plan, probe);
+  WSN_ASSERT(sink.dropped() == 0);
+
+  std::vector<std::uint32_t> decodes(n, 0);
+  std::vector<NodeId> deliverer(n, kInvalidNode);
+  for (const Event& event : sink.events()) {
+    if (event.kind == EventKind::kRx) deliverer[event.node] = event.peer;
+    if (event.kind == EventKind::kRx || event.kind == EventKind::kDuplicate) {
+      decodes[event.node] += 1;
+    }
+  }
 
   Slot t_end = 1;
   for (const TxRecord& rec : outcome.transmissions) {
@@ -121,7 +92,7 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
   std::vector<char> fragile(n, 0);
   for (NodeId u = 0; u < n; ++u) {
     if (u != plan.source && outcome.first_rx[u] != kNeverSlot &&
-        census.decodes[u] == 1) {
+        decodes[u] == 1) {
       fragile[u] = 1;
     }
   }
@@ -138,7 +109,7 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
     bool helper_is_deliverer = true;
     for (NodeId h : topo.neighbors(u)) {
       if (outcome.first_rx[h] == kNeverSlot) continue;
-      const bool is_deliverer = h == census.sole_deliverer[u];
+      const bool is_deliverer = h == deliverer[u];
       const bool better =
           helper == kInvalidNode ||
           (helper_is_deliverer && !is_deliverer) ||

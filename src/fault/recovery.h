@@ -52,7 +52,8 @@ enum class RecoveryPolicy {
 /// Echo-repair: one extra transmission per fragile-node cluster, placed in
 /// fresh slots after the plan's fault-free timeline ends.  `options`
 /// configures the probe simulation (leave defaulted unless the plan is
-/// meant for a non-default medium).
+/// meant for a non-default medium); the probe counts decodes through its
+/// own observer, which replaces any in `options`.
 [[nodiscard]] RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
                                     const SimOptions& options = {});
 

@@ -1,268 +1,21 @@
 #include "sim/pipeline.h"
 
-#include <algorithm>
-#include <map>
-
-#include "common/assert.h"
-#include "obs/profile.h"
-
 namespace wsn {
-
-namespace {
-
-struct Pending {
-  NodeId node;
-  std::uint32_t packet;
-
-  friend bool operator<(const Pending& a, const Pending& b) noexcept {
-    return a.node != b.node ? a.node < b.node : a.packet < b.packet;
-  }
-  friend bool operator==(const Pending& a, const Pending& b) noexcept {
-    return a.node == b.node && a.packet == b.packet;
-  }
-};
-
-/// The slot loop, compiled twice -- same split as simulator.cpp:
-/// kObserved=false contains no observer code, keeping the pipeline-period
-/// search exactly as fast as before instrumentation.
-template <bool kObserved>
-PipelineOutcome pipeline_impl(const Topology& topo, const RelayPlan& plan,
-                              const PipelineOptions& options) {
-  const std::size_t n = topo.num_nodes();
-  const std::size_t packets = options.packets;
-  WSN_EXPECTS(plan.num_nodes() == n);
-  WSN_EXPECTS(packets >= 1);
-  WSN_EXPECTS(options.interval >= 1);
-  WSN_EXPECTS(options.sim.battery == nullptr);
-  plan.validate();
-
-  FaultModel* const faults = options.sim.faults;
-  if (faults != nullptr) faults->begin_run();
-  [[maybe_unused]] Observer* const obs = options.sim.observer;
-
-  PipelineOutcome out;
-  out.per_packet.assign(packets, BroadcastStats{});
-  for (auto& stats : out.per_packet) stats.num_nodes = n;
-  out.aggregate.num_nodes = n;
-
-  // first_rx[p][v]; the source "has" packet p from its injection slot.
-  std::vector<std::vector<Slot>> first_rx(
-      packets, std::vector<Slot>(n, kNeverSlot));
-
-  std::map<Slot, std::vector<Pending>> schedule;
-  const auto schedule_node = [&](NodeId v, std::uint32_t packet,
-                                 Slot received_at) {
-    if constexpr (kObserved) {
-      if (!plan.tx_offsets[v].empty()) {
-        Observer::count(obs->relay_activations);
-        obs->emit(
-            Event{received_at, EventKind::kRelayActivation, v, kInvalidNode,
-                  packet,
-                  static_cast<std::uint32_t>(plan.tx_offsets[v].size())});
-      }
-    }
-    for (Slot offset : plan.tx_offsets[v]) {
-      schedule[received_at + offset].push_back(Pending{v, packet});
-    }
-  };
-  for (std::uint32_t p = 0; p < packets; ++p) {
-    const Slot base = static_cast<Slot>(p) * options.interval;
-    first_rx[p][plan.source] = base;
-    schedule_node(plan.source, p, base);
-  }
-
-  std::vector<std::uint32_t> hear_count(n, 0);
-  std::vector<NodeId> heard_from(n, kInvalidNode);
-  std::vector<std::uint32_t> tx_packet(n, 0);
-  std::vector<char> is_transmitting(n, 0);
-  std::vector<NodeId> touched;
-
-  while (!schedule.empty()) {
-    auto it = schedule.begin();
-    const Slot slot = it->first;
-    std::vector<Pending> entries = std::move(it->second);
-    schedule.erase(it);
-    if (slot > options.sim.max_slots) break;
-
-    std::sort(entries.begin(), entries.end());
-    entries.erase(std::unique(entries.begin(), entries.end()),
-                  entries.end());
-
-    // One packet per node per slot: the oldest goes out, younger packets
-    // defer one slot (dropping duplicates already scheduled there).
-    std::vector<Pending> transmitters;
-    for (std::size_t i = 0; i < entries.size();) {
-      std::size_t j = i;
-      while (j < entries.size() && entries[j].node == entries[i].node) ++j;
-      transmitters.push_back(entries[i]);
-      for (std::size_t k = i + 1; k < j; ++k) {
-        auto& next_slot = schedule[slot + 1];
-        if (std::find(next_slot.begin(), next_slot.end(), entries[k]) ==
-            next_slot.end()) {
-          next_slot.push_back(entries[k]);
-          if constexpr (kObserved) {
-            Observer::count(obs->pipeline_defers);
-            obs->emit(Event{slot, EventKind::kPipelineDefer,
-                            entries[k].node, kInvalidNode,
-                            entries[k].packet, 1});
-          }
-        }
-      }
-      i = j;
-    }
-
-    // Crashed transmitters lose the slot's transmission outright, exactly
-    // as in the single-packet simulator; the loss is charged per would-be
-    // hearer to the suppressed packet.
-    if (faults != nullptr) {
-      std::erase_if(transmitters, [&](const Pending& t) {
-        if (faults->node_up(t.node, slot)) return false;
-        const auto lost = static_cast<std::uint32_t>(topo.degree(t.node));
-        out.per_packet[t.packet].lost_to_crash += lost;
-        if constexpr (kObserved) {
-          Observer::count(obs->lost_to_crash, lost);
-          obs->emit(Event{slot, EventKind::kLossCrash, t.node,
-                          kInvalidNode, t.packet, lost});
-        }
-        return true;
-      });
-    }
-
-    for (const Pending& t : transmitters) {
-      is_transmitting[t.node] = 1;
-      tx_packet[t.node] = t.packet;
-      out.per_packet[t.packet].tx += 1;
-      if constexpr (kObserved) {
-        Observer::count(obs->tx);
-        obs->emit(Event{slot, EventKind::kTx, t.node, kInvalidNode,
-                        t.packet});
-      }
-      const Joules cost = options.sim.radio.tx_energy(
-          options.sim.packet_bits, topo.tx_range(t.node));
-      out.per_packet[t.packet].tx_energy += cost;
-    }
-
-    touched.clear();
-    for (const Pending& t : transmitters) {
-      for (NodeId u : topo.neighbors(t.node)) {
-        if (faults != nullptr) {
-          if (!faults->node_up(u, slot)) {
-            out.per_packet[t.packet].lost_to_crash += 1;
-            if constexpr (kObserved) {
-              Observer::count(obs->lost_to_crash);
-              obs->emit(Event{slot, EventKind::kLossCrash, u, t.node,
-                              t.packet, 1});
-            }
-            continue;
-          }
-          if (!faults->link_delivers(t.node, u, slot)) {
-            out.per_packet[t.packet].lost_to_fading += 1;
-            if constexpr (kObserved) {
-              Observer::count(obs->lost_to_fading);
-              obs->emit(Event{slot, EventKind::kLossFading, u, t.node,
-                              t.packet});
-            }
-            continue;
-          }
-        }
-        if (hear_count[u] == 0) touched.push_back(u);
-        hear_count[u] += 1;
-        heard_from[u] = t.node;
-      }
-    }
-
-    for (NodeId u : touched) {
-      const std::uint32_t contenders = hear_count[u];
-      hear_count[u] = 0;
-      if (is_transmitting[u]) continue;
-
-      if (contenders == 1) {
-        const std::uint32_t packet = tx_packet[heard_from[u]];
-        auto& stats = out.per_packet[packet];
-        stats.rx += 1;
-        if constexpr (kObserved) Observer::count(obs->rx);
-        stats.rx_energy +=
-            options.sim.radio.rx_energy(options.sim.packet_bits);
-        if (first_rx[packet][u] == kNeverSlot) {
-          first_rx[packet][u] = slot;
-          const Slot base = static_cast<Slot>(packet) * options.interval;
-          stats.delay = std::max(stats.delay, slot - base);
-          if constexpr (kObserved) {
-            obs->emit(Event{slot, EventKind::kRx, u, heard_from[u],
-                            packet});
-            if (obs->slot_delay != nullptr) {
-              obs->slot_delay->observe(static_cast<double>(slot - base));
-            }
-          }
-          schedule_node(u, packet, slot);
-        } else {
-          stats.duplicates += 1;
-          if constexpr (kObserved) {
-            Observer::count(obs->duplicates);
-            obs->emit(Event{slot, EventKind::kDuplicate, u, heard_from[u],
-                            packet});
-          }
-        }
-      } else {
-        // Cross- or same-packet pileup; attribution is ambiguous, so the
-        // event counts once, in the aggregate (the event's packet field
-        // names one of the contenders: the last transmitter heard).
-        out.aggregate.collisions += 1;
-        if constexpr (kObserved) {
-          Observer::count(obs->collisions);
-          obs->emit(Event{slot, EventKind::kCollision, u, kInvalidNode,
-                          tx_packet[heard_from[u]], contenders});
-        }
-      }
-    }
-
-    for (const Pending& t : transmitters) is_transmitting[t.node] = 0;
-  }
-
-  for (std::uint32_t p = 0; p < packets; ++p) {
-    auto& stats = out.per_packet[p];
-    stats.reached = 0;
-    for (Slot s : first_rx[p]) {
-      if (s != kNeverSlot) stats.reached += 1;
-    }
-    out.aggregate.tx += stats.tx;
-    out.aggregate.rx += stats.rx;
-    out.aggregate.duplicates += stats.duplicates;
-    out.aggregate.lost_to_fading += stats.lost_to_fading;
-    out.aggregate.lost_to_crash += stats.lost_to_crash;
-    out.aggregate.tx_energy += stats.tx_energy;
-    out.aggregate.rx_energy += stats.rx_energy;
-    const Slot base = static_cast<Slot>(p) * options.interval;
-    out.aggregate.delay = std::max(out.aggregate.delay, stats.delay + base);
-    out.aggregate.reached = stats.reached;  // last packet's reach
-  }
-  if constexpr (kObserved) {
-    Observer::count(obs->runs);
-    if (obs->reached != nullptr) {
-      obs->reached->set(static_cast<double>(out.aggregate.reached));
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 PipelineOutcome simulate_pipeline(const Topology& topo, const RelayPlan& plan,
                                   const PipelineOptions& options) {
-  WSN_SPAN("sim.pipeline");
-  if (options.sim.observer != nullptr) {
-    return pipeline_impl<true>(topo, plan, options);
-  }
-  return pipeline_impl<false>(topo, plan, options);
+  Simulator simulator(topo.num_nodes());
+  return simulator.run_pipeline(topo, plan, options);
 }
 
 Slot min_pipeline_interval(const Topology& topo, const RelayPlan& plan,
                            std::size_t packets, Slot limit) {
+  Simulator simulator(topo.num_nodes());
+  PipelineOptions options;
+  options.packets = packets;
   for (Slot interval = 1; interval <= limit; ++interval) {
-    PipelineOptions options;
-    options.packets = packets;
     options.interval = interval;
-    if (simulate_pipeline(topo, plan, options).all_fully_reached()) {
+    if (simulator.run_pipeline(topo, plan, options).all_fully_reached()) {
       return interval;
     }
   }

@@ -26,6 +26,10 @@
 ///     nothing, whatever the packets involved (co-channel collision);
 ///   * each packet's relay offsets apply relative to that packet's own
 ///     first reception at the node.
+///
+/// There is no separate pipeline engine: these functions drive the
+/// reference Simulator's one slot loop (sim/simulator.h), in which a
+/// single broadcast is the one-packet case.
 namespace wsn {
 
 struct PipelineOptions {
@@ -33,9 +37,12 @@ struct PipelineOptions {
   std::size_t packets = 4;
   /// Slots between consecutive injections (≥ 1).
   Slot interval = 8;
-  /// Medium / energy configuration (battery not supported here; fault
-  /// injection via `sim.faults` is honored, with losses attributed to the
-  /// affected packet's stats).
+  /// Medium / energy configuration.  Fault injection via `sim.faults` is
+  /// honored, with losses attributed to the affected packet's stats, and
+  /// an observer sees the run like a single broadcast's (events carry the
+  /// packet index; every transmission feeds the `sim.etr` histogram).
+  /// A battery is rejected; collision records, per-node energy and
+  /// collision charging are single-broadcast options and ignored here.
   SimOptions sim{};
 };
 
@@ -54,7 +61,8 @@ struct PipelineOutcome {
   }
 };
 
-/// Runs the pipelined broadcast to completion.  Deterministic.
+/// Runs the pipelined broadcast to completion.  Deterministic.  Stateless
+/// convenience over a fresh Simulator (`Simulator::run_pipeline`).
 [[nodiscard]] PipelineOutcome simulate_pipeline(const Topology& topo,
                                                 const RelayPlan& plan,
                                                 const PipelineOptions& options);
@@ -62,7 +70,7 @@ struct PipelineOutcome {
 /// The smallest interval in [1, `limit`] at which every packet of a
 /// `packets`-deep pipeline reaches every node, or 0 if none does.  Linear
 /// scan: interference is not monotone in the interval, so each value is
-/// tested directly.
+/// tested directly (on one reused Simulator).
 [[nodiscard]] Slot min_pipeline_interval(const Topology& topo,
                                          const RelayPlan& plan,
                                          std::size_t packets, Slot limit);

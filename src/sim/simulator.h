@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -33,7 +34,16 @@
 /// The run ends when no transmission remains scheduled, or at
 /// `max_slots` (a runaway guard -- plans are finite so this only triggers
 /// on misuse).
+///
+/// One slot loop serves both single broadcasts (`run`) and pipelined
+/// multi-packet broadcasts (`run_pipeline`, sim/pipeline.h): every
+/// scheduled transmission carries a packet index, and a single broadcast
+/// is the pipeline with one packet.  Outside the bulk bitset kernel
+/// (sim/bulk) this is the only code that applies the medium rules.
 namespace wsn {
+
+struct PipelineOptions;
+struct PipelineOutcome;
 
 struct SimOptions {
   /// Packet length in bits; the paper evaluates with 512.
@@ -112,12 +122,13 @@ struct BroadcastOutcome {
 /// One broadcast needs five O(n) scratch vectors plus the slot schedule;
 /// allocating them per run is pure churn in the workloads that run
 /// thousands of broadcasts back to back (the resolver's probe
-/// simulations, the all-sources sweeps).  A Simulator owns the scratch
-/// and re-primes it with size-preserving `assign` at the start of every
-/// `run`, so repeated runs over same-sized topologies allocate nothing.
-/// `run` is bitwise-deterministic and identical to `simulate_broadcast`
-/// for any sequence of calls -- scratch reuse is invisible in the
-/// outcome.
+/// simulations, the all-sources sweeps, the pipeline-period scan).  A
+/// Simulator owns the scratch and re-primes it with size-preserving
+/// `assign` at the start of every run, so repeated runs over same-sized
+/// topologies allocate nothing.  `run` is bitwise-deterministic and
+/// identical to `simulate_broadcast` for any sequence of calls, and
+/// `run_pipeline` likewise to `simulate_pipeline` -- scratch reuse is
+/// invisible in the outcome.
 ///
 /// Not thread-safe: one Simulator belongs to one thread at a time (the
 /// sweeps keep one per worker).
@@ -139,14 +150,53 @@ class Simulator {
                                      const FlatRelayPlan& plan,
                                      const SimOptions& options = {});
 
+  /// Runs a pipelined broadcast to completion; semantics of
+  /// simulate_pipeline (sim/pipeline.h).
+  [[nodiscard]] PipelineOutcome run_pipeline(const Topology& topo,
+                                             const RelayPlan& plan,
+                                             const PipelineOptions& options);
+
  private:
+  /// One scheduled transmission: `node` sends pipeline packet `packet`
+  /// (always 0 in a single broadcast).  Ordered by node, then packet, as
+  /// one 64-bit key: sorting a slot's entries by it measured a few percent
+  /// faster per broadcast than a member-wise comparison.
+  struct Pending {
+    NodeId node = kInvalidNode;
+    std::uint32_t packet = 0;
+
+    [[nodiscard]] std::uint64_t key() const noexcept {
+      return std::uint64_t{node} << 32 | packet;
+    }
+    friend bool operator<(const Pending& a, const Pending& b) noexcept {
+      return a.key() < b.key();
+    }
+    friend bool operator==(const Pending&, const Pending&) = default;
+  };
+
+  /// The slot loop.  An empty `per_packet` runs a single broadcast whose
+  /// stats land in the outcome's; otherwise the source injects
+  /// `per_packet.size()` packets `interval` slots apart, each packet's
+  /// stats accumulate in its entry, and the outcome's stats gather the
+  /// collisions and, at the end, the totals.
   template <bool kObserved, typename PlanT>
   BroadcastOutcome run_impl(const Topology& topo, const PlanT& plan,
-                            const SimOptions& options);
+                            const SimOptions& options,
+                            std::span<BroadcastStats> per_packet = {},
+                            Slot interval = 0);
 
-  // slot -> transmitters scheduled for it.  An ordered map keeps the main
-  // loop a strict slot sweep even when plans schedule far ahead.
-  std::map<Slot, std::vector<NodeId>> schedule_;
+  using Schedule = std::map<Slot, std::vector<Pending>>;
+  /// The transmissions scheduled for `slot`, creating the entry from a
+  /// recycled node when there is one.
+  std::vector<Pending>& slot_entries(Slot slot);
+
+  // slot -> transmissions scheduled for it.  An ordered map keeps the main
+  // loop a strict slot sweep even when plans schedule far ahead.  Swept
+  // slots' nodes, vectors and all, go to `spare_slots_` and come back as
+  // later slots, so a run allocates schedule memory only while its
+  // wavefront widens.
+  Schedule schedule_;
+  std::vector<Schedule::node_type> spare_slots_;
   // Per-slot scratch, epoch-free via the `touched_` list: hear_count_[u]
   // is nonzero only for u in touched_ and reset before the slot ends.
   std::vector<std::uint32_t> hear_count_;
@@ -154,6 +204,7 @@ class Simulator {
   std::vector<char> is_transmitting_;
   std::vector<NodeId> touched_;
   std::vector<std::size_t> record_of_;  // transmitter -> transmissions index
+  std::vector<std::uint32_t> tx_packet_;  // transmitter -> packet (pipelines)
 };
 
 /// Runs one broadcast to completion.  `plan.num_nodes()` must match the

@@ -1,134 +1,10 @@
 #include "sim/trace_io.h"
 
-#include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "common/csv.h"
-#include "common/string_util.h"
 
 namespace wsn {
-
-namespace {
-
-/// One legacy CSV data row before rendering; `rank` fixes the historical
-/// within-slot order (tx, then rx, then coll).
-struct LegacyRow {
-  Slot slot = 0;
-  int rank = 0;
-  NodeId node = kInvalidNode;
-  std::uint64_t detail1 = 0;
-  std::uint64_t detail2 = 0;
-};
-
-constexpr std::uint64_t slot_peer_key(Slot slot, NodeId peer) noexcept {
-  return (static_cast<std::uint64_t>(slot) << 32) | peer;
-}
-
-}  // namespace
-
-void write_legacy_trace_csv(std::ostream& out, const Topology& topo,
-                            const EventSink& sink) {
-  const std::vector<Event> events = sink.events();
-
-  // A kTx event does not carry its delivery outcome; reconstruct it from
-  // the receptions it caused -- delivered = rx + dup events attributed to
-  // this (slot, transmitter), fresh = the rx half.  The pair is keyed by
-  // (slot, peer) because the slot-synchronous medium lets a node transmit
-  // at most once per slot.
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      deliveries;
-  for (const Event& event : events) {
-    if (event.kind != EventKind::kRx && event.kind != EventKind::kDuplicate) {
-      continue;
-    }
-    if (event.peer == kInvalidNode) continue;
-    auto& tally = deliveries[slot_peer_key(event.slot, event.peer)];
-    tally.first += 1;
-    if (event.kind == EventKind::kRx) tally.second += 1;
-  }
-
-  std::vector<LegacyRow> rows;
-  rows.reserve(events.size());
-  for (const Event& event : events) {
-    LegacyRow row;
-    row.slot = event.slot;
-    row.node = event.node;
-    switch (event.kind) {
-      case EventKind::kTx: {
-        row.rank = 0;
-        const auto it = deliveries.find(slot_peer_key(event.slot, event.node));
-        if (it != deliveries.end()) {
-          row.detail1 = it->second.first;
-          row.detail2 = it->second.second;
-        }
-        break;
-      }
-      case EventKind::kRx:
-        // First receptions only, the format's historical scope; duplicates
-        // stay aggregated in the transmitter's `delivered` column.
-        row.rank = 1;
-        row.detail1 = event.peer;
-        row.detail2 = 1;
-        break;
-      case EventKind::kCollision:
-        row.rank = 2;
-        row.detail1 = event.detail;
-        row.detail2 = 0;
-        break;
-      default:
-        continue;  // dup/fade/crash/relay/defer have no legacy row kind
-    }
-    rows.push_back(row);
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const LegacyRow& a, const LegacyRow& b) {
-              if (a.slot != b.slot) return a.slot < b.slot;
-              if (a.rank != b.rank) return a.rank < b.rank;
-              return a.node < b.node;
-            });
-
-  CsvWriter csv(out);
-  csv.row({"event", "slot", "node", "x", "y", "z", "detail1", "detail2"});
-  static constexpr const char* kRankName[] = {"tx", "rx", "coll"};
-  for (const LegacyRow& row : rows) {
-    const auto pos = topo.position(row.node);
-    csv.row({kRankName[row.rank], std::to_string(row.slot),
-             std::to_string(row.node), std::to_string(pos[0]),
-             std::to_string(pos[1]), std::to_string(pos[2]),
-             std::to_string(row.detail1), std::to_string(row.detail2)});
-  }
-}
-
-std::vector<LegacyTraceRecord> read_trace_csv(std::istream& in) {
-  std::vector<LegacyTraceRecord> records;
-  std::string line;
-  bool header_seen = false;
-  while (std::getline(in, line)) {
-    if (!header_seen) {  // "event,slot,node,..." header row
-      header_seen = true;
-      continue;
-    }
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = split(line, ',');
-    if (fields.size() != 8) continue;
-    LegacyTraceRecord rec;
-    rec.event = fields[0];
-    std::uint64_t slot = 0;
-    std::uint64_t node = 0;
-    if (!parse_u64(fields[1], slot) || !parse_u64(fields[2], node) ||
-        !parse_f64(fields[3], rec.x) || !parse_f64(fields[4], rec.y) ||
-        !parse_f64(fields[5], rec.z) ||
-        !parse_u64(fields[6], rec.detail1) ||
-        !parse_u64(fields[7], rec.detail2)) {
-      continue;
-    }
-    rec.slot = static_cast<Slot>(slot);
-    rec.node = static_cast<NodeId>(node);
-    records.push_back(std::move(rec));
-  }
-  return records;
-}
 
 void write_plan_csv(std::ostream& out, const Topology& topo,
                     const RelayPlan& plan) {

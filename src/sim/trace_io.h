@@ -1,63 +1,13 @@
 #pragma once
 
-#include <istream>
 #include <ostream>
-#include <vector>
 
-#include "obs/event_sink.h"
 #include "sim/plan.h"
-#include "sim/simulator.h"
 #include "topology/topology.h"
 
-/// DEPRECATED trace format (kept for old artifacts; new code should
-/// record through an Observer and export with obs/export.h -- JSONL or
-/// Chrome/Perfetto trace-event JSON, both schema-versioned and richer:
-/// duplicates, losses, relay activations, pipeline deferrals).
-///
-/// ns-style trace export: serializes a simulated broadcast as flat CSV
-/// event streams.  Three record kinds share one file, discriminated by the
-/// first column:
-///
-///   event,slot,node,x,y,z,detail1,detail2
-///   tx,3,17,2,1,0,5,4        -- transmission: delivered=5, fresh=4
-///   rx,3,18,3,1,0,17,1       -- reception: from=17, fresh=1
-///   coll,3,20,5,1,0,2,0      -- collision: contenders=2
-///
-/// The writer is a *projection of the structured event stream*: the
-/// legacy outcome-walking serializer is gone, and the CSV is derived from
-/// the same Observer events the JSONL exporter uses, so both formats
-/// always describe the identical run.  The rx stream carries first
-/// receptions only (fresh=1 always, the format's historical behavior);
-/// the tx stream's `delivered` column accounts for duplicates in
-/// aggregate.
+/// Relay-plan export.  Event traces are recorded through an Observer and
+/// exported with obs/export.h (JSONL or Chrome/Perfetto trace-event JSON).
 namespace wsn {
-
-/// Writes the legacy CSV projection of `sink`'s events (header plus tx /
-/// rx / coll rows, slot-ordered; within a slot tx then rx then coll, each
-/// by node id).  A transmission's delivered/fresh columns are
-/// reconstructed from the rx/dup events attributed to it.  Record the run
-/// with an Observer whose EventSink has capacity for the whole trace.
-/// Deprecated output format -- see the header comment.
-void write_legacy_trace_csv(std::ostream& out, const Topology& topo,
-                            const EventSink& sink);
-
-/// One parsed row of the legacy CSV trace.
-struct LegacyTraceRecord {
-  std::string event;  // "tx" | "rx" | "coll"
-  Slot slot = 0;
-  NodeId node = kInvalidNode;
-  Meters x = 0.0;
-  Meters y = 0.0;
-  Meters z = 0.0;
-  std::uint64_t detail1 = 0;  // delivered / from / contenders
-  std::uint64_t detail2 = 0;  // fresh / 1 / 0
-};
-
-/// Reads a legacy CSV trace back (header line required).  Malformed rows
-/// are skipped; the reader exists so archived traces from earlier
-/// releases stay loadable now that new exports use the obs schema.
-[[nodiscard]] std::vector<LegacyTraceRecord> read_trace_csv(
-    std::istream& in);
 
 /// Writes the relay plan itself (node, role, offsets) -- enough to replay
 /// or diff plans across protocol versions:

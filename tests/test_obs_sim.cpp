@@ -238,5 +238,26 @@ TEST(ObserverSim, EventsDroppedGaugeSurfacesRingOverflow) {
   }
 }
 
+// Pipelined transmissions get TxRecords like a single broadcast's, so an
+// observed pipeline feeds one sim.etr sample per transmission.
+TEST(ObserverPipeline, EtrHistogramSamplesEveryTransmission) {
+  const auto topo = make_paper_topology("2D-4");
+  const RelayPlan plan = paper_plan(*topo, graph_center(*topo));
+
+  MetricsRegistry registry;
+  Observer observer(nullptr, &registry);
+  PipelineOptions options;
+  options.packets = 3;
+  options.interval = 4;
+  options.sim.observer = &observer;
+  const PipelineOutcome out = simulate_pipeline(*topo, plan, options);
+
+  const MetricsSnapshot snap = registry.scrape();
+  const HistogramSnapshot* etr = snap.histogram("sim.etr");
+  ASSERT_NE(etr, nullptr);
+  EXPECT_GT(out.aggregate.tx, 0u);
+  EXPECT_EQ(etr->count, out.aggregate.tx);
+}
+
 }  // namespace
 }  // namespace wsn

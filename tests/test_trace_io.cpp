@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
-#include "common/string_util.h"
-#include "obs/event_sink.h"
-#include "obs/observer.h"
 #include "protocol/registry.h"
 #include "topology/mesh2d4.h"
 
@@ -19,76 +18,6 @@ std::vector<std::string> lines_of(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
   return lines;
-}
-
-/// Runs `plan` with an event-recording observer -- the only way to feed
-/// the legacy CSV writer now that it projects the structured stream.
-BroadcastOutcome observed_run(const Topology& topo, const RelayPlan& plan,
-                              EventSink& sink) {
-  Observer observer(&sink);
-  SimOptions options;
-  options.observer = &observer;
-  return simulate_broadcast(topo, plan, options);
-}
-
-TEST(TraceIo, HeaderAndTxEventsPresent) {
-  const Mesh2D4 topo(5, 1);
-  RelayPlan plan = RelayPlan::empty(5, 0);
-  for (NodeId v = 1; v < 5; ++v) plan.tx_offsets[v] = {1};
-  EventSink sink;
-  const auto out = observed_run(topo, plan, sink);
-
-  std::ostringstream stream;
-  write_legacy_trace_csv(stream, topo, sink);
-  const auto lines = lines_of(stream.str());
-  EXPECT_EQ(lines[0], "event,slot,node,x,y,z,detail1,detail2");
-  std::size_t tx_lines = 0;
-  std::size_t rx_lines = 0;
-  for (const auto& line : lines) {
-    if (starts_with(line, "tx,")) ++tx_lines;
-    if (starts_with(line, "rx,")) ++rx_lines;
-  }
-  EXPECT_EQ(tx_lines, out.stats.tx);
-  EXPECT_EQ(rx_lines, 4u);  // first receptions only
-}
-
-TEST(TraceIo, EventsAreSlotOrdered) {
-  const Mesh2D4 topo(6, 6);
-  const auto plan = paper_plan(topo, 14);
-  EventSink sink;
-  (void)observed_run(topo, plan, sink);
-
-  std::ostringstream stream;
-  write_legacy_trace_csv(stream, topo, sink);
-  Slot last = 0;
-  for (const auto& line : lines_of(stream.str())) {
-    if (line.empty() || starts_with(line, "event")) continue;
-    const auto fields = split(line, ',');
-    std::uint64_t slot = 0;
-    ASSERT_TRUE(parse_u64(fields[1], slot));
-    EXPECT_GE(slot, last);
-    last = static_cast<Slot>(slot);
-  }
-}
-
-TEST(TraceIo, RxEventsAttributeATransmitter) {
-  const Mesh2D4 topo(4, 4);
-  const auto plan = paper_plan(topo, 5);
-  EventSink sink;
-  (void)observed_run(topo, plan, sink);
-
-  std::ostringstream stream;
-  write_legacy_trace_csv(stream, topo, sink);
-  for (const auto& line : lines_of(stream.str())) {
-    if (!starts_with(line, "rx,")) continue;
-    const auto fields = split(line, ',');
-    std::uint64_t from = 0;
-    ASSERT_TRUE(parse_u64(fields[6], from));
-    std::uint64_t node = 0;
-    ASSERT_TRUE(parse_u64(fields[2], node));
-    EXPECT_TRUE(topo.adjacent(static_cast<NodeId>(from),
-                              static_cast<NodeId>(node)));
-  }
 }
 
 TEST(TraceIo, PlanCsvListsEveryNodeWithRole) {
@@ -111,84 +40,6 @@ TEST(TraceIo, PlanCsvListsEveryNodeWithRole) {
   EXPECT_EQ(sources, 1u);
   EXPECT_EQ(retransmitters, plan.retransmitters().size());
   EXPECT_EQ(relays + retransmitters + sources, plan.relay_count());
-}
-
-TEST(TraceIo, LegacyCsvRoundTripsThroughReader) {
-  const Mesh2D4 topo(6, 6);
-  const auto plan = paper_plan(topo, 14);
-  EventSink sink;
-  const auto out = observed_run(topo, plan, sink);
-
-  std::ostringstream stream;
-  write_legacy_trace_csv(stream, topo, sink);
-  const std::string csv = stream.str();
-  std::istringstream in(csv);
-  const std::vector<LegacyTraceRecord> records = read_trace_csv(in);
-
-  // Every data row comes back: reader rows + header == writer lines.
-  ASSERT_EQ(records.size(), lines_of(csv).size() - 1);
-  std::size_t tx = 0;
-  for (const LegacyTraceRecord& rec : records) {
-    if (rec.event == "tx") ++tx;
-    const auto pos = topo.position(rec.node);
-    EXPECT_DOUBLE_EQ(rec.x, pos[0]);
-    EXPECT_DOUBLE_EQ(rec.y, pos[1]);
-    EXPECT_DOUBLE_EQ(rec.z, pos[2]);
-  }
-  EXPECT_EQ(tx, out.stats.tx);
-  // Writer emits slot-ordered streams; the reader must preserve that.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GE(records[i].slot, records[i - 1].slot);
-  }
-}
-
-TEST(TraceIo, TxColumnsReconstructDeliveriesFromEvents) {
-  // The writer no longer sees TxRecords: delivered/fresh are rebuilt from
-  // the rx/dup events attributed to each transmission.  The totals must
-  // still match the outcome's accounting exactly.
-  const Mesh2D4 topo(6, 6);
-  const auto plan = paper_plan(topo, 14);
-  EventSink sink;
-  const auto out = observed_run(topo, plan, sink);
-
-  std::ostringstream stream;
-  write_legacy_trace_csv(stream, topo, sink);
-  std::istringstream in(stream.str());
-  std::uint64_t delivered = 0;
-  std::uint64_t fresh = 0;
-  std::size_t rx_rows = 0;
-  std::size_t coll_rows = 0;
-  for (const LegacyTraceRecord& rec : read_trace_csv(in)) {
-    if (rec.event == "tx") {
-      delivered += rec.detail1;
-      fresh += rec.detail2;
-    } else if (rec.event == "rx") {
-      ++rx_rows;
-    } else if (rec.event == "coll") {
-      ++coll_rows;
-    }
-  }
-  EXPECT_EQ(delivered, out.stats.rx);
-  EXPECT_EQ(fresh, out.stats.rx - out.stats.duplicates);
-  EXPECT_EQ(rx_rows, out.stats.rx - out.stats.duplicates);
-  EXPECT_EQ(coll_rows, out.stats.collisions);
-}
-
-TEST(TraceIo, ReaderSkipsMalformedRows) {
-  std::istringstream in(
-      "event,slot,node,x,y,z,detail1,detail2\n"
-      "tx,1,5,0.5,1.0,0.0,3,3\n"
-      "truncated,2,9\n"
-      "rx,not-a-slot,9,0,0,0,5,1\n"
-      "\n"
-      "coll,4,7,1.0,2.0,0.0,2,0\n");
-  const std::vector<LegacyTraceRecord> records = read_trace_csv(in);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].event, "tx");
-  EXPECT_EQ(records[0].slot, 1u);
-  EXPECT_EQ(records[0].node, 5u);
-  EXPECT_EQ(records[1].event, "coll");
-  EXPECT_EQ(records[1].detail1, 2u);
 }
 
 TEST(TraceIo, RetransmitterOffsetsPipeSeparated) {
