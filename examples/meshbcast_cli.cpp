@@ -310,12 +310,16 @@ int main(int argc, char** argv) {
       bulk_src = static_cast<wsn::NodeId>(value);
     }
 
-    wsn::ResolveReport report;
-    const wsn::RelayPlan plan =
-        wsn::implicit_paper_plan(lat, bulk_src, bulk_options, &report);
-    wsn::BulkSimulator engine_sim(lat.num_nodes());
+    // Without a progress heartbeat the resolver's last probe is the run
+    // itself; with one, the plan is simulated again under the callback.
     const std::uint64_t progress_slots = cli.get_u64("progress-slots");
+    wsn::ResolveReport report;
+    wsn::BroadcastOutcome out;
+    const wsn::RelayPlan plan = wsn::implicit_paper_plan(
+        lat, bulk_src, bulk_options, &report,
+        progress_slots == 0 ? &out : nullptr);
     if (progress_slots != 0) {
+      wsn::BulkSimulator engine_sim(lat.num_nodes());
       engine_sim.set_progress(
           [](const wsn::BulkProgress& p) {
             std::fprintf(stderr,
@@ -331,9 +335,8 @@ int main(int argc, char** argv) {
                          p.elapsed_s);
           },
           progress_slots);
+      out = engine_sim.run(lat, plan, bulk_options);
     }
-    const wsn::BroadcastOutcome out =
-        engine_sim.run(lat, plan, bulk_options);
     const wsn::BulkAuditReport audit =
         wsn::audit_bulk_outcome(lat, out, bulk_src);
     std::printf("%s, source %u, paper protocol (bulk engine)\n  %s\n"

@@ -69,6 +69,9 @@ SweepResult sweep_all_sources(const Topology& topo, const SimOptions& options,
   // One Simulator per worker: every source a worker owns reuses the same
   // scratch, so the sweep allocates per-worker, not per-source.
   std::vector<Simulator> simulators(resolve_worker_count(n, workers));
+  const bool probe_is_run = options.observer == nullptr &&
+                            options.faults == nullptr &&
+                            options.battery == nullptr;
   parallel_for_workers(
       0, n,
       [&](std::size_t worker, std::size_t src) {
@@ -89,10 +92,16 @@ SweepResult sweep_all_sources(const Topology& topo, const SimOptions& options,
                                                 stored->report.repairs};
           return;
         }
+        // Unobserved, fault-free and battery-free, the resolver's last
+        // probe is exactly this source's run: take its outcome.
         ResolveReport report;
-        const RelayPlan plan = paper_plan(topo, source, options, &report);
-        const BroadcastOutcome outcome =
-            simulators[worker].run(topo, plan, options);
+        BroadcastOutcome outcome;
+        if (probe_is_run) {
+          (void)paper_plan(topo, source, options, &report, &outcome);
+        } else {
+          const RelayPlan plan = paper_plan(topo, source, options, &report);
+          outcome = simulators[worker].run(topo, plan, options);
+        }
         result.per_source[src] = SourceResult{source, outcome.stats,
                                               report.repairs};
       },

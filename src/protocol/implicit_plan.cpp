@@ -32,22 +32,25 @@ RelayPlan implicit_protocol_plan(const ImplicitLattice& lat, NodeId source) {
 RelayPlan implicit_resolve_full_reachability(const ImplicitLattice& lat,
                                              RelayPlan plan,
                                              const SimOptions& options,
-                                             ResolveReport* report) {
+                                             ResolveReport* report,
+                                             BroadcastOutcome* outcome) {
   std::string why;
   WSN_EXPECTS(BulkSimulator::options_supported(options, &why) &&
               "bulk resolver requires bulk-supported SimOptions");
   BulkSimulator sim(lat.num_nodes());
   return resolver_core::resolve_full_reachability(lat, std::move(plan),
-                                                  options, report, sim);
+                                                  options, report, sim,
+                                                  outcome);
 }
 
 RelayPlan implicit_paper_plan(const ImplicitLattice& lat, NodeId source,
                               const SimOptions& options,
-                              ResolveReport* report) {
+                              ResolveReport* report,
+                              BroadcastOutcome* outcome) {
   RelayPlan plan = implicit_protocol_plan(lat, source);
   WSN_SPAN("plan.resolve");
   return implicit_resolve_full_reachability(lat, std::move(plan), options,
-                                            report);
+                                            report, outcome);
 }
 
 }  // namespace wsn

@@ -27,16 +27,19 @@ namespace wsn {
 /// `plan` augmented with repair transmissions until a bulk simulation
 /// under `options` reaches every node -- resolve_full_reachability with
 /// BulkSimulator probes.  `options` must be on the bulk engine's supported
-/// surface (BulkSimulator::options_supported).
+/// surface (BulkSimulator::options_supported).  `outcome`, when non-null,
+/// receives the bulk outcome of the returned plan under `options`: the
+/// resolver's last probe, what a BulkSimulator without a progress
+/// callback would return for it.
 [[nodiscard]] RelayPlan implicit_resolve_full_reachability(
     const ImplicitLattice& lat, RelayPlan plan,
-    const SimOptions& options = {}, ResolveReport* report = nullptr);
+    const SimOptions& options = {}, ResolveReport* report = nullptr,
+    BroadcastOutcome* outcome = nullptr);
 
 /// The full paper protocol on an implicit lattice: raw plan + resolver
 /// repairs (mirrors paper_plan in protocol/registry.h).
-[[nodiscard]] RelayPlan implicit_paper_plan(const ImplicitLattice& lat,
-                                            NodeId source,
-                                            const SimOptions& options = {},
-                                            ResolveReport* report = nullptr);
+[[nodiscard]] RelayPlan implicit_paper_plan(
+    const ImplicitLattice& lat, NodeId source, const SimOptions& options = {},
+    ResolveReport* report = nullptr, BroadcastOutcome* outcome = nullptr);
 
 }  // namespace wsn

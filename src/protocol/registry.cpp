@@ -20,14 +20,16 @@ std::unique_ptr<BroadcastProtocol> make_paper_protocol(
 }
 
 RelayPlan paper_plan(const Topology& topo, NodeId source,
-                     const SimOptions& options, ResolveReport* report) {
+                     const SimOptions& options, ResolveReport* report,
+                     BroadcastOutcome* outcome) {
   const auto protocol = make_paper_protocol(topo.family());
   RelayPlan plan = [&] {
     WSN_SPAN("plan.build");
     return protocol->plan(topo, source);
   }();
   WSN_SPAN("plan.resolve");
-  return resolve_full_reachability(topo, std::move(plan), options, report);
+  return resolve_full_reachability(topo, std::move(plan), options, report,
+                                   outcome);
 }
 
 }  // namespace wsn

@@ -17,9 +17,11 @@ namespace wsn {
 /// Convenience: builds the family's plan for `topo`/`source` and resolves
 /// it to 100% reachability (the paper's full protocol: explicit rules plus
 /// the predetermined collision repairs).  `report`, when non-null, receives
-/// the resolver's repair counts.
+/// the resolver's repair counts; `outcome`, when non-null, the outcome of
+/// simulating the plan under `options` (see resolve_full_reachability).
 [[nodiscard]] RelayPlan paper_plan(const Topology& topo, NodeId source,
                                    const SimOptions& options = {},
-                                   ResolveReport* report = nullptr);
+                                   ResolveReport* report = nullptr,
+                                   BroadcastOutcome* outcome = nullptr);
 
 }  // namespace wsn

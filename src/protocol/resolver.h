@@ -18,8 +18,10 @@
 /// repairs, border wedges in 2D-8, staggered 3D-6 borders) this resolver
 /// derives the missing retransmissions offline, exactly in that spirit.
 ///
-/// Algorithm: simulate the plan; while nodes remain unreached, walk them in
-/// BFS order from the reached region and give each one a *helper* -- a
+/// Algorithm: an optimistic phase first gives stranded nodes' helpers an
+/// immediate retransmission, iterating while that helps and keeping the
+/// best plan seen.  Then, while nodes remain unreached, walk them in BFS
+/// order from the reached region and give each one a *helper* -- a
 /// neighbor that already holds the message -- an extra transmission in a
 /// fresh slot after the plan's activity has quieted.  Repairs are packed
 /// greedily into slots subject to a 2-hop separation between helpers, so
@@ -28,8 +30,11 @@
 /// prefix is unchanged and each round strictly grows the reached set;
 /// termination in ≤ eccentricity rounds is guaranteed.
 ///
-/// The repairs become ordinary plan offsets, so every reported Tx / energy
-/// / delay number includes their full cost.
+/// Every distinct plan the resolver builds is simulated exactly once; the
+/// last simulation is of the returned plan, and callers that would
+/// simulate it next can take that outcome instead (the `outcome`
+/// parameter).  The repairs become ordinary plan offsets, so every
+/// reported Tx / energy / delay number includes their full cost.
 namespace wsn {
 
 struct ResolveReport {
@@ -52,9 +57,12 @@ struct ResolveReport {
 /// under `options` reaches every node connected to the source.  Pure:
 /// deterministic in its inputs.  `options.observer` is ignored: probe
 /// simulations are construction internals and never emit events/metrics.
+/// `outcome`, when non-null, receives the outcome of simulating the
+/// returned plan under `options`; it may be requested only when
+/// `options` has no observer and no battery bank.
 [[nodiscard]] RelayPlan resolve_full_reachability(
     const Topology& topo, RelayPlan plan, const SimOptions& options = {},
-    ResolveReport* report = nullptr);
+    ResolveReport* report = nullptr, BroadcastOutcome* outcome = nullptr);
 
 /// True if `a` and `b` are within 2 hops: adjacent, or sharing a neighbor.
 /// Two transmitters this close must not share a slot -- a common neighbor

@@ -22,6 +22,13 @@
 ///   * `SimT` -- run(net, plan, options) -> BroadcastOutcome, reusing its
 ///     scratch across probes (Simulator and BulkSimulator both qualify).
 ///
+/// Probes are the expensive part -- at 10⁶ nodes each is a full bulk
+/// broadcast -- so every distinct plan is simulated exactly once: each
+/// phase keeps the outcome of the plan it holds and hands it on, and the
+/// last probe, always of the returned plan, can go back to the caller.
+/// The bookkeeping between probes is per victim (per unreached node) and
+/// per edited offset list, never per node.
+///
 /// Every decision the resolver makes (helper choice by min first_rx then
 /// min id, quiet-slot probing, 2-hop slot packing) consumes only neighbor
 /// sets and simulation outcomes; byte-identical neighbor iteration plus
@@ -50,72 +57,96 @@ template <typename Net>
   return false;
 }
 
+/// Position of `v` in `victims`, a probe's unreached nodes (ascending) that
+/// must contain it.  Everything the resolver tracks per victim lives at
+/// that position, so its bookkeeping scales with the unreached set rather
+/// than with n.
+[[nodiscard]] inline std::size_t victim_index(
+    const std::vector<NodeId>& victims, NodeId v) {
+  const auto it = std::lower_bound(victims.begin(), victims.end(), v);
+  WSN_ASSERT(it != victims.end() && *it == v);
+  return static_cast<std::size_t>(it - victims.begin());
+}
+
+/// Clears `lists` and sizes it to `count` empty lists, keeping the
+/// capacity of the ones it already had.
+inline void reset_lists(std::vector<std::vector<Slot>>& lists,
+                        std::size_t count) {
+  for (auto& list : lists) list.clear();
+  lists.resize(count);
+}
+
 /// Optimistic repair phase: gives helpers an immediate retransmission (one
 /// slot after their last scheduled transmission), the way the paper's own
 /// gray nodes retransmit "in next time slot".  Early retransmissions change
 /// downstream collision dynamics, so this iterates to a fixpoint, keeps the
 /// best plan seen, and gives up after a few non-improving rounds -- the
 /// guaranteed quiet-slot phase finishes whatever is left.
+///
+/// Each distinct plan is simulated once.  `best` receives the outcome of
+/// the returned plan.  The working plan is the best plan plus the offset
+/// lists edited since; an undo log of those lists' old contents takes it
+/// back to the best plan on a stall or exit, so no whole plan is copied.
 template <typename Net, typename SimT>
 RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
                              const SimOptions& options,
-                             ResolveReport& report, SimT& sim) {
+                             ResolveReport& report, SimT& sim,
+                             BroadcastOutcome& best) {
   constexpr std::size_t kPatience = 3;
   constexpr std::size_t kMaxIters = 48;
   constexpr Slot kMaxProbe = 8;  // how far past the helper's last tx we look
 
-  const std::size_t n = net.num_nodes();
-  RelayPlan best = plan;
-  std::size_t best_unreached = sim.run(net, best, options).unreached().size();
+  best = sim.run(net, plan, options);
+  std::vector<NodeId> victims = best.unreached();  // of the current plan
+  std::size_t best_unreached = victims.size();
+  BroadcastOutcome trial;  // outcome of `plan` while it differs from best
+  std::vector<std::pair<NodeId, std::vector<Slot>>> undo;
+  const auto edit = [&](NodeId v) -> std::vector<Slot>& {
+    undo.emplace_back(v, plan.tx_offsets[v]);
+    return plan.tx_offsets[v];
+  };
   std::size_t stall = 0;
 
-  // Sorted per-node slots at which some neighbor transmitted; lets a repair
-  // be placed into a slot that is quiet at every victim.
-  std::vector<std::vector<Slot>> heard_slots(n);
-  const auto neighbor_tx_at = [&](NodeId u, Slot s) {
-    const auto& slots = heard_slots[u];
-    return std::binary_search(slots.begin(), slots.end(), s);
-  };
+  // Per victim: the sorted slots at which some neighbor transmitted, which
+  // lets a repair be placed into a slot that is quiet at every victim; the
+  // slots this round's repairs already claimed, so two repairs placed in
+  // the same round don't collide at a shared victim; and whether a repair
+  // already covers it.
+  std::vector<std::vector<Slot>> heard_slots;
+  std::vector<std::vector<Slot>> claimed;
+  std::vector<char> covered;
 
+  // The loop runs only while the current plan strands someone: it is
+  // either the best plan (best_unreached > 0) or a trial no better.
   for (std::size_t iter = 0; iter < kMaxIters && best_unreached > 0; ++iter) {
-    const BroadcastOutcome outcome = sim.run(net, plan, options);
-    const std::vector<NodeId> unreached = outcome.unreached();
-    if (unreached.empty()) {
-      report.rounds += 1;
-      return plan;
-    }
+    const BroadcastOutcome& outcome = undo.empty() ? best : trial;
+    const std::vector<Slot>& first_rx = outcome.first_rx;
+    const auto unreached = [&](NodeId v) { return first_rx[v] == kNeverSlot; };
 
-    for (auto& slots : heard_slots) slots.clear();
+    // Records come in slot order, so each victim's list is sorted.
+    reset_lists(heard_slots, victims.size());
     for (const TxRecord& rec : outcome.transmissions) {
       for (NodeId u : net.neighbors(rec.node)) {
-        heard_slots[u].push_back(rec.slot);
+        if (unreached(u)) {
+          heard_slots[victim_index(victims, u)].push_back(rec.slot);
+        }
       }
     }
-    for (auto& slots : heard_slots) std::sort(slots.begin(), slots.end());
+    reset_lists(claimed, victims.size());
+    covered.assign(victims.size(), 0);
 
-    std::vector<char> is_unreached(n, 0);
-    for (NodeId u : unreached) is_unreached[u] = 1;
-
-    // Tracks slots already claimed by this round's repairs, per node, so two
-    // repairs placed in the same round don't collide at a shared victim.
-    std::vector<std::vector<Slot>> claimed(n);
-    const auto claimed_at = [&](NodeId u, Slot s) {
-      const auto& slots = claimed[u];
-      return std::find(slots.begin(), slots.end(), s) != slots.end();
-    };
-
-    std::vector<char> covered(n, 0);
     std::size_t added = 0;
-    for (NodeId u : unreached) {
-      if (covered[u]) continue;
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (covered[i]) continue;
+      const NodeId u = victims[i];
       NodeId helper = kInvalidNode;
       Slot helper_rx = kNeverSlot;
       for (NodeId h : net.neighbors(u)) {
-        if (outcome.first_rx[h] == kNeverSlot) continue;
-        if (outcome.first_rx[h] < helper_rx ||
-            (outcome.first_rx[h] == helper_rx && h < helper)) {
+        if (first_rx[h] == kNeverSlot) continue;
+        if (first_rx[h] < helper_rx ||
+            (first_rx[h] == helper_rx && h < helper)) {
           helper = h;
-          helper_rx = outcome.first_rx[h];
+          helper_rx = first_rx[h];
         }
       }
       if (helper == kInvalidNode) continue;
@@ -125,19 +156,23 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       // neighbors, so the repair actually lands, and (b) is not the slot in
       // which any already-reached neighbor got its *first* reception, which
       // the new transmission would knock out.
-      auto& offsets = plan.tx_offsets[helper];
+      const std::vector<Slot>& offsets = plan.tx_offsets[helper];
       const Slot last_tx =
           offsets.empty() ? helper_rx : helper_rx + offsets.back();
       Slot chosen = 0;
       for (Slot s = last_tx + 1; s <= last_tx + kMaxProbe; ++s) {
         bool ok = true;
         for (NodeId w : net.neighbors(helper)) {
-          if (is_unreached[w] &&
-              (neighbor_tx_at(w, s) || claimed_at(w, s))) {
-            ok = false;
-            break;
-          }
-          if (!is_unreached[w] && outcome.first_rx[w] == s) {
+          if (unreached(w)) {
+            const std::size_t j = victim_index(victims, w);
+            if (std::binary_search(heard_slots[j].begin(),
+                                   heard_slots[j].end(), s) ||
+                std::find(claimed[j].begin(), claimed[j].end(), s) !=
+                    claimed[j].end()) {
+              ok = false;
+              break;
+            }
+          } else if (first_rx[w] == s) {
             ok = false;
             break;
           }
@@ -149,46 +184,60 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       }
       if (chosen == 0) continue;  // quiet-slot phase will handle this one
 
-      offsets.push_back(chosen - helper_rx);
+      edit(helper).push_back(chosen - helper_rx);
       added += 1;
       for (NodeId w : net.neighbors(helper)) {
-        if (is_unreached[w]) {
-          covered[w] = 1;
-          claimed[w].push_back(chosen);
-          // A stranded relay whose whole neighborhood is already reached
-          // forwards nothing anyone needs; getting it the message late and
-          // then letting it transmit would only re-collide downstream.
-          // Prune its transmissions (it still counts as reached).
-          const auto nw = net.neighbors(w);
-          const bool all_neighbors_reached = std::all_of(
-              nw.begin(), nw.end(),
-              [&](NodeId x) { return outcome.first_rx[x] != kNeverSlot; });
-          if (all_neighbors_reached && w != plan.source) {
-            plan.tx_offsets[w].clear();
-          }
+        if (!unreached(w)) continue;
+        const std::size_t j = victim_index(victims, w);
+        covered[j] = 1;
+        claimed[j].push_back(chosen);
+        // A stranded relay whose whole neighborhood is already reached
+        // forwards nothing anyone needs; getting it the message late and
+        // then letting it transmit would only re-collide downstream.
+        // Prune its transmissions (it still counts as reached).
+        const auto nw = net.neighbors(w);
+        const bool all_neighbors_reached =
+            std::none_of(nw.begin(), nw.end(), unreached);
+        if (all_neighbors_reached && w != plan.source &&
+            !plan.tx_offsets[w].empty()) {
+          edit(w).clear();
         }
       }
     }
     if (added == 0) break;  // interior void; quiet-slot phase handles it
     report.rounds += 1;
 
-    const std::size_t now_unreached =
-        sim.run(net, plan, options).unreached().size();
-    if (now_unreached < best_unreached) {
-      best = plan;
-      best_unreached = now_unreached;
+    trial = sim.run(net, plan, options);
+    victims = trial.unreached();
+    if (victims.size() < best_unreached) {
+      std::swap(best, trial);
+      best_unreached = victims.size();
+      undo.clear();
       stall = 0;
     } else if (++stall >= kPatience) {
       break;
     }
   }
-  return best;
+  // Newest first, so a list edited twice ends up with its oldest contents.
+  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+    plan.tx_offsets[it->first] = std::move(it->second);
+  }
+  return plan;
 }
 
+/// `outcome`, when non-null, receives the outcome of simulating the
+/// returned plan under `caller_options` -- the resolver's own last probe,
+/// so plan-then-simulate callers need no further run.  That outcome is the
+/// caller's only when the probes run exactly the caller's simulation, so
+/// asking for it with an observer (which probes never see) or a battery
+/// bank (which every probe drains) is a precondition violation.
 template <typename Net, typename SimT>
 RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
                                     const SimOptions& caller_options,
-                                    ResolveReport* report, SimT& sim) {
+                                    ResolveReport* report, SimT& sim,
+                                    BroadcastOutcome* outcome = nullptr) {
+  WSN_EXPECTS(outcome == nullptr || (caller_options.observer == nullptr &&
+                                     caller_options.battery == nullptr));
   // Probe simulations are plan-construction internals: they must not leak
   // into the caller's observer (metrics/trace describe requested runs, not
   // the resolver's trial broadcasts).
@@ -200,7 +249,9 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
   WSN_EXPECTS(plan.num_nodes() == n);
 
   const std::size_t planned_before = plan.planned_tx();
-  plan = optimistic_repairs(net, std::move(plan), options, local, sim);
+  BroadcastOutcome current;  // outcome of `plan` as it stands
+  plan = optimistic_repairs(net, std::move(plan), options, local, sim,
+                            current);
   // Net extra transmissions; the optimistic phase also *prunes* stranded
   // relays, so the difference can be negative -- clamp rather than let the
   // unsigned arithmetic wrap.
@@ -209,53 +260,59 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
     local.repairs += planned_after - planned_before;
   }
 
+  const auto finish = [&] {
+    if (report != nullptr) *report = local;
+    if (outcome != nullptr) *outcome = std::move(current);
+  };
+  std::vector<NodeId> victims;
+  std::vector<char> covered;
   // Each round strictly grows the reached set by the whole boundary of the
   // unreached region, so n rounds is a safe upper bound.
   for (std::size_t round = 0; round < n; ++round) {
-    const BroadcastOutcome outcome = sim.run(net, plan, options);
-    const std::vector<NodeId> unreached = outcome.unreached();
-    if (unreached.empty()) {
-      if (report != nullptr) *report = local;
+    victims = current.unreached();
+    if (victims.empty()) {
+      finish();
       return plan;
     }
     local.rounds += 1;
+    const std::vector<Slot>& first_rx = current.first_rx;
 
     Slot t_end = 1;
-    for (const TxRecord& rec : outcome.transmissions) {
+    for (const TxRecord& rec : current.transmissions) {
       t_end = std::max(t_end, rec.slot);
     }
-
-    std::vector<char> is_unreached(n, 0);
-    for (NodeId u : unreached) is_unreached[u] = 1;
 
     // Pick helpers: walk the unreached boundary; one helper transmission
     // covers all of its unreached neighbors at once.
     std::vector<NodeId> helpers;
-    std::vector<char> covered(n, 0);
-    for (NodeId u : unreached) {
-      if (covered[u]) continue;
+    covered.assign(victims.size(), 0);
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      if (covered[i]) continue;
+      const NodeId u = victims[i];
       NodeId helper = kInvalidNode;
       Slot helper_rx = kNeverSlot;
       for (NodeId h : net.neighbors(u)) {
-        if (outcome.first_rx[h] == kNeverSlot) continue;  // no message
-        if (outcome.first_rx[h] < helper_rx ||
-            (outcome.first_rx[h] == helper_rx && h < helper)) {
+        if (first_rx[h] == kNeverSlot) continue;  // no message
+        if (first_rx[h] < helper_rx ||
+            (first_rx[h] == helper_rx && h < helper)) {
           helper = h;
-          helper_rx = outcome.first_rx[h];
+          helper_rx = first_rx[h];
         }
       }
       if (helper == kInvalidNode) continue;  // deeper in the void; next round
       helpers.push_back(helper);
       for (NodeId covered_now : net.neighbors(helper)) {
-        if (is_unreached[covered_now]) covered[covered_now] = 1;
+        if (first_rx[covered_now] == kNeverSlot) {
+          covered[victim_index(victims, covered_now)] = 1;
+        }
       }
     }
 
     if (helpers.empty()) {
       // Nothing adjacent to the reached region: the rest is disconnected.
-      local.unreachable = unreached.size();
-      local.unrepaired = unreached.size();
-      if (report != nullptr) *report = local;
+      local.unreachable = victims.size();
+      local.unrepaired = victims.size();
+      finish();
       return plan;
     }
 
@@ -278,7 +335,7 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       slots[s].push_back(h);
 
       const Slot tx_slot = t_end + 1 + static_cast<Slot>(s);
-      const Slot rx_slot = outcome.first_rx[h];
+      const Slot rx_slot = first_rx[h];
       WSN_ASSERT(tx_slot > rx_slot);
       auto& offsets = plan.tx_offsets[h];
       const Slot offset = tx_slot - rx_slot;
@@ -286,14 +343,15 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       offsets.push_back(offset);
       local.repairs += 1;
     }
+    current = sim.run(net, plan, options);
   }
 
   // Round budget exhausted without convergence.  Each round strictly grows
   // the reached set, so this cannot happen on any topology the simulator
   // accepts -- but degrade gracefully instead of aborting: report what is
   // left unrepaired and return the best plan built so far.
-  local.unrepaired = sim.run(net, plan, options).unreached().size();
-  if (report != nullptr) *report = local;
+  local.unrepaired = current.unreached().size();
+  finish();
   return plan;
 }
 

@@ -27,11 +27,6 @@ inline void clear_bit(std::vector<std::uint64_t>& words,
   words[bit / kWordBits] &= ~(std::uint64_t{1} << (bit % kWordBits));
 }
 
-inline bool test_bit(const std::vector<std::uint64_t>& words,
-                     std::size_t bit) noexcept {
-  return (words[bit / kWordBits] >> (bit % kWordBits)) & 1u;
-}
-
 /// Sets bits [lo, hi] (inclusive), optionally only every second bit
 /// starting at lo (the 2D-3 parity mask).
 void set_bit_range(std::vector<std::uint64_t>& words, std::size_t lo,
@@ -74,7 +69,6 @@ BulkSimulator::BulkSimulator(std::size_t num_nodes) {
   ones_.reserve(words);
   twos_.reserve(words);
   received_.reserve(words);
-  record_of_.reserve(num_nodes);
 }
 
 bool BulkSimulator::options_supported(const SimOptions& options,
@@ -170,7 +164,6 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
   ones_.assign(words_, 0);
   twos_.assign(words_, 0);
   received_.assign(words_, 0);
-  record_of_.resize(n);
 
   const std::vector<ShiftRule>& rules = lat.rules();
   const std::size_t num_rules = rules.size();
@@ -224,11 +217,11 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
     // Id-ascending, exactly the reference order, so the tx_energy running
     // sum sees the same addends in the same sequence bit for bit.
     tx_words.clear();
+    const std::size_t first_record = out.transmissions.size();
     for (const NodeId v : transmitters) {
       set_bit(transmitting_, v);
       const std::uint32_t w = static_cast<std::uint32_t>(v / kWordBits);
       if (tx_words.empty() || tx_words.back() != w) tx_words.push_back(w);
-      record_of_[v] = static_cast<std::uint32_t>(out.transmissions.size());
       out.transmissions.push_back(TxRecord{slot, v, 0, 0});
       out.stats.tx += 1;
       const Joules cost =
@@ -280,8 +273,36 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
     touched.erase(std::unique(touched.begin(), touched.end()),
                   touched.end());
 
+    // --- attribution pass: each transmitter's decodes ------------------
+    //
+    // A decoded hearer has exactly one transmitting neighbor, so walking
+    // every transmitter's valid rules and testing the target's
+    // exactly-one-hearer bit finds each decode once, at its sender's
+    // record.  It reads the counters before the classification pass
+    // clears them.
+    std::size_t attributed = 0;
+    for (std::size_t k = 0; k < transmitters.size(); ++k) {
+      const NodeId v = transmitters[k];
+      TxRecord& rec = out.transmissions[first_record + k];
+      for (std::size_t r = 0; r < num_rules; ++r) {
+        if (((masks_[r * words_ + v / kWordBits] >> (v % kWordBits)) & 1u) ==
+            0) {
+          continue;
+        }
+        const auto u = static_cast<std::size_t>(
+            static_cast<std::int64_t>(v) + rules[r].delta);
+        const std::size_t w = u / kWordBits;
+        const std::uint64_t bit = std::uint64_t{1} << (u % kWordBits);
+        if ((ones_[w] & ~twos_[w] & ~transmitting_[w] & bit) == 0) continue;
+        rec.delivered += 1;
+        if ((received_[w] & bit) == 0) rec.fresh += 1;
+      }
+      attributed += rec.delivered;
+    }
+
     // --- classification pass: word-parallel counting, then the (sparse)
-    // per-reception attribution walk ------------------------------------
+    // per-receiver walk over fresh and charged bits ---------------------
+    std::size_t decoded = 0;
     for (const std::uint32_t w : touched) {
       const std::uint64_t t = transmitting_[w];
       const std::uint64_t collided = twos_[w] & ~t;
@@ -292,6 +313,7 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
           static_cast<std::size_t>(std::popcount(collided));
       out.stats.duplicates += static_cast<std::size_t>(std::popcount(dup));
       const int rx_count = std::popcount(rx);
+      decoded += static_cast<std::size_t>(rx_count);
       out.stats.rx += static_cast<std::size_t>(rx_count);
       // One add per decode, like the reference -- the addends are all the
       // same constant, so matching the count matches the bits.
@@ -303,56 +325,30 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
         }
       }
 
-      const auto attribute = [&](std::uint64_t set, bool is_fresh) {
-        while (set != 0) {
-          const auto u = static_cast<NodeId>(
-              w * kWordBits +
-              static_cast<std::size_t>(std::countr_zero(set)));
-          set &= set - 1;
-          if (options.record_node_energy) out.node_energy[u] += rx_cost;
-          // The unique transmitting neighbor: invert each rule.
-          NodeId from = kInvalidNode;
-          for (std::size_t r = 0; r < num_rules; ++r) {
-            const std::int64_t v64 =
-                static_cast<std::int64_t>(u) - rules[r].delta;
-            if (v64 < 0 || v64 >= static_cast<std::int64_t>(n)) continue;
-            const auto v = static_cast<NodeId>(v64);
-            if (!test_bit(transmitting_, v)) continue;
-            if (((masks_[r * words_ + v / kWordBits] >>
-                  (v % kWordBits)) &
-                 1u) == 0) {
-              continue;
-            }
-            from = v;
-            break;
-          }
-          WSN_ASSERT(from != kInvalidNode);
-          TxRecord& rec = out.transmissions[record_of_[from]];
-          rec.delivered += 1;
-          if (is_fresh) {
-            rec.fresh += 1;
-            out.first_rx[u] = slot;
-            out.stats.delay = std::max(out.stats.delay, slot);
-            schedule_node(u, slot);
-          }
-        }
+      const auto node_at = [w](std::uint64_t set) {
+        return static_cast<NodeId>(
+            w * kWordBits + static_cast<std::size_t>(std::countr_zero(set)));
       };
-      attribute(fresh, true);
-      attribute(dup, false);
-      if (options.charge_collisions && options.record_node_energy) {
-        std::uint64_t set = collided;
-        while (set != 0) {
-          const auto u = static_cast<NodeId>(
-              w * kWordBits +
-              static_cast<std::size_t>(std::countr_zero(set)));
-          set &= set - 1;
-          out.node_energy[u] += rx_cost;
+      for (std::uint64_t set = fresh; set != 0; set &= set - 1) {
+        const NodeId u = node_at(set);
+        out.first_rx[u] = slot;
+        out.stats.delay = std::max(out.stats.delay, slot);
+        schedule_node(u, slot);
+      }
+      if (options.record_node_energy) {
+        // A node decodes or collides at most once per slot, so the order
+        // of these adds within the slot cannot change any node's sum.
+        const std::uint64_t charged =
+            options.charge_collisions ? rx | collided : rx;
+        for (std::uint64_t set = charged; set != 0; set &= set - 1) {
+          out.node_energy[node_at(set)] += rx_cost;
         }
       }
       received_[w] |= fresh;
       ones_[w] = 0;
       twos_[w] = 0;
     }
+    WSN_ASSERT(attributed == decoded);
     for (const NodeId v : transmitters) clear_bit(transmitting_, v);
 
     ++slots_done;

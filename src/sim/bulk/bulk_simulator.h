@@ -28,7 +28,11 @@
 /// and a slot becomes a handful of word-at-a-time passes touching only the
 /// words near the frontier: exactly-one-hearer nodes are ones & ~twos & ~T
 /// (half-duplex excluded), collisions popcount(twos & ~T), fresh coverage
-/// rx & ~R -- no per-node branching anywhere in the counting.
+/// rx & ~R -- no per-node branching anywhere in the counting.  Deliveries
+/// are attributed per transmitter: the slot's records are contiguous (the
+/// transmitters are sorted), and each transmitter's valid rules point at
+/// the hearers whose exactly-one-hearer and fresh bits it is credited
+/// with.  Nothing n-sized besides the bit vectors and the outcome itself.
 ///
 /// Semantics contract: `run` returns a BroadcastOutcome *bit-identical* to
 /// `Simulator::run` on the materialized topology of the same family/dims --
@@ -100,7 +104,6 @@ class BulkSimulator {
   std::vector<std::uint64_t> ones_;
   std::vector<std::uint64_t> twos_;
   std::vector<std::uint64_t> received_;
-  std::vector<std::uint32_t> record_of_;  // transmitter -> tx index (per slot)
   std::vector<std::uint32_t> touched_words_;
   std::map<Slot, std::vector<NodeId>> schedule_;
   BulkProgressFn progress_;

@@ -183,6 +183,47 @@ TEST(BulkSimulator, ChargeCollisionsAndNodeEnergyMatch) {
   cross_check(*topo, lat, paper_plan(*topo, 27), options);
 }
 
+// Per-transmitter delivered/fresh counts and per-node energy under
+// collision charging, against the reference, on every lattice the bulk
+// engine supports: the four paper families and both tori at the smallest
+// dims their factories accept, with and without a slot cap.
+TEST(BulkSimulator, AttributionAndNodeEnergyMatchOnEveryLattice) {
+  const struct {
+    const char* family;
+    int m, n, l;
+  } meshes[] = {{"2D-3", 9, 7, 1}, {"2D-4", 8, 6, 1},
+                {"2D-8", 7, 7, 1}, {"3D-6", 4, 3, 5}};
+  for (const Slot cap : {SimOptions{}.max_slots, Slot{3}}) {
+    SimOptions options;
+    options.charge_collisions = true;
+    options.record_node_energy = true;
+    options.max_slots = cap;
+    for (const auto& c : meshes) {
+      const std::unique_ptr<Topology> topo =
+          make_mesh(c.family, c.m, c.n, c.l);
+      const ImplicitLattice lat =
+          ImplicitLattice::make(c.family, c.m, c.n, c.l);
+      const auto centre = static_cast<NodeId>(topo->num_nodes() / 2);
+      cross_check(*topo, lat, flooding_plan(topo->num_nodes(), centre),
+                  options);
+      cross_check(*topo, lat, paper_plan(*topo, centre), options);
+      cross_check(*topo, lat, paper_plan(*topo, 0), options);
+    }
+    const Torus2D4 torus4(3, 3);
+    const Torus2D8 torus8(3, 3);
+    for (NodeId src = 0; src < 9; src += 4) {
+      // Flooding collides almost everywhere; a lone source delivers to
+      // every neighbor, twice.
+      RelayPlan lone = RelayPlan::empty(9, src);
+      lone.tx_offsets[src] = {1, 2};
+      for (const RelayPlan& plan : {flooding_plan(9, src), lone}) {
+        cross_check(torus4, ImplicitLattice::torus2d4(3, 3), plan, options);
+        cross_check(torus8, ImplicitLattice::torus2d8(3, 3), plan, options);
+      }
+    }
+  }
+}
+
 TEST(BulkSimulator, ScratchReuseIsInvisible) {
   // One simulator across different lattices and plan shapes must replay
   // what fresh simulators produce (mask cache + scratch re-priming).
