@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "obs/profile.h"
 
 namespace wsn {
 
@@ -12,6 +13,7 @@ std::vector<double> estimate_link_quality(const Topology& topo,
   WSN_EXPECTS(config.probe_rounds >= 1);
   WSN_EXPECTS(config.slot_stride >= 1);
   WSN_EXPECTS(config.min_delivery > 0.0 && config.min_delivery <= 1.0);
+  WSN_SPAN("fault.link_estimate");
 
   model.begin_run();
   std::vector<double> quality;

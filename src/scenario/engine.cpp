@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -65,6 +66,67 @@ std::string format_record_double(double value) {
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt) noexcept {
   std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ull * (salt + 1));
   return splitmix64(state);
+}
+
+/// Salt of an etx job's probe stream, kept apart from the run channel's
+/// salts so the estimator samples the channel's statistics, never the
+/// exact counter-mode draws the simulation replays (no clairvoyant plans).
+constexpr std::uint64_t kProbeSalt = 0xe57ull;
+/// The estimator and planner settings of every etx job; both are part of
+/// the plan's store key.
+constexpr LinkEstimatorConfig kEtxEstimator{};
+constexpr EtxRelayPlanner::Config kEtxPlanner{};
+
+/// The plan store's protocol id for a compiled (paper/cds/etx) job.
+/// "paper" and "cds" depend on nothing beyond the topology and source.
+/// An etx plan also depends on the channel it learned, so its id names
+/// every input of the estimate -- fault kind, loss and burst as exact
+/// hex-float bits, the probe seed and the estimator config -- plus the
+/// planner config.  Crash fields stay out: the estimator never sees them,
+/// so a crash variant shares the entry of its loss-only sibling.  A
+/// perfect channel learns nothing and keys as `etx;fault=none`.
+std::string plan_store_id(const ScenarioJob& job, std::uint64_t trial_seed) {
+  if (job.protocol != "etx") return job.protocol;
+  char planner[128];
+  std::snprintf(planner, sizeof planner, ";plan=%a/%a/%a/%u",
+                kEtxPlanner.target_delivery, kEtxPlanner.min_gain,
+                kEtxPlanner.min_delivery, kEtxPlanner.stagger_window);
+  if (job.fault.kind == ScenarioFault::Kind::kNone) {
+    return std::string("etx;fault=none") + planner;
+  }
+  char channel[256];
+  std::snprintf(
+      channel, sizeof channel, "etx;fault=%s:%a:%a;probe=%016llx;est=%zu/%u/%a",
+      job.fault.kind == ScenarioFault::Kind::kIid ? "iid" : "gilbert",
+      job.fault.loss, job.fault.burst,
+      static_cast<unsigned long long>(mix_seed(trial_seed, kProbeSalt)),
+      kEtxEstimator.probe_rounds, kEtxEstimator.slot_stride,
+      kEtxEstimator.min_delivery);
+  return std::string(channel) + planner;
+}
+
+/// Compiles a paper, cds or etx plan.  The result is a pure function of
+/// the topology, the source and `plan_store_id`, which is what lets the
+/// plan store share it.  An etx job on a lossy channel first learns the
+/// link quality into `quality` from its own probe stream.
+RelayPlan compile_plan(const Topology& topo, const ScenarioJob& job,
+                       std::uint64_t trial_seed, const SimOptions& options,
+                       ResolveReport& report, std::vector<double>& quality) {
+  if (job.protocol == "paper") {
+    return paper_plan(topo, job.source, options, &report);
+  }
+  if (job.protocol == "cds") return CdsBroadcast{}.plan(topo, job.source);
+  WSN_ASSERT(job.protocol == "etx");
+  const std::uint64_t probe_seed = mix_seed(trial_seed, kProbeSalt);
+  if (job.fault.kind == ScenarioFault::Kind::kIid) {
+    IidLossModel probe(job.fault.loss, probe_seed);
+    quality = estimate_link_quality(topo, probe, kEtxEstimator);
+  } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
+    GilbertElliottModel probe = GilbertElliottModel::from_mean_loss(
+        job.fault.loss, job.fault.burst, probe_seed);
+    quality = estimate_link_quality(topo, probe, kEtxEstimator);
+  }
+  return etx_plan(topo, job.source, quality, options, &report, kEtxPlanner);
 }
 
 /// The per-job fold the envelopes accumulate -- small enough to rebuild
@@ -193,8 +255,7 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
   SimOptions plan_options;
   plan_options.packet_bits = entry.packet_bits;
 
-  std::size_t repairs = 0;
-  std::size_t unrepaired = 0;
+  ResolveReport plan_report;  // the compiled plan's resolver account
   std::size_t planned_tx = 0;  // base plan's scheduled Tx, post-recovery
   bool arq_ran = false;
   AdaptiveArqReport arq_report;
@@ -230,58 +291,36 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
     // --- plan ---------------------------------------------------------
     enter("plan");
     RelayPlan plan;
-    std::vector<double> etx_quality;  // etx protocol: learned CSR span
-    const FlatRelayPlan* flat = nullptr;  // store fast path, kNone only
+    const FlatRelayPlan* flat = nullptr;  // stored plan, kNone recovery only
     std::shared_ptr<const StoredPlan> stored;
-    const bool cacheable =
-        job.protocol == "paper" || job.protocol == "cds";
-    if (cacheable && store != nullptr) {
-      stored = store->fetch_or_compile(
-          topo, job.source, job.protocol, plan_options,
-          [&](ResolveReport& report) {
-            return job.protocol == "paper"
-                       ? paper_plan(topo, job.source, plan_options, &report)
-                       : CdsBroadcast{}.plan(topo, job.source);
-          });
-      repairs = stored->report.repairs;
-      unrepaired = stored->report.unrepaired;
-      if (job.recovery == RecoveryPolicy::kNone) {
-        flat = &stored->plan;
-      } else {
-        plan = stored->plan.to_relay_plan();
-      }
-    } else if (job.protocol == "paper") {
-      ResolveReport report;
-      plan = paper_plan(topo, job.source, plan_options, &report);
-      repairs = report.repairs;
-      unrepaired = report.unrepaired;
-    } else if (job.protocol == "cds") {
-      plan = CdsBroadcast{}.plan(topo, job.source);
-    } else if (job.protocol == "etx") {
-      // Learn the channel from a dedicated probe stream.  The probe model
-      // gets its own salt -- NOT the run channel's -- so the estimator
-      // samples the channel's statistics, never the exact counter-mode
-      // draws the simulation below will replay (no clairvoyant plans).
-      // Never cached: the plan depends on the learned quality, which is
-      // not part of the plan store's fingerprint.
-      if (job.fault.kind == ScenarioFault::Kind::kIid) {
-        IidLossModel probe(job.fault.loss, mix_seed(trial_seed, 0xe57ull));
-        etx_quality = estimate_link_quality(topo, probe);
-      } else if (job.fault.kind == ScenarioFault::Kind::kGilbert) {
-        GilbertElliottModel probe = GilbertElliottModel::from_mean_loss(
-            job.fault.loss, job.fault.burst, mix_seed(trial_seed, 0xe57ull));
-        etx_quality = estimate_link_quality(topo, probe);
-      }
-      ResolveReport report;
-      plan = etx_plan(topo, job.source, etx_quality, plan_options, &report);
-      repairs = report.repairs;
-      unrepaired = report.unrepaired;
-    } else if (job.protocol == "flooding") {
+    std::vector<double> learned;       // store-less etx: the estimate
+    std::span<const double> quality;   // etx: the learned CSR span
+    if (job.protocol == "flooding") {
       plan = Flooding(entry.jitter, trial_seed).plan(topo, job.source);
-    } else {
-      WSN_ASSERT(job.protocol == "gossip");
+    } else if (job.protocol == "gossip") {
       plan = Gossip(entry.gossip_p, entry.jitter, trial_seed)
                  .plan(topo, job.source);
+    } else {
+      const auto compile = [&](ResolveReport& fresh_report,
+                               std::vector<double>& fresh_quality) {
+        return compile_plan(topo, job, trial_seed, plan_options,
+                            fresh_report, fresh_quality);
+      };
+      if (store != nullptr) {
+        stored = store->fetch_or_compile(topo, job.source,
+                                         plan_store_id(job, trial_seed),
+                                         plan_options, compile);
+        plan_report = stored->report;
+        quality = stored->quality;
+        if (job.recovery == RecoveryPolicy::kNone) {
+          flat = &stored->plan;
+        } else {
+          plan = stored->plan.to_relay_plan();
+        }
+      } else {
+        plan = compile(plan_report, learned);
+        quality = learned;
+      }
     }
     // Adaptive recovery does not rewrite the plan -- it reacts at run
     // time (fault/adaptive.h), so only the static policies rewrite here.
@@ -344,7 +383,7 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
       arq_config.retry_budget = entry.arq_budget;
       arq_config.max_rounds = entry.arq_rounds;
       outcome = run_adaptive_arq(topo, plan, run_options, arq_config,
-                                 &arq_report, etx_quality);
+                                 &arq_report, quality);
       arq_ran = true;
     } else {
       outcome = flat != nullptr ? sim.run(topo, *flat, run_options)
@@ -424,8 +463,10 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
        << ",\"fade\":" << stats.lost_to_fading
        << ",\"crash\":" << stats.lost_to_crash << ",\"delay\":" << stats.delay
        << ",\"energy\":" << format_record_double(stats.total_energy())
-       << ",\"repairs\":" << repairs;
-  if (unrepaired > 0) line << ",\"unrepaired\":" << unrepaired;
+       << ",\"repairs\":" << plan_report.repairs;
+  if (plan_report.unrepaired > 0) {
+    line << ",\"unrepaired\":" << plan_report.unrepaired;
+  }
   if (arq_ran) {
     line << ",\"retries\":" << arq_report.retries
          << ",\"arq_rounds\":" << arq_report.rounds;

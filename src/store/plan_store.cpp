@@ -23,13 +23,16 @@ void PlanStore::bind_metrics(MetricsRegistry& registry) {
   read_retries_metric_ = &registry.counter("store.read_retries");
 }
 
-std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
+template <typename Compile>
+std::shared_ptr<const StoredPlan> PlanStore::fetch(
     const Topology& topo, NodeId source, std::string_view protocol_id,
-    const SimOptions& options, const CompileFn& compile, Origin* origin) {
+    const SimOptions& options, const Compile& compile, Origin* origin) {
   const auto compiled = [&] {
     auto value = std::make_shared<StoredPlan>();
-    value->plan = FlatRelayPlan::from(compile(value->report));
+    value->plan = FlatRelayPlan::from(compile(*value));
     WSN_ENSURES(value->plan.num_nodes() == topo.num_nodes());
+    WSN_ENSURES(value->quality.empty() ||
+                value->quality.size() == topo.num_directed_links());
     return std::shared_ptr<const StoredPlan>(std::move(value));
   };
 
@@ -63,7 +66,9 @@ std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
     }
     if (status == PlanSerdeStatus::kOk &&
         from_disk.plan.num_nodes() == topo.num_nodes() &&
-        from_disk.plan.source() == source) {
+        from_disk.plan.source() == source &&
+        (from_disk.quality.empty() ||
+         from_disk.quality.size() == topo.num_directed_links())) {
       count(disk_hits_, disk_hits_metric_);
       auto value = std::make_shared<const StoredPlan>(std::move(from_disk));
       memory_.put(fp.key, value);
@@ -72,7 +77,8 @@ std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
     }
     if (status != PlanSerdeStatus::kNotFound) {
       // Corrupt, stale-version, or (impossible short of a key collision)
-      // mismatched artifact: a miss that the recompile below overwrites.
+      // mismatched artifact -- a plan or quality vector sized for another
+      // topology: a miss that the recompile below overwrites.
       count(disk_rejects_, disk_rejects_metric_);
       rewrite_artifact = true;
     }
@@ -87,6 +93,27 @@ std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
   }
   if (origin != nullptr) *origin = Origin::kCompiled;
   return value;
+}
+
+std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
+    const Topology& topo, NodeId source, std::string_view protocol_id,
+    const SimOptions& options, const CompileFn& compile, Origin* origin) {
+  return fetch(
+      topo, source, protocol_id, options,
+      [&compile](StoredPlan& value) { return compile(value.report); },
+      origin);
+}
+
+std::shared_ptr<const StoredPlan> PlanStore::fetch_or_compile(
+    const Topology& topo, NodeId source, std::string_view protocol_id,
+    const SimOptions& options, const LearnedCompileFn& compile,
+    Origin* origin) {
+  return fetch(
+      topo, source, protocol_id, options,
+      [&compile](StoredPlan& value) {
+        return compile(value.report, value.quality);
+      },
+      origin);
 }
 
 TopologyDigest PlanStore::digest_for(const Topology& topo) {

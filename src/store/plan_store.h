@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "protocol/registry.h"
 #include "store/disk_store.h"
@@ -19,15 +20,22 @@
 /// compilation.
 ///
 /// `fetch_or_compile` is the one entry point the rest of the system uses
-/// (sweeps, the CLI, warm_plans).  Resolution order:
+/// (sweeps, the CLI, warm_plans, the scenario engine, the service).  The
+/// protocol id names everything beyond the topology, source and horizon
+/// that the plan depends on: "paper" and "cds" are pure functions of the
+/// topology, while the scenario engine's ETX plans put their learned
+/// channel -- fault kind/loss/burst, probe seed, estimator and planner
+/// config -- into the id, and store the learned link quality beside the
+/// plan (`StoredPlan::quality`).  Resolution order:
 ///
 ///   1. ineligible request (fault model / battery installed)  -> compile,
 ///      uncached (`Origin::kBypass`);
 ///   2. sharded in-memory LRU                                 -> kMemory;
-///   3. disk artifact, fully verified; a corrupt / truncated / stale-
-///      version artifact counts as a miss and is *rewritten* after the
-///      recompile -- the store self-heals, it never trusts and never
-///      aborts                                                -> kDisk;
+///   3. disk artifact, fully verified (including a quality vector that
+///      is either empty or one value per directed link); a corrupt /
+///      truncated / stale-version artifact counts as a miss and is
+///      *rewritten* after the recompile -- the store self-heals, it never
+///      trusts and never aborts                               -> kDisk;
 ///   4. compile via the supplied callback, then populate both
 ///      tiers                                                 -> kCompiled.
 ///
@@ -77,6 +85,15 @@ class PlanStore {
       const SimOptions& options, const CompileFn& compile,
       Origin* origin = nullptr);
 
+  /// A compile that also returns the link quality it learned, stored
+  /// beside the plan: empty, or one value per directed link in CSR order.
+  using LearnedCompileFn =
+      std::function<RelayPlan(ResolveReport&, std::vector<double>& quality)>;
+  [[nodiscard]] std::shared_ptr<const StoredPlan> fetch_or_compile(
+      const Topology& topo, NodeId source, std::string_view protocol_id,
+      const SimOptions& options, const LearnedCompileFn& compile,
+      Origin* origin = nullptr);
+
   [[nodiscard]] ShardedPlanCache& memory() noexcept { return memory_; }
   /// The disk tier, or nullptr for a memory-only store.
   [[nodiscard]] PlanDiskStore* disk() noexcept {
@@ -86,6 +103,13 @@ class PlanStore {
   [[nodiscard]] Stats stats() const noexcept;
 
  private:
+  /// Both `fetch_or_compile`s: `compile(StoredPlan&)` fills the report
+  /// and quality of a fresh value and returns its plan.
+  template <typename Compile>
+  [[nodiscard]] std::shared_ptr<const StoredPlan> fetch(
+      const Topology& topo, NodeId source, std::string_view protocol_id,
+      const SimOptions& options, const Compile& compile, Origin* origin);
+
   void count(std::atomic<std::uint64_t>& local, Counter* mirrored) noexcept {
     local.fetch_add(1, std::memory_order_relaxed);
     if (mirrored != nullptr) mirrored->increment();

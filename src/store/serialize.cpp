@@ -1,5 +1,6 @@
 #include "store/serialize.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -104,6 +105,10 @@ class Reader {
 
 constexpr std::size_t kHeaderSize = 64;
 constexpr std::size_t kTrailerSize = 8;
+/// `flags` bit 0: a quality section follows the per-node offsets.
+constexpr std::uint32_t kQualityFlag = 1;
+
+}  // namespace
 
 /// The artifact trailer checksum: eight interleaved FNV-1a streams, one
 /// per byte lane, folded into one word.  Interleaving breaks the serial
@@ -135,21 +140,21 @@ std::uint64_t plan_checksum(std::string_view bytes) noexcept {
   return hash;
 }
 
-}  // namespace
-
 std::string serialize_plan(const StoredPlan& value) {
   const FlatRelayPlan& plan = value.plan;
   const std::size_t node_count = plan.num_nodes();
   const std::uint64_t total_offsets = plan.total_offsets();
 
   std::string out;
+  const std::vector<double>& quality = value.quality;
   out.reserve(kHeaderSize + 4 * node_count +
-              4 * static_cast<std::size_t>(total_offsets) + kTrailerSize);
+              4 * static_cast<std::size_t>(total_offsets) +
+              (quality.empty() ? 0 : 8 + 8 * quality.size()) + kTrailerSize);
   out.append(kPlanMagic, kPlanMagicSize);
   put_u32(out, kPlanFormatVersion);
   put_u32(out, static_cast<std::uint32_t>(node_count));
   put_u32(out, plan.source());
-  put_u32(out, 0);  // flags
+  put_u32(out, quality.empty() ? 0 : kQualityFlag);
   put_u64(out, value.report.repairs);
   put_u64(out, value.report.rounds);
   put_u64(out, value.report.unreachable);
@@ -159,6 +164,10 @@ std::string serialize_plan(const StoredPlan& value) {
     const std::span<const Slot> offsets = plan.offsets(v);
     put_u32(out, static_cast<std::uint32_t>(offsets.size()));
     for (Slot offset : offsets) put_u32(out, offset);
+  }
+  if (!quality.empty()) {
+    put_u64(out, quality.size());
+    for (double p : quality) put_u64(out, std::bit_cast<std::uint64_t>(p));
   }
   put_u64(out, plan_checksum(out));
   return out;
@@ -200,7 +209,8 @@ PlanSerdeStatus deserialize_plan(std::string_view bytes, StoredPlan& out) {
       !r.read_u64(total_offsets)) {
     return PlanSerdeStatus::kTruncated;
   }
-  if (node_count == 0 || source >= node_count || flags != 0) {
+  if (node_count == 0 || source >= node_count ||
+      (flags & ~kQualityFlag) != 0) {
     return PlanSerdeStatus::kMalformed;
   }
 
@@ -241,6 +251,21 @@ PlanSerdeStatus deserialize_plan(std::string_view bytes, StoredPlan& out) {
     pos += 4 * static_cast<std::size_t>(count);
   }
   if (seen_offsets != total_offsets) return PlanSerdeStatus::kMalformed;
+  std::vector<double> quality;
+  if ((flags & kQualityFlag) != 0) {
+    if (body.size() - pos < 8) return PlanSerdeStatus::kTruncated;
+    const std::uint64_t count = le64(base + pos);
+    pos += 8;
+    if (count == 0) return PlanSerdeStatus::kMalformed;
+    if ((body.size() - pos) / 8 < count) return PlanSerdeStatus::kTruncated;
+    quality.resize(static_cast<std::size_t>(count));
+    for (double& p : quality) {
+      p = std::bit_cast<double>(le64(base + pos));
+      pos += 8;
+      // Negated so NaN fails too: a delivery probability lies in (0, 1].
+      if (!(p > 0.0 && p <= 1.0)) return PlanSerdeStatus::kMalformed;
+    }
+  }
   if (pos != body.size()) {
     return PlanSerdeStatus::kMalformed;  // trailing garbage under checksum
   }
@@ -255,6 +280,7 @@ PlanSerdeStatus deserialize_plan(std::string_view bytes, StoredPlan& out) {
   result.report.rounds = rounds;
   result.report.unreachable = unreachable;
   result.report.unrepaired = unrepaired;
+  result.quality = std::move(quality);
   out = std::move(result);
   return PlanSerdeStatus::kOk;
 }

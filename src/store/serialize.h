@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "protocol/resolver.h"
 #include "sim/plan.h"
@@ -11,30 +12,40 @@
 ///
 /// A stored artifact is the unit the plan store moves around: the resolved
 /// `RelayPlan` together with the `ResolveReport` describing how it was
-/// repaired.  The wire format (version 1, little-endian, all integral --
-/// round-trips are bit-exact):
+/// repaired and, for plans built from a learned channel, the link quality
+/// they were built from.  The wire format (version 1, little-endian, all
+/// integral -- round-trips are bit-exact):
 ///
 ///   offset  size  field
 ///   0       8     magic "WSNPLAN1"
 ///   8       4     u32 format version (= 1)
 ///   12      4     u32 node count
 ///   16      4     u32 source id
-///   20      4     u32 flags (reserved, 0)
+///   20      4     u32 flags: bit 0 = quality section present; every
+///                 other bit is reserved and must be 0
 ///   24      8     u64 report.repairs
 ///   32      8     u64 report.rounds
 ///   40      8     u64 report.unreachable
 ///   48      8     u64 report.unrepaired
 ///   56      8     u64 total offset count (redundant; cross-checked)
 ///   64      ...   per node: u32 count, then count x u32 offsets
+///   (flags bit 0 only)
+///           8     u64 quality count (>= 1)
+///           ...   count x u64 IEEE-754 bit patterns, each a delivery
+///                 probability in (0, 1], in CSR link order
 ///   end-8   8     u64 checksum of every preceding byte (eight byte-lane
 ///                 FNV-1a streams folded together; see serialize.cpp)
+///
+/// An artifact with flags 0 carries no quality and has exactly the layout
+/// it had before the section existed, so older artifacts still decode.
 ///
 /// Decoding is total: every failure mode maps to a `PlanSerdeStatus`
 /// instead of a contract abort, so a corrupted or stale artifact is a
 /// cache *miss*, never a crash.  Structural rules (source in range,
-/// offsets >= 1 and strictly increasing) are re-verified after the
-/// checksum as defense in depth -- `RelayPlan::validate()` aborts, and
-/// nothing read from disk may reach it unvalidated.
+/// offsets >= 1 and strictly increasing, quality values in (0, 1]) are
+/// re-verified after the checksum as defense in depth --
+/// `RelayPlan::validate()` aborts, and nothing read from disk may reach it
+/// unvalidated.
 namespace wsn {
 
 /// A compiled plan plus the resolver's account of building it.  The plan
@@ -44,6 +55,9 @@ namespace wsn {
 struct StoredPlan {
   FlatRelayPlan plan;
   ResolveReport report;
+  /// The learned per-link delivery probabilities the plan was built from,
+  /// in CSR link order (ETX plans on a lossy channel); empty otherwise.
+  std::vector<double> quality = {};
 };
 
 inline constexpr std::uint32_t kPlanFormatVersion = 1;
@@ -69,6 +83,10 @@ enum class PlanSerdeStatus {
 [[nodiscard]] std::uint64_t fnv1a64(
     std::string_view bytes,
     std::uint64_t basis = 0xcbf29ce484222325ull) noexcept;
+
+/// The artifact trailer checksum over `body` (every byte before the
+/// trailer).  Exposed so tests can seal hand-built artifacts.
+[[nodiscard]] std::uint64_t plan_checksum(std::string_view body) noexcept;
 
 /// Encodes `value` into the version-1 artifact format.
 [[nodiscard]] std::string serialize_plan(const StoredPlan& value);
