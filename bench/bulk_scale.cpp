@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
         [&] { sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size(); },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
 
-    const wsn::RelayPlan plan = wsn::implicit_paper_plan(lat, src);
+    const wsn::FlatRelayPlan plan = wsn::implicit_paper_plan(lat, src);
     results.push_back(wsn::bench::measure(
         "bulk_sim/2D-4/" + dims,
         [&] { sink += wsn::bulk_simulate(lat, plan).stats.reached; },

@@ -34,7 +34,7 @@ void BM_Simulate2D4(benchmark::State& state) {
   const wsn::Mesh2D4 topo(2 * side, side);
   const wsn::Mesh2d4Broadcast protocol;
   const wsn::NodeId src = topo.grid().to_id({side, side / 2 + 1});
-  const wsn::RelayPlan plan = protocol.plan(topo, src);
+  const wsn::FlatRelayPlan plan = protocol.plan(topo, src);
   for (auto _ : state) {
     benchmark::DoNotOptimize(wsn::simulate_broadcast(topo, plan));
   }
@@ -89,7 +89,7 @@ std::vector<wsn::bench::BenchResult> run_json_benches() {
   for (const std::string& family : wsn::regular_families()) {
     const auto topo = wsn::make_paper_topology(family);
     const wsn::NodeId src = wsn::graph_center(*topo);
-    const wsn::RelayPlan plan = wsn::paper_plan(*topo, src);
+    const wsn::FlatRelayPlan plan = wsn::paper_plan(*topo, src);
     results.push_back(wsn::bench::measure("simulate/" + family, [&] {
       benchmark::DoNotOptimize(wsn::simulate_broadcast(*topo, plan));
     }));

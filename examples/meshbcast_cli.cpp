@@ -26,6 +26,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "analysis/ascii_viz.h"
 #include "analysis/sweep.h"
@@ -58,8 +59,10 @@ namespace {
 /// A plan plus where it came from: freshly compiled, a plan-store tier,
 /// or a --plan-in artifact.  `has_report` is true for the resolver-backed
 /// protocols (paper, cds) and for artifacts, which store their report.
+/// The plan is held in the engines' flat form, so a stored or loaded plan
+/// is simulated and written back without expanding it.
 struct PlanOutcome {
-  wsn::RelayPlan plan;
+  wsn::FlatRelayPlan plan;
   wsn::ResolveReport report;
   bool has_report = false;
   std::string origin = "compiled";
@@ -68,33 +71,23 @@ struct PlanOutcome {
 PlanOutcome make_plan(const std::string& protocol, const wsn::Topology& topo,
                       wsn::NodeId src, wsn::PlanStore* store) {
   PlanOutcome out;
-  wsn::PlanStore::Origin origin = wsn::PlanStore::Origin::kCompiled;
-  if (protocol == "paper") {
+  if (protocol == "paper" || protocol == "cds") {
+    const auto compile = [&](wsn::ResolveReport& report) {
+      return protocol == "paper"
+                 ? wsn::paper_plan(topo, src, {}, &report)
+                 : wsn::resolve_full_reachability(
+                       topo, wsn::CdsBroadcast().plan(topo, src), {},
+                       &report);
+    };
     if (store != nullptr) {
-      out.plan = wsn::paper_plan_cached(topo, src, {}, *store, &out.report,
-                                        &origin);
-      out.origin = wsn::to_string(origin);
-    } else {
-      out.plan = wsn::paper_plan(topo, src, {}, &out.report);
-    }
-    out.has_report = true;
-    return out;
-  }
-  if (protocol == "cds") {
-    if (store != nullptr) {
-      const auto stored = store->fetch_or_compile(
-          topo, src, "cds", {},
-          [&](wsn::ResolveReport& report) {
-            return wsn::resolve_full_reachability(
-                topo, wsn::CdsBroadcast().plan(topo, src), {}, &report);
-          },
-          &origin);
-      out.plan = stored->plan.to_relay_plan();
+      wsn::PlanStore::Origin origin = wsn::PlanStore::Origin::kCompiled;
+      const auto stored =
+          store->fetch_or_compile(topo, src, protocol, {}, compile, &origin);
+      out.plan = stored->plan;
       out.report = stored->report;
       out.origin = wsn::to_string(origin);
     } else {
-      out.plan = wsn::resolve_full_reachability(
-          topo, wsn::CdsBroadcast().plan(topo, src), {}, &out.report);
+      out.plan = compile(out.report);
     }
     out.has_report = true;
     return out;
@@ -407,7 +400,7 @@ int main(int argc, char** argv) {
                      topo->name().c_str(), topo->num_nodes());
         std::exit(1);
       }
-      outcome.plan = stored.plan.to_relay_plan();
+      outcome.plan = std::move(stored.plan);
       outcome.report = stored.report;
       outcome.has_report = true;
       outcome.origin = "artifact " + plan_in;
@@ -418,8 +411,7 @@ int main(int argc, char** argv) {
     if (!plan_out.empty()) {
       if (!wsn::write_plan_file(
               plan_out,
-              wsn::StoredPlan{wsn::FlatRelayPlan::from(outcome.plan),
-                              outcome.report})) {
+              wsn::StoredPlan{outcome.plan, outcome.report})) {
         std::fprintf(stderr, "cannot write --plan-out %s\n",
                      plan_out.c_str());
         std::exit(1);
@@ -491,12 +483,14 @@ int main(int argc, char** argv) {
     const auto out = wsn::simulate_broadcast(*topo, outcome.plan, sim_options);
     std::printf("%s\n%s\n", out.stats.summary().c_str(),
                 plan_line(outcome).c_str());
-    std::fputs(wsn::render_roles(*grid, outcome.plan, &out).c_str(), stdout);
+    std::fputs(
+        wsn::render_roles(*grid, outcome.plan.to_relay_plan(), &out).c_str(),
+        stdout);
     return finish(0);
   }
   if (command == "pipeline") {
     const PlanOutcome outcome = obtain_plan(cli.get("protocol"));
-    const wsn::RelayPlan& plan = outcome.plan;
+    const wsn::FlatRelayPlan& plan = outcome.plan;
     const auto packets = static_cast<std::size_t>(cli.get_u64("packets"));
     const wsn::Slot period =
         wsn::min_pipeline_interval(*topo, plan, packets, 256);

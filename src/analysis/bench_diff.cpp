@@ -9,6 +9,8 @@
 #include <sstream>
 #include <utility>
 
+#include "analysis/bench_gate.h"
+
 namespace wsn {
 
 namespace {
@@ -19,11 +21,6 @@ struct EntryRow {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
-bool is_bench_schema(const JsonValue& doc, std::string& schema) {
-  schema = doc.string_or("schema", "");
-  return schema == "meshbcast.bench" || schema == "meshbcast.bench.scenario";
-}
-
 bool ends_with(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
@@ -31,7 +28,9 @@ bool ends_with(std::string_view text, std::string_view suffix) {
 
 int metric_direction(std::string_view name) {
   // Aggregated variants keep their base direction: cold_jobs_per_sec_min
-  // is still a throughput, queue_wait_ms_mean still a latency.
+  // is still a throughput, queue_wait_ms_mean still a latency.  The
+  // service bench's shed_rate counts requests turned away.
+  if (name.find("shed") != std::string_view::npos) return -1;
   if (name.find("per_sec") != std::string_view::npos ||
       ends_with(name, "rate")) {
     return 1;

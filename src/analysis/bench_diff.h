@@ -7,14 +7,16 @@
 #include "common/json.h"
 
 /// Side-by-side bench comparison: every numeric metric of two
-/// `meshbcast.bench` / `meshbcast.bench.scenario` documents, with a
+/// `meshbcast.bench` / `.scenario` / `.service` documents (the schemas
+/// `is_bench_schema` in analysis/bench_gate.h accepts), with a
 /// tolerance-aware, direction-aware verdict per metric.
 ///
 /// Where the bench *gate* (analysis/bench_gate.h) asks one question --
 /// "did a gated throughput metric collapse?" -- the diff answers the
 /// development question: which metrics moved, by how much, and in which
 /// direction.  Direction is inferred from the metric name: `*_per_sec`
-/// and `*rate` are higher-is-better, `*_ms` / `*_ns` lower-is-better;
+/// and `*rate` are higher-is-better, `*_ms` / `*_ns` and the service
+/// bench's `shed_rate` lower-is-better;
 /// anything else (workers, jobs, runs) is neutral and only flagged when
 /// it changed at all.  Nothing here fails CI by itself; `bench_diff
 /// --fail-on-regression` opts in.

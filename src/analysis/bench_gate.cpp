@@ -41,13 +41,6 @@ constexpr std::string_view kAdvisoryMetrics[] = {
     "warm_jobs_per_sec_max",
 };
 
-bool is_bench_schema(const JsonValue& doc, std::string& schema) {
-  schema = doc.string_or("schema", "");
-  return schema == "meshbcast.bench" ||
-         schema == "meshbcast.bench.scenario" ||
-         schema == "meshbcast.bench.service";
-}
-
 std::vector<EntryMetrics> collect_entries(const JsonValue& doc) {
   std::vector<EntryMetrics> out;
   std::map<std::string, std::size_t> key_counts;
@@ -108,6 +101,13 @@ double metric_or(const std::vector<std::pair<std::string, double>>& metrics,
 }
 
 }  // namespace
+
+bool is_bench_schema(const JsonValue& doc, std::string& schema) {
+  schema = doc.string_or("schema", "");
+  return schema == "meshbcast.bench" ||
+         schema == "meshbcast.bench.scenario" ||
+         schema == "meshbcast.bench.service";
+}
 
 GateReport compare_bench_docs(const JsonValue& baseline,
                               const JsonValue& current,

@@ -7,7 +7,7 @@
 #include "common/json.h"
 
 /// Bench regression gate: compares a current `meshbcast.bench` /
-/// `meshbcast.bench.scenario` document against a committed baseline and
+/// `.scenario` / `.service` document against a committed baseline and
 /// reports per-metric throughput ratios.  The gate is deliberately
 /// one-sided and generous -- CI runners are noisy shared machines, so
 /// only a large drop in a higher-is-better metric (runs/sec, jobs/sec,
@@ -56,6 +56,11 @@ struct GateReport {
   }
   [[nodiscard]] bool passed() const noexcept { return regressions() == 0; }
 };
+
+/// True when `doc` is one of the bench documents the gate and the diff
+/// compare (`meshbcast.bench`, `.scenario`, `.service`); `schema`
+/// receives the document's schema string either way.
+[[nodiscard]] bool is_bench_schema(const JsonValue& doc, std::string& schema);
 
 /// Compares two parsed bench documents.  Unknown schemas produce a
 /// report with a note and no metrics (the gate does not guess).

@@ -71,17 +71,18 @@ ResilienceSweep run_resilience_sweep(const Topology& topo,
   ResilienceSweep sweep;
   sweep.topology = topo.name();
 
-  // Each policy's augmented plan is deterministic; build it once.
-  std::vector<RelayPlan> plans;
+  // Each policy's augmented plan is deterministic; build and flatten it
+  // once for all of its trials.
+  std::vector<FlatRelayPlan> plans;
   plans.reserve(config.policies.size());
   for (RecoveryPolicy policy : config.policies) {
-    plans.push_back(apply_recovery(topo, plan, policy, config.repeat_k));
+    plans.emplace_back(apply_recovery(topo, plan, policy, config.repeat_k));
   }
 
   std::size_t cell_index = 0;
   for (double loss_rate : config.loss_rates) {
     for (std::size_t p = 0; p < config.policies.size(); ++p) {
-      const RelayPlan& recovered = plans[p];
+      const FlatRelayPlan& recovered = plans[p];
 
       const std::vector<TrialResult> results =
           parallel_map<TrialResult>(
@@ -137,7 +138,7 @@ ResilienceSweep run_resilience_sweep(const Topology& topo,
       cell.loss_rate = loss_rate;
       cell.policy = config.policies[p];
       cell.trials = config.trials;
-      cell.planned_tx = recovered.planned_tx();
+      cell.planned_tx = recovered.total_offsets();
       cell.min_reachability = 1.0;
       for (const TrialResult& r : results) {
         cell.mean_reachability += r.reachability;
@@ -191,7 +192,9 @@ PlannerComparison run_planner_comparison(
   PlannerComparison comparison;
   comparison.topology = topo.name();
 
-  const RelayPlan geo_recovered =
+  // The geometric arm runs one unedited plan in every trial: flatten it
+  // once.
+  const FlatRelayPlan geo_recovered =
       repeat_k(geometric_plan, config.repeat_k);
   const NodeId source = geometric_plan.source;
 
@@ -263,7 +266,7 @@ PlannerComparison run_planner_comparison(
     PlannerComparisonCell cell;
     cell.loss_rate = loss_rate;
     cell.trials = config.trials;
-    cell.geo_planned_tx = geo_recovered.planned_tx();
+    cell.geo_planned_tx = geo_recovered.total_offsets();
     cell.etx_planned_tx = etx.planned_tx();
     for (const PairedResult& r : results) {
       cell.geo_coverage += r.geo_coverage;

@@ -125,7 +125,7 @@ SweepResult sweep_all_sources_with(const Topology& topo,
       [&](std::size_t worker, std::size_t src) {
         WSN_SPAN("sweep.source");
         const auto source = static_cast<NodeId>(src);
-        const RelayPlan plan = factory(topo, source);
+        const FlatRelayPlan plan = factory(topo, source);
         const BroadcastOutcome outcome =
             simulators[worker].run(topo, plan, options);
         result.per_source[src] = SourceResult{source, outcome.stats, 0};

@@ -21,6 +21,8 @@
 ///     value type), adjacent(a, b);
 ///   * `SimT` -- run(net, plan, options) -> BroadcastOutcome, reusing its
 ///     scratch across probes (Simulator and BulkSimulator both qualify).
+///     The resolver edits a RelayPlan; each probe flattens it at the
+///     engine boundary, since an engine runs a FlatRelayPlan only.
 ///
 /// Probes are the expensive part -- at 10⁶ nodes each is a full bulk
 /// broadcast -- so every distinct plan is simulated exactly once: each

@@ -290,8 +290,9 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
   } else {
     // --- plan ---------------------------------------------------------
     enter("plan");
+    // A plan built or edited here is a RelayPlan; a stored plan that no
+    // policy edits runs as served, straight off the store's flat form.
     RelayPlan plan;
-    const FlatRelayPlan* flat = nullptr;  // stored plan, kNone recovery only
     std::shared_ptr<const StoredPlan> stored;
     std::vector<double> learned;       // store-less etx: the estimate
     std::span<const double> quality;   // etx: the learned CSR span
@@ -312,9 +313,7 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
                                          plan_options, compile);
         plan_report = stored->report;
         quality = stored->quality;
-        if (job.recovery == RecoveryPolicy::kNone) {
-          flat = &stored->plan;
-        } else {
+        if (job.recovery != RecoveryPolicy::kNone) {
           plan = stored->plan.to_relay_plan();
         }
       } else {
@@ -329,8 +328,10 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
       plan = apply_recovery(topo, std::move(plan), job.recovery,
                             entry.repeat_k);
     }
+    const bool served = stored != nullptr &&
+                        job.recovery == RecoveryPolicy::kNone;
     planned_tx =
-        flat != nullptr ? flat->total_offsets() : plan.planned_tx();
+        served ? stored->plan.total_offsets() : plan.planned_tx();
 
     // --- faults -------------------------------------------------------
     // One model instance per job (they are stateful); sub-seeds are
@@ -386,8 +387,8 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
                                  &arq_report, quality);
       arq_ran = true;
     } else {
-      outcome = flat != nullptr ? sim.run(topo, *flat, run_options)
-                                : sim.run(topo, plan, run_options);
+      outcome = served ? sim.run(topo, stored->plan, run_options)
+                       : sim.run(topo, plan, run_options);
     }
 
     if (audit) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <span>
 
 #include "common/assert.h"
 #include "obs/profile.h"
@@ -29,7 +30,7 @@ inline void clear_bit(std::vector<std::uint64_t>& words,
 
 /// Sets bits [lo, hi] (inclusive), optionally only every second bit
 /// starting at lo (the 2D-3 parity mask).
-void set_bit_range(std::vector<std::uint64_t>& words, std::size_t lo,
+void set_bit_range(std::span<std::uint64_t> words, std::size_t lo,
                    std::size_t hi, bool strided) {
   if (strided) {
     // Alternating bits: 0x5555… anchored so bit `lo` is set.
@@ -105,7 +106,7 @@ void BulkSimulator::build_masks(const ImplicitLattice& lat) {
   masks_.assign(lat.rules().size() * words_, 0);
   for (std::size_t r = 0; r < lat.rules().size(); ++r) {
     const ShiftRule& rule = lat.rules()[r];
-    std::vector<std::uint64_t> mask(words_, 0);
+    const std::span<std::uint64_t> mask(masks_.data() + r * words_, words_);
     // Coordinate ranges are row-aligned: fill each valid row's [xlo, xhi]
     // span wholesale (every second bit under the 2D-3 parity constraint).
     for (int z = std::max(1, rule.zlo); z <= std::min(lat.l(), rule.zhi);
@@ -130,22 +131,17 @@ void BulkSimulator::build_masks(const ImplicitLattice& lat) {
                       rule.parity >= 0);
       }
     }
-    std::copy(mask.begin(), mask.end(),
-              masks_.begin() + static_cast<std::ptrdiff_t>(r * words_));
   }
   mask_key_ = key;
 }
 
-template <typename PlanT>
-BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
-                                         const PlanT& plan,
-                                         const SimOptions& options) {
+BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
+                                    const FlatRelayPlan& plan,
+                                    const SimOptions& options) {
+  WSN_SPAN("sim.bulk_simulate");
   const std::size_t n = lat.num_nodes();
   WSN_EXPECTS(plan.num_nodes() == n);
-  std::string why;
-  if (!options_supported(options, &why)) {
-    WSN_EXPECTS(false && "SimOptions outside the bulk engine's surface");
-  }
+  WSN_EXPECTS(options_supported(options));
   plan.validate();
 
   const std::size_t prev_words = words_;
@@ -153,7 +149,7 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
   if (words_ != prev_words) mask_key_.clear();
   build_masks(lat);
 
-  const NodeId source = plan_source(plan);
+  const NodeId source = plan.source();
   BroadcastOutcome out;
   out.stats.num_nodes = n;
   out.first_rx.assign(n, kNeverSlot);
@@ -172,7 +168,7 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
   std::map<Slot, std::vector<NodeId>>& schedule = schedule_;
   schedule.clear();
   const auto schedule_node = [&](NodeId v, Slot received_at) {
-    for (const Slot offset : plan_offsets(plan, v)) {
+    for (const Slot offset : plan.offsets(v)) {
       schedule[received_at + offset].push_back(v);
     }
   };
@@ -372,20 +368,6 @@ BroadcastOutcome BulkSimulator::run_impl(const ImplicitLattice& lat,
   return out;
 }
 
-BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
-                                    const RelayPlan& plan,
-                                    const SimOptions& options) {
-  WSN_SPAN("sim.bulk_simulate");
-  return run_impl(lat, plan, options);
-}
-
-BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
-                                    const FlatRelayPlan& plan,
-                                    const SimOptions& options) {
-  WSN_SPAN("sim.bulk_simulate");
-  return run_impl(lat, plan, options);
-}
-
 void BulkSimulator::set_progress(BulkProgressFn fn,
                                  std::uint64_t every_slots) {
   progress_ = std::move(fn);
@@ -393,7 +375,7 @@ void BulkSimulator::set_progress(BulkProgressFn fn,
 }
 
 BroadcastOutcome bulk_simulate(const ImplicitLattice& lat,
-                               const RelayPlan& plan,
+                               const FlatRelayPlan& plan,
                                const SimOptions& options) {
   BulkSimulator sim(lat.num_nodes());
   return sim.run(lat, plan, options);

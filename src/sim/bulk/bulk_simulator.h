@@ -34,8 +34,9 @@
 /// the hearers whose exactly-one-hearer and fresh bits it is credited
 /// with.  Nothing n-sized besides the bit vectors and the outcome itself.
 ///
-/// Semantics contract: `run` returns a BroadcastOutcome *bit-identical* to
-/// `Simulator::run` on the materialized topology of the same family/dims --
+/// Semantics contract: `run` takes the same FlatRelayPlan as
+/// `Simulator::run` and returns a BroadcastOutcome *bit-identical* to it
+/// on the materialized topology of the same family/dims --
 /// every stats counter, every TxRecord, every first_rx slot, and the energy
 /// doubles (transmitter accounting walks slot-ascending then id-ascending,
 /// replaying the reference accumulation order exactly).  The cross-check
@@ -73,9 +74,9 @@ class BulkSimulator {
   [[nodiscard]] static bool options_supported(const SimOptions& options,
                                               std::string* why = nullptr);
 
-  [[nodiscard]] BroadcastOutcome run(const ImplicitLattice& lat,
-                                     const RelayPlan& plan,
-                                     const SimOptions& options = {});
+  /// Runs one broadcast off the CSR plan, the only form an engine takes
+  /// (a RelayPlan is flattened at the call).  `options` must be
+  /// options_supported().
   [[nodiscard]] BroadcastOutcome run(const ImplicitLattice& lat,
                                      const FlatRelayPlan& plan,
                                      const SimOptions& options = {});
@@ -89,10 +90,6 @@ class BulkSimulator {
   void set_progress(BulkProgressFn fn, std::uint64_t every_slots = 64);
 
  private:
-  template <typename PlanT>
-  BroadcastOutcome run_impl(const ImplicitLattice& lat, const PlanT& plan,
-                            const SimOptions& options);
-
   /// (Re)builds the per-rule validity bitmasks; cached across runs keyed
   /// on the lattice identity, so resolver-style repeated runs pay once.
   void build_masks(const ImplicitLattice& lat);
@@ -113,7 +110,7 @@ class BulkSimulator {
 /// Stateless convenience over a fresh BulkSimulator (mirrors
 /// simulate_broadcast); hot loops keep a BulkSimulator for its scratch.
 [[nodiscard]] BroadcastOutcome bulk_simulate(const ImplicitLattice& lat,
-                                             const RelayPlan& plan,
+                                             const FlatRelayPlan& plan,
                                              const SimOptions& options = {});
 
 }  // namespace wsn

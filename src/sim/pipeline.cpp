@@ -2,13 +2,14 @@
 
 namespace wsn {
 
-PipelineOutcome simulate_pipeline(const Topology& topo, const RelayPlan& plan,
+PipelineOutcome simulate_pipeline(const Topology& topo,
+                                  const FlatRelayPlan& plan,
                                   const PipelineOptions& options) {
   Simulator simulator(topo.num_nodes());
   return simulator.run_pipeline(topo, plan, options);
 }
 
-Slot min_pipeline_interval(const Topology& topo, const RelayPlan& plan,
+Slot min_pipeline_interval(const Topology& topo, const FlatRelayPlan& plan,
                            std::size_t packets, Slot limit) {
   Simulator simulator(topo.num_nodes());
   PipelineOptions options;

@@ -102,30 +102,45 @@ struct RelayPlan {
 /// protocols push offsets node by node, the resolver appends repairs --
 /// but a terrible shape for a cache: rebuilding it from a disk artifact
 /// costs one heap allocation per relay, which dominates a warm plan-store
-/// load.  FlatRelayPlan is the at-rest/simulation form: the plan store
-/// deserializes straight into it, the simulator runs straight off it
-/// (`Simulator::run` takes either form), and the two convert losslessly.
+/// load.  FlatRelayPlan is the at-rest/simulation form and the only one
+/// the engines accept: the plan store deserializes straight into it, and
+/// `Simulator` and `BulkSimulator` run straight off it.  The two forms
+/// convert losslessly; a RelayPlan handed to an engine is flattened at
+/// the call (the conversion is implicit), so code that simulates one
+/// unedited plan many times flattens it once before its loop.
 class FlatRelayPlan {
  public:
   FlatRelayPlan() = default;
 
-  /// Flattens a (valid) RelayPlan.
-  static FlatRelayPlan from(const RelayPlan& plan) {
-    FlatRelayPlan flat;
-    flat.source_ = plan.source;
-    flat.starts_.reserve(plan.num_nodes() + 1);
-    flat.starts_.push_back(0);
-    std::size_t total = 0;
-    for (const auto& offsets : plan.tx_offsets) total += offsets.size();
-    flat.offsets_.reserve(total);
-    for (const auto& offsets : plan.tx_offsets) {
-      flat.offsets_.insert(flat.offsets_.end(), offsets.begin(),
-                           offsets.end());
-      flat.starts_.push_back(static_cast<std::uint32_t>(
-          flat.offsets_.size()));
+  /// Flattens a RelayPlan, checking its contract (RelayPlan::validate)
+  /// on the way.  Implicit on purpose: it is the one way a plan under
+  /// construction reaches an engine.
+  FlatRelayPlan(const RelayPlan& plan) : source_(plan.source) {
+    WSN_EXPECTS(source_ < plan.num_nodes());
+    WSN_EXPECTS(plan.is_relay(source_));
+    // One pass, checks included, and a plain store per node: at 10⁶
+    // nodes this loop is most of what handing a RelayPlan to an engine
+    // costs, and any second walk over the per-node vectors doubles it.
+    const std::size_t n = plan.num_nodes();
+    starts_.resize(n + 1);
+    std::uint32_t* const start = starts_.data();
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::vector<Slot>& offsets = plan.tx_offsets[v];
+      if (!offsets.empty()) {  // most nodes of a large plan are not relays
+        Slot last = 0;
+        for (const Slot offset : offsets) {
+          WSN_EXPECTS(offset > last);  // >= 1 and strictly increasing
+          last = offset;
+        }
+        offsets_.insert(offsets_.end(), offsets.begin(), offsets.end());
+      }
+      start[v + 1] = static_cast<std::uint32_t>(offsets_.size());
     }
-    return flat;
+    checked_ = true;
   }
+
+  /// The converting constructor, spelled out.
+  static FlatRelayPlan from(const RelayPlan& plan) { return plan; }
 
   /// Wraps already-flattened parts.  `starts` has num_nodes + 1 entries
   /// with starts[0] == 0; the parts must satisfy the RelayPlan contract
@@ -171,8 +186,11 @@ class FlatRelayPlan {
   }
 
   /// Same contract as RelayPlan::validate(), plus CSR well-formedness.
+  /// A plan flattened from a RelayPlan was checked as it was built and
+  /// cannot change since, so the walk below runs for adopted parts only.
   void validate() const {
     WSN_EXPECTS(!starts_.empty() && starts_.front() == 0);
+    if (checked_) return;
     WSN_EXPECTS(starts_.back() == offsets_.size());
     WSN_EXPECTS(source_ < num_nodes());
     WSN_EXPECTS(is_relay(source_));
@@ -190,23 +208,7 @@ class FlatRelayPlan {
   NodeId source_ = kInvalidNode;
   std::vector<std::uint32_t> starts_;
   std::vector<Slot> offsets_;
+  bool checked_ = false;  // built from a RelayPlan, contract checked
 };
-
-/// Uniform plan access for code generic over both representations
-/// (sim/simulator.cpp's slot loop is instantiated for each).
-[[nodiscard]] inline NodeId plan_source(const RelayPlan& plan) noexcept {
-  return plan.source;
-}
-[[nodiscard]] inline NodeId plan_source(const FlatRelayPlan& plan) noexcept {
-  return plan.source();
-}
-[[nodiscard]] inline std::span<const Slot> plan_offsets(
-    const RelayPlan& plan, NodeId v) noexcept {
-  return plan.tx_offsets[v];
-}
-[[nodiscard]] inline std::span<const Slot> plan_offsets(
-    const FlatRelayPlan& plan, NodeId v) noexcept {
-  return plan.offsets(v);
-}
 
 }  // namespace wsn

@@ -67,9 +67,9 @@ Simulator::Simulator(std::size_t num_nodes) {
 /// installing no observer costs nothing -- while kObserved=true carries
 /// the event/metric emission inline.  The public entry points dispatch
 /// once.
-template <bool kObserved, typename PlanT>
+template <bool kObserved>
 BroadcastOutcome Simulator::run_impl(const Topology& topo,
-                                     const PlanT& plan,
+                                     const FlatRelayPlan& plan,
                                      const SimOptions& options,
                                      std::span<BroadcastStats> per_packet,
                                      Slot interval) {
@@ -82,7 +82,7 @@ BroadcastOutcome Simulator::run_impl(const Topology& topo,
   if (faults != nullptr) faults->begin_run();
   [[maybe_unused]] Observer* const obs = options.observer;
 
-  const NodeId source = plan_source(plan);
+  const NodeId source = plan.source();
   const std::size_t packets = per_packet.empty() ? 1 : per_packet.size();
   BroadcastOutcome out;
   out.stats.num_nodes = n;
@@ -104,7 +104,7 @@ BroadcastOutcome Simulator::run_impl(const Topology& topo,
   }
   const auto schedule_node = [&](NodeId v, std::uint32_t packet,
                                  Slot received_at) {
-    const std::span<const Slot> offsets = plan_offsets(plan, v);
+    const std::span<const Slot> offsets = plan.offsets(v);
     if constexpr (kObserved) {
       if (!offsets.empty()) {
         Observer::count(obs->relay_activations);
@@ -352,15 +352,6 @@ std::vector<Simulator::Pending>& Simulator::slot_entries(Slot slot) {
   return schedule_.insert(it, std::move(node))->second;
 }
 
-BroadcastOutcome Simulator::run(const Topology& topo, const RelayPlan& plan,
-                                const SimOptions& options) {
-  WSN_SPAN("sim.simulate");
-  if (options.observer != nullptr) {
-    return run_impl<true>(topo, plan, options);
-  }
-  return run_impl<false>(topo, plan, options);
-}
-
 BroadcastOutcome Simulator::run(const Topology& topo,
                                 const FlatRelayPlan& plan,
                                 const SimOptions& options) {
@@ -372,7 +363,7 @@ BroadcastOutcome Simulator::run(const Topology& topo,
 }
 
 PipelineOutcome Simulator::run_pipeline(const Topology& topo,
-                                        const RelayPlan& plan,
+                                        const FlatRelayPlan& plan,
                                         const PipelineOptions& options) {
   WSN_SPAN("sim.pipeline");
   WSN_EXPECTS(options.packets >= 1);
@@ -401,7 +392,7 @@ PipelineOutcome Simulator::run_pipeline(const Topology& topo,
 }
 
 BroadcastOutcome simulate_broadcast(const Topology& topo,
-                                    const RelayPlan& plan,
+                                    const FlatRelayPlan& plan,
                                     const SimOptions& options) {
   Simulator simulator(topo.num_nodes());
   return simulator.run(topo, plan, options);

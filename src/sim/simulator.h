@@ -28,7 +28,7 @@
 ///     suffers a collision: nothing is decoded, one collision event is
 ///     recorded at that node.
 ///   * A transmitting node hears nothing that slot (half-duplex).
-///   * A relay's transmissions are scheduled by the RelayPlan relative to
+///   * A relay's transmissions are scheduled by the relay plan relative to
 ///     its first successful reception; the source's relative to slot 0.
 ///
 /// The run ends when no transmission remains scheduled, or at
@@ -139,13 +139,9 @@ class Simulator {
   explicit Simulator(std::size_t num_nodes);
 
   /// Runs one broadcast to completion; semantics of simulate_broadcast.
-  [[nodiscard]] BroadcastOutcome run(const Topology& topo,
-                                     const RelayPlan& plan,
-                                     const SimOptions& options = {});
-
-  /// Same run straight off a CSR plan (sim/plan.h) -- what the plan-store
-  /// sweeps use, skipping any conversion back to RelayPlan.  Identical
-  /// outcome to running the equivalent RelayPlan.
+  /// The plan is the CSR form (sim/plan.h), the only one an engine
+  /// takes: a stored plan runs as served, and a RelayPlan is flattened
+  /// at the call.
   [[nodiscard]] BroadcastOutcome run(const Topology& topo,
                                      const FlatRelayPlan& plan,
                                      const SimOptions& options = {});
@@ -153,7 +149,7 @@ class Simulator {
   /// Runs a pipelined broadcast to completion; semantics of
   /// simulate_pipeline (sim/pipeline.h).
   [[nodiscard]] PipelineOutcome run_pipeline(const Topology& topo,
-                                             const RelayPlan& plan,
+                                             const FlatRelayPlan& plan,
                                              const PipelineOptions& options);
 
  private:
@@ -179,8 +175,8 @@ class Simulator {
   /// `per_packet.size()` packets `interval` slots apart, each packet's
   /// stats accumulate in its entry, and the outcome's stats gather the
   /// collisions and, at the end, the totals.
-  template <bool kObserved, typename PlanT>
-  BroadcastOutcome run_impl(const Topology& topo, const PlanT& plan,
+  template <bool kObserved>
+  BroadcastOutcome run_impl(const Topology& topo, const FlatRelayPlan& plan,
                             const SimOptions& options,
                             std::span<BroadcastStats> per_packet = {},
                             Slot interval = 0);
@@ -212,7 +208,7 @@ class Simulator {
 /// Stateless convenience over a fresh Simulator; hot loops that run many
 /// broadcasts keep a Simulator and call `run` to reuse its scratch.
 [[nodiscard]] BroadcastOutcome simulate_broadcast(const Topology& topo,
-                                                  const RelayPlan& plan,
+                                                  const FlatRelayPlan& plan,
                                                   const SimOptions& options = {});
 
 }  // namespace wsn

@@ -134,6 +134,33 @@ TEST(BenchDiff, MismatchedSchemasAreSkippedWithANote) {
   EXPECT_NE(bad.notes[0].find("unknown schema"), std::string::npos);
 }
 
+TEST(BenchDiff, ServiceDocumentsAreCompared) {
+  // The loadgen's document, as bench/baselines/BENCH_service.json writes
+  // it: the diff must compare it like the gate does, not skip it.
+  const JsonValue a = parse(
+      "{\"schema\":\"meshbcast.bench.service\",\"version\":1,"
+      "\"bench\":\"service_loadgen\",\"results\":["
+      "{\"name\":\"warm_plan\",\"requests\":2000,"
+      "\"runs_per_sec\":37000.0,\"shed_rate\":0.1,\"p99_ms\":0.26}]}");
+  const JsonValue b = parse(
+      "{\"schema\":\"meshbcast.bench.service\",\"version\":1,"
+      "\"bench\":\"service_loadgen\",\"results\":["
+      "{\"name\":\"warm_plan\",\"requests\":2000,"
+      "\"runs_per_sec\":20000.0,\"shed_rate\":0.2,\"p99_ms\":0.26}]}");
+  const DiffReport report = diff_bench_docs(a, b, {});
+  EXPECT_TRUE(report.notes.empty());
+  EXPECT_EQ(report.bench_a, "service_loadgen");
+  const DiffMetric* rate = find_metric(report, "warm_plan", "runs_per_sec");
+  ASSERT_NE(rate, nullptr);
+  EXPECT_EQ(rate->verdict, "regressed");
+  // More requests shed is worse, though the name ends in "rate".
+  const DiffMetric* shed = find_metric(report, "warm_plan", "shed_rate");
+  ASSERT_NE(shed, nullptr);
+  EXPECT_EQ(shed->direction, -1);
+  EXPECT_EQ(shed->verdict, "regressed");
+  EXPECT_EQ(report.regressed(), 2u);
+}
+
 TEST(BenchDiff, FileVariantDiffsAndJsonRoundTrips) {
   const TempDir tmp("files");
   const std::string path_a = (tmp.path / "a.json").string();

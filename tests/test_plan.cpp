@@ -2,6 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <type_traits>
+
+#include "fault/recovery.h"
+#include "protocol/registry.h"
+#include "sim/bulk/bulk_simulator.h"
+#include "sim/pipeline.h"
+#include "sim/simulator.h"
+#include "topology/factory.h"
+#include "topology/graph_algos.h"
+
 namespace wsn {
 namespace {
 
@@ -63,6 +75,108 @@ TEST(RelayPlanDeathTest, ValidateRejectsNonRelaySource) {
   RelayPlan plan = RelayPlan::empty(4, 0);
   plan.tx_offsets[0].clear();
   EXPECT_DEATH(plan.validate(), "precondition");
+}
+
+// Every engine entry has exactly one signature, taking the flat form.
+// Naming an overloaded function's address is ill-formed, so a second
+// overload (say, a RelayPlan one) fails this file's compilation.
+static_assert(std::is_same_v<
+              decltype(&Simulator::run),
+              BroadcastOutcome (Simulator::*)(const Topology&,
+                                              const FlatRelayPlan&,
+                                              const SimOptions&)>);
+static_assert(std::is_same_v<
+              decltype(&Simulator::run_pipeline),
+              PipelineOutcome (Simulator::*)(const Topology&,
+                                             const FlatRelayPlan&,
+                                             const PipelineOptions&)>);
+static_assert(std::is_same_v<
+              decltype(&BulkSimulator::run),
+              BroadcastOutcome (BulkSimulator::*)(const ImplicitLattice&,
+                                                  const FlatRelayPlan&,
+                                                  const SimOptions&)>);
+static_assert(std::is_same_v<decltype(&simulate_broadcast),
+                             BroadcastOutcome (*)(const Topology&,
+                                                  const FlatRelayPlan&,
+                                                  const SimOptions&)>);
+static_assert(std::is_same_v<decltype(&simulate_pipeline),
+                             PipelineOutcome (*)(const Topology&,
+                                                 const FlatRelayPlan&,
+                                                 const PipelineOptions&)>);
+static_assert(std::is_same_v<decltype(&min_pipeline_interval),
+                             Slot (*)(const Topology&, const FlatRelayPlan&,
+                                      std::size_t, Slot)>);
+static_assert(std::is_same_v<decltype(&bulk_simulate),
+                             BroadcastOutcome (*)(const ImplicitLattice&,
+                                                  const FlatRelayPlan&,
+                                                  const SimOptions&)>);
+// The conversion a plan under construction takes to reach an engine.
+static_assert(std::is_convertible_v<const RelayPlan&, FlatRelayPlan>);
+
+void expect_same_flat(const FlatRelayPlan& a, const FlatRelayPlan& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  EXPECT_EQ(a.source(), b.source());
+  EXPECT_EQ(a.total_offsets(), b.total_offsets());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    const auto x = a.offsets(v);
+    const auto y = b.offsets(v);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+        << "node " << v;
+  }
+}
+
+/// RelayPlan -> FlatRelayPlan -> RelayPlan is the identity, and the
+/// converting constructor and `from` build the same flat plan.
+void expect_round_trip(const RelayPlan& plan) {
+  const FlatRelayPlan flat(plan);
+  const FlatRelayPlan named = FlatRelayPlan::from(plan);
+  expect_same_flat(flat, named);
+  EXPECT_EQ(flat.total_offsets(), plan.planned_tx());
+  flat.validate();
+
+  const RelayPlan back = flat.to_relay_plan();
+  EXPECT_EQ(back.source, plan.source);
+  EXPECT_EQ(back.tx_offsets, plan.tx_offsets);
+}
+
+TEST(FlatRelayPlan, ResolvedPaperPlansRoundTrip) {
+  for (const std::string& family : regular_families()) {
+    SCOPED_TRACE(family);
+    const auto topo = make_paper_topology(family);
+    const RelayPlan plan = paper_plan(*topo, graph_center(*topo));
+    expect_round_trip(plan);
+  }
+}
+
+TEST(FlatRelayPlan, PipelinedPlanWithRetransmittersRoundTrips) {
+  // repeat_k's plan, as the pipeline and resilience studies run it: every
+  // relay transmits twice.
+  const auto topo = make_paper_topology("2D-4");
+  const RelayPlan plan = repeat_k(paper_plan(*topo, 0), 2);
+  ASSERT_FALSE(plan.retransmitters().empty());
+  expect_round_trip(plan);
+}
+
+using FlatRelayPlanDeathTest = ::testing::Test;
+
+TEST(FlatRelayPlanDeathTest, ConversionChecksTheRelayPlanContract) {
+  // The engines check a flattened plan once, here, instead of per run.
+  RelayPlan zero = RelayPlan::empty(4, 0);
+  zero.tx_offsets[2] = {0};
+  RelayPlan repeated = RelayPlan::empty(4, 0);
+  repeated.tx_offsets[2] = {2, 2};
+  RelayPlan silent = RelayPlan::empty(4, 0);
+  silent.tx_offsets[0].clear();
+  EXPECT_DEATH(FlatRelayPlan{zero}, "precondition");
+  EXPECT_DEATH(FlatRelayPlan{repeated}, "precondition");
+  EXPECT_DEATH(FlatRelayPlan{silent}, "precondition");
+}
+
+TEST(FlatRelayPlanDeathTest, AdoptedPartsAreCheckedByValidate) {
+  EXPECT_DEATH(FlatRelayPlan::adopt(0, {0, 1}, {Slot{0}}).validate(),
+               "precondition");
+  EXPECT_DEATH(FlatRelayPlan{}.validate(), "precondition");
+  FlatRelayPlan::adopt(0, {0, 1, 1}, {Slot{1}}).validate();  // well formed
 }
 
 }  // namespace
