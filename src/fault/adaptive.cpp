@@ -41,9 +41,12 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
 
   RelayPlan plan = base_plan;
   Simulator sim(n);
+  BroadcastOutcome outcome;  // the last probe's
+  bool probed_plan = false;  // whether `outcome` is the run of `plan`
 
   for (std::size_t round = 0; round < config.max_rounds; ++round) {
-    const BroadcastOutcome outcome = sim.run(topo, plan, probe_options);
+    outcome = sim.run(topo, plan, probe_options);
+    probed_plan = true;
     const std::vector<NodeId> unreached = outcome.unreached();
     if (unreached.empty()) break;
     if (budget == 0) {
@@ -147,13 +150,18 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
       WSN_ASSERT(offsets.empty() || offset > offsets.back());
       offsets.push_back(offset);
     }
+    probed_plan = false;
     local.rounds += 1;
   }
 
   // The final plan replays the identical prefix (counter-mode faults, all
   // retries appended past the old timeline), now under the caller's
-  // observer.
-  const BroadcastOutcome final_outcome = sim.run(topo, plan, options);
+  // observer.  The probes differ from `options` only in the observer, so
+  // without one the last probe of an unedited plan already is that run.
+  const BroadcastOutcome final_outcome =
+      probed_plan && options.observer == nullptr
+          ? std::move(outcome)
+          : sim.run(topo, plan, options);
   local.unrepaired = final_outcome.unreached().size();
   if (local.unrepaired > 0 && budget == 0) local.budget_exhausted = true;
   if (report != nullptr) *report = local;

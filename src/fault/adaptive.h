@@ -30,7 +30,9 @@
 /// so re-simulating an augmented plan replays the identical prefix (the
 /// resolver's trick).  The iterative probe-and-repair loop is therefore
 /// exactly equivalent to a single run of the final plan, which is what
-/// gets executed under the caller's observer.
+/// gets executed under the caller's observer.  Without an observer, a
+/// loop that stopped without editing the plan returns its last probe
+/// instead: that probe already was the final run.
 ///
 /// Link awareness: when a CSR quality span (or the topology's annotation)
 /// is available, each stranded node's helper is the message-holding

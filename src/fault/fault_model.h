@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+
 #include "common/types.h"
 
 /// Fault injection interface consulted by the simulators.
@@ -29,6 +31,14 @@
 ///     the standard packet-level abstraction (cf. Xin & Xia's noisy-mesh
 ///     evaluation).  Queried once per directed link per slot, only for
 ///     links whose transmitter actually fired.
+///   * `count_delivered(tx, rx, first_slot, stride, rounds)` is the
+///     per-link batch form of `link_delivers` for probe passes (the link
+///     estimator): it returns how many of the `rounds` slots first_slot,
+///     first_slot + stride, ... would deliver on tx -> rx, and equals a
+///     loop of `link_delivers` over those slots -- the default is that
+///     loop.  The slots must fit in `Slot`.  Where answers are pure
+///     functions of (seed, link, slot), as in fault/models.h, an override
+///     may compute the count without reading or advancing per-run state.
 ///
 /// Implementations may keep mutable per-link state (the Gilbert-Elliott
 /// chain does); therefore one model instance must not be shared by
@@ -54,6 +64,20 @@ class FaultModel {
                                            [[maybe_unused]] NodeId rx,
                                            [[maybe_unused]] Slot slot) {
     return true;
+  }
+
+  /// Number of the `rounds` slots first_slot + i * stride (i < rounds) in
+  /// which the packet on tx -> rx survives.
+  [[nodiscard]] virtual std::size_t count_delivered(NodeId tx, NodeId rx,
+                                                    Slot first_slot,
+                                                    Slot stride,
+                                                    std::size_t rounds) {
+    std::size_t delivered = 0;
+    Slot slot = first_slot;
+    for (std::size_t round = 0; round < rounds; ++round, slot += stride) {
+      if (link_delivers(tx, rx, slot)) delivered += 1;
+    }
+    return delivered;
   }
 };
 

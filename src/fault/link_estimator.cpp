@@ -21,15 +21,10 @@ std::vector<double> estimate_link_quality(const Topology& topo,
   const double inv_rounds = 1.0 / static_cast<double>(config.probe_rounds);
   for (NodeId tx = 0; tx < topo.num_nodes(); ++tx) {
     for (NodeId rx : topo.neighbors(tx)) {
-      std::size_t delivered = 0;
       // Probe slots start at 1 (slot 0 is the source's own epoch) and
-      // advance by the stride; per-link chains (Gilbert-Elliott) are
-      // walked forward monotonically, which is their cheap direction.
-      for (std::size_t round = 0; round < config.probe_rounds; ++round) {
-        const Slot slot =
-            1 + static_cast<Slot>(round) * config.slot_stride;
-        if (model.link_delivers(tx, rx, slot)) delivered += 1;
-      }
+      // advance by the stride; one batch query per directed link.
+      const std::size_t delivered = model.count_delivered(
+          tx, rx, 1, config.slot_stride, config.probe_rounds);
       const double p = static_cast<double>(delivered) * inv_rounds;
       quality.push_back(std::clamp(p, config.min_delivery, 1.0));
     }

@@ -25,6 +25,14 @@
 /// probes.  Probe slots are spread with a stride so bursty (Gilbert-
 /// Elliott) channels are sampled across many coherence times instead of
 /// inside one burst, giving an estimate of the *stationary* delivery rate.
+///
+/// Cost: one `FaultModel::count_delivered` call per directed link.  The
+/// iid and Gilbert-Elliott models answer it from one link hash and one
+/// batch of counter-mode draws (fault/fault_draw.h), whose AVX-512 body
+/// runs when `__builtin_cpu_supports("x86-64-v4")` holds and whose scalar
+/// body runs everywhere else; the choice is made once per process and
+/// never changes a bit of the estimate.  Other models (composites, crash
+/// schedules) fall back to a loop over `link_delivers`.
 namespace wsn {
 
 struct LinkEstimatorConfig {

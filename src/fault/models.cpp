@@ -9,28 +9,13 @@ namespace wsn {
 
 namespace {
 
-// Counter-mode uniform in [0, 1): splitmix64 absorbs the (seed, a, b, c)
-// tuple one word per round and the final state maps to a 53-bit mantissa
-// exactly like Xoshiro256::canonical.  `a` is the link key, the same for
-// every draw on a link, so the rounds are split: `absorb_link` runs the
-// seed and `a` rounds plus the b round's mix once per link, and
-// `hashed_canonical` finishes a draw in two mixes.  Bit for bit the
-// four-round original, which tests/test_fault_models.cpp keeps as its
-// oracle.
-LinkHash absorb_link(std::uint64_t seed, std::uint64_t a) noexcept {
-  std::uint64_t state = seed;
-  state ^= splitmix64(state) + a;
-  state += kSplitmix64Gamma;
-  return {state, splitmix64_mix(state)};
-}
+// Salts that keep one link's draw streams apart.
+constexpr std::uint64_t kIidLossSalt = 0x11d;
+constexpr std::uint64_t kChainStepSalt = 0x6eb;
+constexpr std::uint64_t kGeLossSalt = 0x105;
 
-double hashed_canonical(const LinkHash& link, std::uint64_t b,
-                        std::uint64_t c) noexcept {
-  std::uint64_t state = link.state ^ (link.mixed + b);
-  state ^= splitmix64(state) + c;
-  const std::uint64_t bits = splitmix64(state);
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
+// Draws per batch in `count_delivered`: one stack buffer's worth.
+constexpr std::size_t kDrawChunk = 512;
 
 std::uint64_t link_key(NodeId tx, NodeId rx) noexcept {
   return (static_cast<std::uint64_t>(tx) << 32) | rx;
@@ -39,14 +24,34 @@ std::uint64_t link_key(NodeId tx, NodeId rx) noexcept {
 }  // namespace
 
 IidLossModel::IidLossModel(double loss_rate, std::uint64_t seed) noexcept
-    : loss_rate_(std::clamp(loss_rate, 0.0, 1.0)), seed_(seed) {}
+    : loss_rate_(std::clamp(loss_rate, 0.0, 1.0)),
+      seed_(seed),
+      deliver_from_(mantissa_threshold(loss_rate_)) {}
 
 bool IidLossModel::link_delivers(NodeId tx, NodeId rx, Slot slot) {
-  if (loss_rate_ <= 0.0) return true;
-  const std::uint64_t key = link_key(tx, rx);
-  const LinkHash* link = last_.find(key);
-  if (link == nullptr) link = &last_.remember(key, absorb_link(seed_, key));
-  return hashed_canonical(*link, slot, 0x11d) >= loss_rate_;
+  if (deliver_from_ == 0) return true;
+  const LinkHash link = absorb_link(seed_, link_key(tx, rx));
+  return draw_mantissa(link, slot, kIidLossSalt) >= deliver_from_;
+}
+
+std::size_t IidLossModel::count_delivered(NodeId tx, NodeId rx,
+                                          Slot first_slot, Slot stride,
+                                          std::size_t rounds) {
+  if (deliver_from_ == 0) return rounds;
+  const LinkHash link = absorb_link(seed_, link_key(tx, rx));
+  std::uint64_t draws[kDrawChunk];
+  std::size_t delivered = 0;
+  std::uint64_t slot = first_slot;
+  for (std::size_t done = 0; done < rounds;) {
+    const std::size_t n = std::min(kDrawChunk, rounds - done);
+    draw_mantissas(link, slot, stride, kIidLossSalt, n, draws);
+    for (std::size_t i = 0; i < n; ++i) {
+      delivered += draws[i] >= deliver_from_ ? 1 : 0;
+    }
+    done += n;
+    slot += static_cast<std::uint64_t>(stride) * n;
+  }
+  return delivered;
 }
 
 GilbertElliottModel::GilbertElliottModel(double p_gb, double p_bg,
@@ -54,9 +59,11 @@ GilbertElliottModel::GilbertElliottModel(double p_gb, double p_bg,
                                          std::uint64_t seed)
     : p_gb_(p_gb),
       p_bg_(p_bg),
-      loss_good_(loss_good),
-      loss_bad_(loss_bad),
-      seed_(seed) {
+      seed_(seed),
+      enter_bad_(mantissa_threshold(p_gb)),
+      leave_bad_(mantissa_threshold(p_bg)),
+      survive_good_(mantissa_threshold(loss_good)),
+      survive_bad_(mantissa_threshold(loss_bad)) {
   WSN_EXPECTS(p_gb >= 0.0 && p_gb <= 1.0);
   WSN_EXPECTS(p_bg > 0.0 && p_bg <= 1.0);
   WSN_EXPECTS(loss_good >= 0.0 && loss_good <= 1.0);
@@ -81,28 +88,63 @@ double GilbertElliottModel::stationary_bad() const noexcept {
   return p_gb_ + p_bg_ == 0.0 ? 0.0 : p_gb_ / (p_gb_ + p_bg_);
 }
 
-GilbertElliottModel::ChainState& GilbertElliottModel::chain_for(
-    std::uint64_t key) {
-  if (ChainState* const* last = last_.find(key)) return **last;
-  const auto [it, created] = chains_.try_emplace(key);
-  if (created) it->second.hash = absorb_link(seed_, key);
-  return *last_.remember(key, &it->second);
+bool GilbertElliottModel::survives(const LinkHash& hash, Slot slot,
+                                   bool bad) const noexcept {
+  const std::uint64_t threshold = bad ? survive_bad_ : survive_good_;
+  return threshold == 0 || draw_mantissa(hash, slot, kGeLossSalt) >= threshold;
 }
 
 bool GilbertElliottModel::link_delivers(NodeId tx, NodeId rx, Slot slot) {
-  ChainState& chain = chain_for(link_key(tx, rx));
+  const std::uint64_t key = link_key(tx, rx);
+  const auto [it, created] = chains_.try_emplace(key);
+  ChainState& chain = it->second;
+  if (created) chain.hash = absorb_link(seed_, key);
   if (slot < chain.slot) {  // out-of-order query: replay from slot 0
     chain.slot = 0;
     chain.bad = false;
   }
   while (chain.slot < slot) {
     chain.slot += 1;
-    const double u = hashed_canonical(chain.hash, chain.slot, 0x6eb);
-    chain.bad = chain.bad ? u >= p_bg_ : u < p_gb_;
+    const std::uint64_t m =
+        draw_mantissa(chain.hash, chain.slot, kChainStepSalt);
+    chain.bad = chain.bad ? m >= leave_bad_ : m < enter_bad_;
   }
-  const double loss = chain.bad ? loss_bad_ : loss_good_;
-  if (loss <= 0.0) return true;
-  return hashed_canonical(chain.hash, slot, 0x105) >= loss;
+  return survives(chain.hash, slot, chain.bad);
+}
+
+std::size_t GilbertElliottModel::count_delivered(NodeId tx, NodeId rx,
+                                                 Slot first_slot, Slot stride,
+                                                 std::size_t rounds) {
+  const LinkHash hash = absorb_link(seed_, link_key(tx, rx));
+  std::size_t delivered = 0;
+  std::size_t left = rounds;
+  std::uint64_t probe = first_slot;  // the next probe slot
+  // The chain starts Good at slot 0, which no step draw reaches.
+  for (; left > 0 && probe == 0; --left, probe += stride) {
+    if (survives(hash, 0, false)) delivered += 1;
+  }
+  std::uint64_t steps[kDrawChunk];  // the draw that moves the chain to
+  bool bad[kDrawChunk];             // base + i, and the state it leaves
+  bool state = false;
+  for (std::uint64_t base = 1; left > 0; base += kDrawChunk) {
+    const std::uint64_t last = probe + (left - 1) * std::uint64_t{stride};
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kDrawChunk, last - base + 1));
+    draw_mantissas(hash, base, 1, kChainStepSalt, n, steps);
+    // Both outcomes of a step are compared before the state picks one,
+    // so the only serial work per step is that pick.
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool stays_bad = steps[i] >= leave_bad_;
+      const bool turns_bad = steps[i] < enter_bad_;
+      state = (state & stays_bad) | (!state & turns_bad);
+      bad[i] = state;
+    }
+    for (; left > 0 && probe < base + n; --left, probe += stride) {
+      const bool probe_bad = bad[probe - base];
+      if (survives(hash, static_cast<Slot>(probe), probe_bad)) delivered += 1;
+    }
+  }
+  return delivered;
 }
 
 CrashScheduleModel::CrashScheduleModel(std::size_t num_nodes,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "fault/fault_draw.h"
 #include "fault/fault_model.h"
 
 /// Concrete fault models.  All are seeded and deterministic: every answer
@@ -17,53 +18,6 @@
 /// would scramble.
 namespace wsn {
 
-/// The (seed, link) half of a counter-mode fault draw: the same for every
-/// draw on one directed link, so it is absorbed once per link and each
-/// draw pays only its (slot, salt) half (see models.cpp).
-struct LinkHash {
-  std::uint64_t state = 0;
-  std::uint64_t mixed = 0;
-};
-
-/// One-entry memo of the last link a model queried.  Probe passes and
-/// chain walks query one link many times in a row; the memo skips the
-/// per-link work on those repeats.  A copy or a move starts empty, and a
-/// move empties its source too, so a memo never carries state -- or a
-/// pointer -- from one model instance into another.
-template <typename T>
-class LastLinkMemo {
- public:
-  LastLinkMemo() = default;
-  LastLinkMemo(const LastLinkMemo& /*other*/) noexcept {}
-  LastLinkMemo(LastLinkMemo&& other) noexcept { other.reset(); }
-  LastLinkMemo& operator=(const LastLinkMemo& /*other*/) noexcept {
-    reset();
-    return *this;
-  }
-  LastLinkMemo& operator=(LastLinkMemo&& other) noexcept {
-    reset();
-    other.reset();
-    return *this;
-  }
-
-  /// The remembered value for `key`, or null.
-  [[nodiscard]] const T* find(std::uint64_t key) const noexcept {
-    return valid_ && key_ == key ? &value_ : nullptr;
-  }
-  const T& remember(std::uint64_t key, const T& value) noexcept {
-    valid_ = true;
-    key_ = key;
-    value_ = value;
-    return value_;
-  }
-  void reset() noexcept { valid_ = false; }
-
- private:
-  bool valid_ = false;
-  std::uint64_t key_ = 0;
-  T value_{};
-};
-
 /// Independent and identically distributed packet loss: each directed link
 /// drops each slot's packet with probability `loss_rate`, independently of
 /// everything else.  The memoryless baseline of every loss study.
@@ -71,15 +25,18 @@ class IidLossModel final : public FaultModel {
  public:
   IidLossModel(double loss_rate, std::uint64_t seed) noexcept;
 
-  void begin_run() override { last_.reset(); }
   [[nodiscard]] bool link_delivers(NodeId tx, NodeId rx,
                                    Slot slot) override;
+  /// One link hash and one batch draw for all `rounds` slots.
+  [[nodiscard]] std::size_t count_delivered(NodeId tx, NodeId rx,
+                                            Slot first_slot, Slot stride,
+                                            std::size_t rounds) override;
   [[nodiscard]] double loss_rate() const noexcept { return loss_rate_; }
 
  private:
   double loss_rate_;
   std::uint64_t seed_;
-  LastLinkMemo<LinkHash> last_;
+  std::uint64_t deliver_from_;  // mantissa_threshold(loss_rate_)
 };
 
 /// Gilbert-Elliott bursty loss: each directed link carries a two-state
@@ -101,12 +58,14 @@ class GilbertElliottModel final : public FaultModel {
   [[nodiscard]] static GilbertElliottModel from_mean_loss(
       double mean_loss, double mean_burst, std::uint64_t seed);
 
-  void begin_run() override {
-    chains_.clear();
-    last_.reset();
-  }
+  void begin_run() override { chains_.clear(); }
   [[nodiscard]] bool link_delivers(NodeId tx, NodeId rx,
                                    Slot slot) override;
+  /// Walks a fresh chain from slot 0 in a local variable, drawing its
+  /// steps in batches; the memoized chains are neither read nor written.
+  [[nodiscard]] std::size_t count_delivered(NodeId tx, NodeId rx,
+                                            Slot first_slot, Slot stride,
+                                            std::size_t rounds) override;
 
   /// Long-run fraction of slots a link spends in the Bad state.
   [[nodiscard]] double stationary_bad() const noexcept;
@@ -118,16 +77,22 @@ class GilbertElliottModel final : public FaultModel {
     LinkHash hash;  // absorbed when the chain is created
   };
 
-  ChainState& chain_for(std::uint64_t link_key);
+  /// Draws the loss of `slot` in state `bad`.
+  [[nodiscard]] bool survives(const LinkHash& hash, Slot slot,
+                              bool bad) const noexcept;
 
   double p_gb_;
   double p_bg_;
-  double loss_good_;
-  double loss_bad_;
   std::uint64_t seed_;
+  // Mantissa thresholds of p_gb, p_bg, loss_good and loss_bad: a
+  // step's draw m turns Good to Bad when m < enter_bad_ and Bad to Good
+  // when m < leave_bad_; a packet survives when m >= its state's
+  // threshold.
+  std::uint64_t enter_bad_;
+  std::uint64_t leave_bad_;
+  std::uint64_t survive_good_;
+  std::uint64_t survive_bad_;
   std::unordered_map<std::uint64_t, ChainState> chains_;
-  // Points into chains_ (node-based, so stable until clear()).
-  LastLinkMemo<ChainState*> last_;
 };
 
 /// One node outage: `node` is down for slots in [down_from, up_at);

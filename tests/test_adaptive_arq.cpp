@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/models.h"
+#include "obs/observer.h"
 #include "protocol/registry.h"
 #include "sim/simulator.h"
 #include "topology/mesh2d4.h"
@@ -117,6 +118,102 @@ TEST(AdaptiveArq, IsDeterministic) {
       EXPECT_EQ(out.stats.delay, first.delay);
     }
   }
+}
+
+// Counts the simulations that consult a fault model: the simulator calls
+// begin_run() once before each run.
+class CountingFaults final : public FaultModel {
+ public:
+  explicit CountingFaults(FaultModel& inner) : inner_(inner) {}
+  void begin_run() override {
+    runs += 1;
+    inner_.begin_run();
+  }
+  bool node_up(NodeId node, Slot slot) override {
+    return inner_.node_up(node, slot);
+  }
+  bool link_delivers(NodeId tx, NodeId rx, Slot slot) override {
+    return inner_.link_delivers(tx, rx, slot);
+  }
+  std::size_t runs = 0;
+
+ private:
+  FaultModel& inner_;
+};
+
+TEST(AdaptiveArq, UnobservedRunReusesTheLastProbe) {
+  // Without an observer the final replay of an unedited plan would repeat
+  // the last probe exactly, so it is skipped: one simulation per probe
+  // and none after.  An observed run still replays, and both return the
+  // same outcome and report.
+  const Mesh2D4 topo(8, 8);
+  const RelayPlan plan = paper_plan(topo, 0);
+  std::size_t early_exits = 0;
+  for (const std::size_t max_rounds : {0u, 1u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      AdaptiveArqConfig config;
+      config.max_rounds = max_rounds;
+
+      IidLossModel bare_model(0.2, seed);
+      CountingFaults bare(bare_model);
+      SimOptions bare_options;
+      bare_options.faults = &bare;
+      AdaptiveArqReport bare_report;
+      const BroadcastOutcome out =
+          run_adaptive_arq(topo, plan, bare_options, config, &bare_report);
+
+      IidLossModel observed_model(0.2, seed);
+      CountingFaults observed(observed_model);
+      EventSink sink;
+      Observer observer(&sink);
+      SimOptions observed_options;
+      observed_options.faults = &observed;
+      observed_options.observer = &observer;
+      AdaptiveArqReport observed_report;
+      const BroadcastOutcome replayed = run_adaptive_arq(
+          topo, plan, observed_options, config, &observed_report);
+
+      // Each round probes once; a loop that ran out of rounds edited the
+      // plan after its last probe, so that plan still needs its run.
+      const bool early = bare_report.rounds < max_rounds;
+      early_exits += early ? 1 : 0;
+      EXPECT_EQ(bare.runs, bare_report.rounds + 1) << seed;
+      EXPECT_EQ(observed.runs, observed_report.rounds + (early ? 2u : 1u))
+          << seed;
+      EXPECT_GT(sink.size(), 0u);
+
+      EXPECT_EQ(bare_report.rounds, observed_report.rounds);
+      EXPECT_EQ(bare_report.retries, observed_report.retries);
+      EXPECT_EQ(bare_report.budget, observed_report.budget);
+      EXPECT_EQ(bare_report.budget_exhausted,
+                observed_report.budget_exhausted);
+      EXPECT_EQ(bare_report.unrepaired, observed_report.unrepaired);
+
+      EXPECT_EQ(out.stats.reached, replayed.stats.reached);
+      EXPECT_EQ(out.stats.tx, replayed.stats.tx);
+      EXPECT_EQ(out.stats.rx, replayed.stats.rx);
+      EXPECT_EQ(out.stats.duplicates, replayed.stats.duplicates);
+      EXPECT_EQ(out.stats.collisions, replayed.stats.collisions);
+      EXPECT_EQ(out.stats.lost_to_fading, replayed.stats.lost_to_fading);
+      EXPECT_EQ(out.stats.delay, replayed.stats.delay);
+      EXPECT_EQ(out.stats.tx_energy, replayed.stats.tx_energy);
+      EXPECT_EQ(out.stats.rx_energy, replayed.stats.rx_energy);
+      EXPECT_EQ(out.first_rx, replayed.first_rx);
+      ASSERT_EQ(out.transmissions.size(), replayed.transmissions.size());
+      for (std::size_t i = 0; i < out.transmissions.size(); ++i) {
+        EXPECT_EQ(out.transmissions[i].slot, replayed.transmissions[i].slot);
+        EXPECT_EQ(out.transmissions[i].node, replayed.transmissions[i].node);
+        EXPECT_EQ(out.transmissions[i].delivered,
+                  replayed.transmissions[i].delivered);
+        EXPECT_EQ(out.transmissions[i].fresh,
+                  replayed.transmissions[i].fresh);
+      }
+    }
+  }
+  // Both exits are exercised: max_rounds 0 and 1 run out of rounds, and
+  // 8 rounds repair 20 % loss on 64 nodes before the limit.
+  EXPECT_GT(early_exits, 0u);
+  EXPECT_LT(early_exits, 18u);
 }
 
 }  // namespace

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "fault/fault_draw.h"
 #include "fault/link_estimator.h"
 #include "topology/factory.h"
 
@@ -222,6 +225,48 @@ TEST(FaultOracle, LinkEstimatesMatchOnThePaperMeshes) {
     EXPECT_EQ(estimate_link_quality(*topo, ge),
               oracle_estimate(*topo, ge_oracle))
         << family << " gilbert";
+  }
+}
+
+// A composite's probe pass: a packet survives when every part delivers.
+struct OracleComposite {
+  OracleIid iid;
+  OracleGe ge;
+
+  bool delivers(NodeId tx, NodeId rx, Slot slot) {
+    const bool iid_ok = iid.delivers(tx, rx, slot);
+    const bool ge_ok = ge.delivers(tx, rx, slot);
+    return iid_ok && ge_ok;
+  }
+  void begin_run() {
+    iid.begin_run();
+    ge.begin_run();
+  }
+};
+
+TEST(FaultOracle, LinkEstimatesMatchWithGoodStateLossAndComposites) {
+  for (const char* family : {"2D-4", "2D-8"}) {
+    const std::unique_ptr<Topology> topo = make_paper_topology(family);
+    for (const std::uint64_t seed : {5ull, 0xfeedull}) {
+      // Loss in the Good state too: every probe slot draws a loss.
+      GilbertElliottModel ge(0.08, 0.3, 0.05, 0.85, seed);
+      OracleGe ge_oracle{0.08, 0.3, 0.05, 0.85, seed, {}};
+      EXPECT_EQ(estimate_link_quality(*topo, ge),
+                oracle_estimate(*topo, ge_oracle))
+          << family << " gilbert " << seed;
+
+      // iid + Gilbert + a crash schedule, which never fades a link.
+      IidLossModel iid_part(0.2, seed + 1);
+      GilbertElliottModel ge_part(0.08, 0.3, 0.05, 0.85, seed);
+      CrashScheduleModel crash_part(topo->num_nodes(),
+                                    {CrashEvent{0, 3, 40}});
+      CompositeFaultModel composite({&iid_part, &ge_part, &crash_part});
+      OracleComposite composite_oracle{
+          OracleIid{0.2, seed + 1}, OracleGe{0.08, 0.3, 0.05, 0.85, seed, {}}};
+      EXPECT_EQ(estimate_link_quality(*topo, composite),
+                oracle_estimate(*topo, composite_oracle))
+          << family << " composite " << seed;
+    }
   }
 }
 
@@ -455,6 +500,177 @@ TEST(Composite, ConjunctionOfParts) {
   IidLossModel clean(0.0, 3);
   CompositeFaultModel clean_crash({&clean, &crash});
   EXPECT_TRUE(clean_crash.link_delivers(0, 1, 1));
+}
+
+// ---- the batch draw kernel --------------------------------------------------
+// Both bodies of draw_mantissas against the frozen four-round draw.
+
+using DrawBody = void (*)(const LinkHash&, std::uint64_t, std::uint64_t,
+                          std::uint64_t, std::size_t, std::uint64_t*) noexcept;
+
+void expect_kernel_matches_oracle(DrawBody body) {
+  constexpr std::uint64_t kSentinel = 0xa5a5a5a5a5a5a5a5ull;
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::uint64_t seed = rng();
+    const auto tx = static_cast<NodeId>(rng.below(5000));
+    const auto rx = static_cast<NodeId>(rng.below(5000));
+    const std::uint64_t first = rng.below(1000);
+    const std::uint64_t stride = 1 + rng.below(100);
+    const std::uint64_t salt = trial % 2 == 0 ? 0x11d : 0x6eb;
+    const LinkHash link = absorb_link(seed, oracle_link(tx, rx));
+    for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 442u}) {
+      // Eight guard words catch a tail store that runs past `n`.
+      std::vector<std::uint64_t> out(n + 8, kSentinel);
+      body(link, first, stride, salt, n, out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t slot = first + i * stride;
+        ASSERT_EQ(static_cast<double>(out[i]) * 0x1.0p-53,
+                  oracle_canonical(seed, oracle_link(tx, rx), slot, salt))
+            << "trial " << trial << " n " << n << " i " << i;
+      }
+      for (std::size_t i = n; i < n + 8; ++i) ASSERT_EQ(out[i], kSentinel);
+    }
+  }
+}
+
+TEST(FaultDrawKernel, ScalarMatchesTheOracle) {
+  expect_kernel_matches_oracle(&draw_mantissas_scalar);
+}
+
+TEST(FaultDrawKernel, Avx512MatchesTheOracle) {
+#if WSN_FAULT_DRAW_AVX512
+  if (!draw_avx512_supported()) {
+    GTEST_SKIP() << "this CPU does not support x86-64-v4 (AVX-512)";
+  }
+  expect_kernel_matches_oracle(&draw_mantissas_avx512);
+#else
+  GTEST_SKIP() << "this build has no AVX-512 draw body";
+#endif
+}
+
+TEST(FaultDrawKernel, DispatchedBodyMatchesTheOracle) {
+  expect_kernel_matches_oracle(&draw_mantissas);
+}
+
+TEST(FaultDrawKernel, ThresholdIsTheExactComparison) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  EXPECT_EQ(mantissa_threshold(0.0), 0u);
+  EXPECT_EQ(mantissa_threshold(1.0), kOne);
+  EXPECT_EQ(mantissa_threshold(1.0 / 64.0), kOne / 64);
+  EXPECT_EQ(mantissa_threshold(0.25), kOne / 4);
+  EXPECT_EQ(mantissa_threshold(-0.5), 0u);
+  EXPECT_EQ(mantissa_threshold(1.5), kOne);
+
+  std::vector<double> probabilities;
+  for (const double p : {0.0, 1.0, 1.0 / 64.0, 0.25}) {
+    probabilities.push_back(p);
+    probabilities.push_back(std::nextafter(p, -1.0));
+    probabilities.push_back(std::nextafter(p, 2.0));
+  }
+  probabilities.push_back(std::numeric_limits<double>::denorm_min());
+  probabilities.push_back(1e-310);  // subnormal
+  for (const double p : probabilities) {
+    const std::uint64_t t = mantissa_threshold(p);
+    ASSERT_LE(t, kOne) << p;
+    std::vector<std::uint64_t> mantissas = {0, 1, kOne - 1, t};
+    if (t > 0) mantissas.push_back(t - 1);
+    if (t + 1 < kOne) mantissas.push_back(t + 1);
+    for (const std::uint64_t m : mantissas) {
+      if (m >= kOne) continue;
+      const double u = static_cast<double>(m) * 0x1.0p-53;
+      EXPECT_EQ(u >= p, m >= t) << "p " << p << " m " << m;
+      EXPECT_EQ(u < p, m < t) << "p " << p << " m " << m;
+    }
+  }
+}
+
+// ---- the batch query ----------------------------------------------------------
+// count_delivered must equal a loop of link_delivers over the same slots.
+
+std::size_t loop_count(FaultModel& model, NodeId tx, NodeId rx, Slot first,
+                       Slot stride, std::size_t rounds) {
+  std::size_t delivered = 0;
+  for (std::size_t i = 0; i < rounds; ++i) {
+    const Slot slot = first + static_cast<Slot>(i) * stride;
+    if (model.link_delivers(tx, rx, slot)) delivered += 1;
+  }
+  return delivered;
+}
+
+constexpr std::pair<NodeId, NodeId> kBatchLinks[] = {
+    {0, 1}, {7, 3}, {1000, 1001}};
+
+// `batched` and `looped` are twins: same kind, parameters and seed.
+void expect_batch_matches_loop(FaultModel& batched, FaultModel& looped) {
+  for (const Slot first : {Slot{0}, Slot{1}, Slot{5}, Slot{300}}) {
+    for (const Slot stride : {Slot{1}, Slot{7}, Slot{64}}) {
+      for (const std::size_t rounds : {0u, 1u, 7u, 64u, 600u}) {
+        for (const auto& [tx, rx] : kBatchLinks) {
+          ASSERT_EQ(batched.count_delivered(tx, rx, first, stride, rounds),
+                    loop_count(looped, tx, rx, first, stride, rounds))
+              << tx << "->" << rx << " first " << first << " stride "
+              << stride << " rounds " << rounds;
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultBatch, IidCountMatchesTheLoop) {
+  for (const double loss : {0.0, 0.3, 1.0}) {
+    IidLossModel batched(loss, 77);
+    IidLossModel looped(loss, 77);
+    expect_batch_matches_loop(batched, looped);
+  }
+  IidLossModel never(0.0, 1);
+  IidLossModel always(1.0, 1);
+  EXPECT_EQ(never.count_delivered(2, 3, 1, 7, 64), 64u);
+  EXPECT_EQ(always.count_delivered(2, 3, 1, 7, 64), 0u);
+}
+
+TEST(FaultBatch, GilbertCountMatchesTheLoop) {
+  // Loss in both states, and a chain that turns Bad on every Good step.
+  for (const double p_gb : {0.08, 1.0}) {
+    GilbertElliottModel batched(p_gb, 0.3, 0.05, 0.85, 91);
+    GilbertElliottModel looped(p_gb, 0.3, 0.05, 0.85, 91);
+    expect_batch_matches_loop(batched, looped);
+  }
+  GilbertElliottModel batched = GilbertElliottModel::from_mean_loss(0.2, 4, 3);
+  GilbertElliottModel looped = GilbertElliottModel::from_mean_loss(0.2, 4, 3);
+  expect_batch_matches_loop(batched, looped);
+}
+
+TEST(FaultBatch, CountIgnoresChainsAdvancedPastTheFirstSlot) {
+  GilbertElliottModel batched(0.08, 0.3, 0.05, 0.85, 12);
+  GilbertElliottModel looped(0.08, 0.3, 0.05, 0.85, 12);
+  GilbertElliottModel fresh(0.08, 0.3, 0.05, 0.85, 12);
+  for (const auto& [tx, rx] : kBatchLinks) {
+    (void)batched.link_delivers(tx, rx, 5000);
+  }
+  expect_batch_matches_loop(batched, looped);
+  // The batch walks its own chain: the model still answers like a fresh
+  // one.
+  expect_answers_like(batched, fresh);
+}
+
+TEST(FaultBatch, CrashScheduleCountsThroughTheDefault) {
+  CrashScheduleModel batched(2000, {CrashEvent{0, 3, 9}});
+  CrashScheduleModel looped(2000, {CrashEvent{0, 3, 9}});
+  expect_batch_matches_loop(batched, looped);
+  EXPECT_EQ(batched.count_delivered(0, 1, 1, 1, 20), 20u);
+}
+
+TEST(FaultBatch, CompositeCountMatchesTheLoop) {
+  IidLossModel iid_a(0.3, 8);
+  GilbertElliottModel ge_a(0.08, 0.3, 0.05, 0.85, 9);
+  CrashScheduleModel crash_a(2000, {CrashEvent{7, 2, 30}});
+  CompositeFaultModel batched({&iid_a, &ge_a, &crash_a});
+  IidLossModel iid_b(0.3, 8);
+  GilbertElliottModel ge_b(0.08, 0.3, 0.05, 0.85, 9);
+  CrashScheduleModel crash_b(2000, {CrashEvent{7, 2, 30}});
+  CompositeFaultModel looped({&iid_b, &ge_b, &crash_b});
+  expect_batch_matches_loop(batched, looped);
 }
 
 }  // namespace
