@@ -2,40 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-/// Machine-readable bench output: BENCH_perf.json.
-///
-/// Every perf bench emits one JSON document so the bench trajectory can be
-/// tracked across commits (schema documented in EXPERIMENTS.md):
-///
-///   {
-///     "schema": "meshbcast.bench", "version": 1, "bench": "<binary>",
-///     "results": [
-///       {"name": "simulate/2D-4", "iterations": 64,
-///        "runs_per_sec": 10443.2, "mean_ms": 0.0957,
-///        "p50_ms": 0.0951, "p95_ms": 0.0987}, ...
-///     ]
-///   }
-///
-/// `measure` times a callable with a fixed warmup, collects per-iteration
-/// wall times and reports runs/sec plus p50/p95 -- enough to catch both
-/// mean regressions and tail wobble.  Header-only and bench-local on
-/// purpose: the library itself stays free of benchmarking concerns.
-namespace wsn::bench {
+#include "analysis/bench_doc.h"
 
-struct BenchResult {
-  std::string name;
-  std::size_t iterations = 0;
-  double runs_per_sec = 0.0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-};
+/// Self-timing for the BENCH_*.json emitters: `measure` times a callable
+/// with a fixed warmup, collects per-iteration wall times and returns one
+/// row of the meshbcast.bench document (analysis/bench_doc.h, schema in
+/// EXPERIMENTS.md) with runs/sec plus mean/p50/p95 -- enough to catch both
+/// mean regressions and tail wobble:
+///
+///   {"name": "simulate/2D-4", "iterations": 64, "runs_per_sec": 10443.2,
+///    "mean_ms": 0.0957, "p50_ms": 0.0951, "p95_ms": 0.0987}
+namespace wsn::bench {
 
 /// `index` in [0, 1]; linear interpolation between order statistics.
 inline double percentile(std::vector<double> sorted_ms, double q) {
@@ -49,12 +30,11 @@ inline double percentile(std::vector<double> sorted_ms, double q) {
 
 /// Runs `fn` until both `min_iterations` and `min_seconds` are met
 /// (after one untimed warmup call) and folds the per-iteration wall
-/// times into a BenchResult.
+/// times into a bench row.
 template <typename Fn>
-BenchResult measure(std::string name, Fn&& fn,
-                    std::size_t min_iterations = 16,
-                    double min_seconds = 0.2,
-                    std::size_t max_iterations = 4096) {
+BenchRow measure(std::string name, Fn&& fn, std::size_t min_iterations = 16,
+                 double min_seconds = 0.2,
+                 std::size_t max_iterations = 4096) {
   using clock = std::chrono::steady_clock;
   fn();  // warmup
 
@@ -69,45 +49,16 @@ BenchResult measure(std::string name, Fn&& fn,
     total_s += elapsed.count();
   }
 
-  BenchResult result;
-  result.name = std::move(name);
-  result.iterations = times_ms.size();
-  result.runs_per_sec =
-      total_s > 0.0 ? static_cast<double>(times_ms.size()) / total_s : 0.0;
   double sum = 0.0;
   for (double t : times_ms) sum += t;
-  result.mean_ms = sum / static_cast<double>(times_ms.size());
+  const auto iterations = static_cast<double>(times_ms.size());
   std::sort(times_ms.begin(), times_ms.end());
-  result.p50_ms = percentile(times_ms, 0.50);
-  result.p95_ms = percentile(times_ms, 0.95);
-  return result;
-}
-
-/// Writes the document; returns false (with a stderr note) on I/O error.
-inline bool write_bench_json(const std::string& path,
-                             const std::string& bench,
-                             const std::vector<BenchResult>& results) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "{\"schema\":\"meshbcast.bench\",\"version\":1,\"bench\":\""
-      << bench << "\",\n \"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    if (i != 0) out << ",";
-    char line[256];
-    std::snprintf(line, sizeof line,
-                  "\n  {\"name\":\"%s\",\"iterations\":%zu,"
-                  "\"runs_per_sec\":%.3f,\"mean_ms\":%.6f,"
-                  "\"p50_ms\":%.6f,\"p95_ms\":%.6f}",
-                  r.name.c_str(), r.iterations, r.runs_per_sec, r.mean_ms,
-                  r.p50_ms, r.p95_ms);
-    out << line;
-  }
-  out << "\n]}\n";
-  return static_cast<bool>(out);
+  return {std::move(name),
+          {{"iterations", iterations},
+           {"runs_per_sec", total_s > 0.0 ? iterations / total_s : 0.0},
+           {"mean_ms", sum / iterations},
+           {"p50_ms", percentile(times_ms, 0.50)},
+           {"p95_ms", percentile(times_ms, 0.95)}}};
 }
 
 }  // namespace wsn::bench

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       {"Mesh", "nodes", "plan ms", "sim ms", "sim nodes/s"});
   table.set_title("Bulk engine scaling (2D-4, center source)");
 
-  std::vector<wsn::bench::BenchResult> results;
+  std::vector<wsn::BenchRow> results;
   std::size_t sink = 0;  // keeps the timed bodies observable
   for (const auto& s : sizes) {
     const wsn::ImplicitLattice lat = wsn::ImplicitLattice::mesh2d4(s.m, s.n);
@@ -61,13 +61,14 @@ int main(int argc, char** argv) {
         [&] { sink += wsn::bulk_simulate(lat, plan).stats.reached; },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
 
-    const wsn::bench::BenchResult& plan_r = results[results.size() - 2];
-    const wsn::bench::BenchResult& sim_r = results.back();
+    const wsn::BenchRow& plan_r = results[results.size() - 2];
+    const wsn::BenchRow& sim_r = results.back();
+    const double sim_mean_ms = *sim_r.find("mean_ms");
     const double nodes_per_sec =
-        static_cast<double>(lat.num_nodes()) / (sim_r.mean_ms * 1e-3);
+        static_cast<double>(lat.num_nodes()) / (sim_mean_ms * 1e-3);
     char plan_ms[32], sim_ms[32], rate[32];
-    std::snprintf(plan_ms, sizeof plan_ms, "%.3f", plan_r.mean_ms);
-    std::snprintf(sim_ms, sizeof sim_ms, "%.3f", sim_r.mean_ms);
+    std::snprintf(plan_ms, sizeof plan_ms, "%.3f", *plan_r.find("mean_ms"));
+    std::snprintf(sim_ms, sizeof sim_ms, "%.3f", sim_mean_ms);
     std::snprintf(rate, sizeof rate, "%.2fM", nodes_per_sec / 1e6);
     table.add_row({dims, std::to_string(lat.num_nodes()), plan_ms, sim_ms,
                    rate});
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
 
   const std::string json_path = cli.get("json-out");
   if (!json_path.empty()) {
-    if (!wsn::bench::write_bench_json(json_path, "bulk_scale", results)) {
+    if (!wsn::write_bench_doc(json_path, {"bulk_scale", results})) {
       return 1;
     }
     std::printf("wrote %s (%zu results)\n", json_path.c_str(),

@@ -84,8 +84,8 @@ BENCHMARK(BM_FullSweep2D4)->Unit(benchmark::kMillisecond);
 
 // One self-timed broadcast per paper topology (center source) plus the
 // parallel full sweep -- the numbers the BENCH_perf.json trajectory tracks.
-std::vector<wsn::bench::BenchResult> run_json_benches() {
-  std::vector<wsn::bench::BenchResult> results;
+std::vector<wsn::BenchRow> run_json_benches() {
+  std::vector<wsn::BenchRow> results;
   for (const std::string& family : wsn::regular_families()) {
     const auto topo = wsn::make_paper_topology(family);
     const wsn::NodeId src = wsn::graph_center(*topo);
@@ -126,9 +126,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<wsn::bench::BenchResult> results = run_json_benches();
+  const std::vector<wsn::BenchRow> results = run_json_benches();
   if (!json_path.empty()) {
-    if (!wsn::bench::write_bench_json(json_path, "perf_simulator", results)) {
+    if (!wsn::write_bench_doc(json_path, {"perf_simulator", results})) {
       return 1;
     }
     std::printf("wrote %s (%zu results)\n\n", json_path.c_str(),

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
       "Pipeline throughput: smallest safe injection interval (3-packet "
       "stream)");
 
-  std::vector<wsn::bench::BenchResult> results;
+  std::vector<wsn::BenchRow> results;
   const std::string json_path = cli.get("json-out");
   for (const std::string& family : wsn::regular_families()) {
     const auto topo = wsn::make_paper_topology(family);
@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
       "\n'packets in flight' = delay / period: how many broadcast "
       "wavefronts the mesh\nsustains concurrently before they interfere.\n");
   if (!json_path.empty()) {
-    if (!wsn::bench::write_bench_json(json_path, "pipeline_throughput",
-                                      results)) {
+    if (!wsn::write_bench_doc(json_path, {"pipeline_throughput", results})) {
       return 1;
     }
     std::printf("wrote %s (%zu results)\n", json_path.c_str(),

@@ -1,6 +1,6 @@
 // Plan-store microbenchmarks: BENCH_plan_cache.json.
 //
-//   $ plan_cache [--width 32] [--height 16] [--json BENCH_plan_cache.json]
+//   $ plan_cache [--width 32] [--height 16] [--json-out BENCH_plan_cache.json]
 //
 // Times the plan-store tiers against the thing they replace -- resolver-
 // backed plan compilation -- on the paper's 32x16 2D-4 mesh:
@@ -13,7 +13,7 @@
 //
 // The headline number is the cold/warm-disk speedup printed at the end:
 // the acceptance bar is >= 5x (EXPERIMENTS.md).  Output follows the
-// meshbcast.bench schema from bench_json.h.
+// meshbcast.bench schema from analysis/bench_doc.h.
 
 #include <cstdio>
 #include <filesystem>
@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
   cli.add_option("family", "2D-3, 2D-4, 2D-8 or 3D-6", "2D-4");
   cli.add_option("width", "mesh columns", "32");
   cli.add_option("height", "mesh rows", "16");
-  cli.add_option("json", "bench JSON output path", "BENCH_plan_cache.json");
+  cli.add_option("json-out", "bench JSON output path",
+                 "BENCH_plan_cache.json");
   if (!cli.parse(argc, argv)) return 1;
 
   const auto topo = wsn::make_mesh(cli.get("family"),
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   const std::string label =
       cli.get("family") + "_" + cli.get("width") + "x" + cli.get("height");
 
-  std::vector<wsn::bench::BenchResult> results;
+  std::vector<wsn::BenchRow> results;
 
   // --- per-operation costs -------------------------------------------------
   wsn::ResolveReport report;
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  const wsn::bench::BenchResult cold = wsn::bench::measure(
+  const wsn::BenchRow cold = wsn::bench::measure(
       "compile_cold/" + label, [&] { compile_all(nullptr); },
       /*min_iterations=*/3, /*min_seconds=*/0.1);
   results.push_back(cold);
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
     wsn::PlanStore warmer(config);
     compile_all(&warmer);  // warm the artifact directory
   }
-  const wsn::bench::BenchResult warm_disk = wsn::bench::measure(
+  const wsn::BenchRow warm_disk = wsn::bench::measure(
       "sweep_warm_disk/" + label,
       [&] {
         // A fresh store per iteration: every plan resolves from disk.
@@ -134,20 +135,21 @@ int main(int argc, char** argv) {
       /*min_iterations=*/3, /*min_seconds=*/0.1);
   results.push_back(warm_disk);
 
-  for (const wsn::bench::BenchResult& r : results) {
-    std::printf("%-28s %8zu iters  %12.3f runs/s  mean %10.4f ms\n",
-                r.name.c_str(), r.iterations, r.runs_per_sec, r.mean_ms);
+  for (const wsn::BenchRow& r : results) {
+    std::printf("%-28s %8.0f iters  %12.3f runs/s  mean %10.4f ms\n",
+                r.name.c_str(), *r.find("iterations"),
+                *r.find("runs_per_sec"), *r.find("mean_ms"));
   }
-  const double speedup =
-      warm_disk.mean_ms > 0.0 ? cold.mean_ms / warm_disk.mean_ms : 0.0;
+  const double cold_ms = *cold.find("mean_ms");
+  const double warm_disk_ms = *warm_disk.find("mean_ms");
+  const double speedup = warm_disk_ms > 0.0 ? cold_ms / warm_disk_ms : 0.0;
   std::printf("\n%zu-source plan construction: cold %.2f ms, warm disk "
               "%.2f ms -> %.1fx speedup\n",
-              n, cold.mean_ms, warm_disk.mean_ms, speedup);
+              n, cold_ms, warm_disk_ms, speedup);
 
-  if (!wsn::bench::write_bench_json(cli.get("json"), "plan_cache",
-                                    results)) {
+  if (!wsn::write_bench_doc(cli.get("json-out"), {"plan_cache", results})) {
     return 1;
   }
-  std::printf("wrote %s\n", cli.get("json").c_str());
+  std::printf("wrote %s\n", cli.get("json-out").c_str());
   return 0;
 }

@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
     bench_config.seed = 24083;
     bench_config.workers = config.workers;
 
-    std::vector<wsn::bench::BenchResult> results;
+    std::vector<wsn::BenchRow> results;
     results.push_back(wsn::bench::measure("resilience_sweep/iid", [&] {
       (void)wsn::run_resilience_sweep(*topo, plan, bench_config);
     }));
@@ -186,8 +186,7 @@ int main(int argc, char** argv) {
       (void)wsn::run_planner_comparison(*topo, plan, cmp_config);
     }));
 
-    if (!wsn::bench::write_bench_json(json_path, "resilience_sweep",
-                                      results)) {
+    if (!wsn::write_bench_doc(json_path, {"resilience_sweep", results})) {
       return 1;
     }
     std::printf("wrote %s\n", json_path.c_str());

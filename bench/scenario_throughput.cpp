@@ -14,17 +14,18 @@
 //
 //   $ scenario_throughput [--workers-list 1,2,0] [--json-out BENCH_scenario.json]
 //
-// --json-out writes a meshbcast.bench.scenario JSON document (schema in
-// EXPERIMENTS.md) for the CI artifact trail.
+// --json-out writes a meshbcast.bench JSON document (schema in
+// EXPERIMENTS.md), one row per worker count named `workers=N`, for the CI
+// artifact trail.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "analysis/bench_doc.h"
 #include "common/cli.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
@@ -57,12 +58,9 @@ struct ConfigResult {
 
 /// One output row per distinct resolved worker count.  A workers-list
 /// like "1,2,0" resolves 0 to the core count, which on a small machine
-/// collides with an explicit entry -- schema v1 then emitted duplicate
-/// "workers":1 rows, and the bench gate's occurrence-suffixed keys
-/// ("workers=1#2") changed meaning whenever the list or the machine did.
-/// v2 dedupes by resolved count: repeats still *run* (same measurement
-/// load) but aggregate into min/mean/max spread fields; the flat
-/// cold/warm means keep their v1 names so the gate's keys stay stable.
+/// collides with an explicit entry; row names must be unique, so repeats
+/// still *run* (same measurement load) but aggregate into min/mean/max
+/// spread fields.  The flat cold/warm means are the gated metrics.
 struct AggregatedResult {
   std::size_t workers = 0;
   std::size_t runs = 0;
@@ -185,37 +183,20 @@ ConfigResult measure_row(const wsn::JobMatrix& matrix, std::size_t workers,
   return r;
 }
 
-bool write_scenario_bench_json(const std::string& path, std::size_t jobs,
-                               const std::vector<AggregatedResult>& results) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "{\"schema\":\"meshbcast.bench.scenario\",\"version\":2,"
-      << "\"bench\":\"scenario_throughput\",\"jobs\":" << jobs
-      << ",\n \"results\":[";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const AggregatedResult& r = results[i];
-    if (i != 0) out << ",";
-    char line[512];
-    std::snprintf(line, sizeof line,
-                  "\n  {\"workers\":%zu,\"runs\":%zu,"
-                  "\"cold_jobs_per_sec\":%.3f,"
-                  "\"cold_jobs_per_sec_min\":%.3f,"
-                  "\"cold_jobs_per_sec_max\":%.3f,"
-                  "\"warm_jobs_per_sec\":%.3f,"
-                  "\"warm_jobs_per_sec_min\":%.3f,"
-                  "\"warm_jobs_per_sec_max\":%.3f,"
-                  "\"queue_wait_ms_mean\":%.6f,"
-                  "\"cache_hit_rate\":%.6f}",
-                  r.workers, r.runs, r.cold_mean, r.cold_min, r.cold_max,
-                  r.warm_mean, r.warm_min, r.warm_max, r.queue_wait_ms_mean,
-                  r.cache_hit_rate);
-    out << line;
-  }
-  out << "\n]}\n";
-  return static_cast<bool>(out);
+/// One meshbcast.bench row per worker count, named `workers=N`.
+wsn::BenchRow bench_row(const AggregatedResult& r, std::size_t jobs) {
+  return {"workers=" + std::to_string(r.workers),
+          {{"workers", static_cast<double>(r.workers)},
+           {"jobs", static_cast<double>(jobs)},
+           {"runs", static_cast<double>(r.runs)},
+           {"cold_jobs_per_sec", r.cold_mean},
+           {"cold_jobs_per_sec_min", r.cold_min},
+           {"cold_jobs_per_sec_max", r.cold_max},
+           {"warm_jobs_per_sec", r.warm_mean},
+           {"warm_jobs_per_sec_min", r.warm_min},
+           {"warm_jobs_per_sec_max", r.warm_max},
+           {"queue_wait_ms_mean", r.queue_wait_ms_mean},
+           {"cache_hit_rate", r.cache_hit_rate}}};
 }
 
 }  // namespace
@@ -225,8 +206,7 @@ int main(int argc, char** argv) {
                      "scenario engine jobs/sec at several worker counts");
   cli.add_option("workers-list",
                  "comma-separated worker counts (0 = all cores)", "1,2,0");
-  cli.add_option("json-out", "meshbcast.bench.scenario JSON path ('' = skip)",
-                 "");
+  cli.add_option("json-out", "meshbcast.bench JSON path ('' = skip)", "");
   if (!cli.parse(argc, argv)) return 1;
 
   wsn::JsonValue doc;
@@ -276,10 +256,12 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(tmp);
 
   const std::string json_path = cli.get("json-out");
-  if (!json_path.empty() &&
-      !write_scenario_bench_json(json_path, matrix.jobs.size(),
-                                 aggregated)) {
-    return 1;
+  if (!json_path.empty()) {
+    wsn::BenchDoc bench{"scenario_throughput", {}};
+    for (const AggregatedResult& r : aggregated) {
+      bench.rows.push_back(bench_row(r, matrix.jobs.size()));
+    }
+    if (!wsn::write_bench_doc(json_path, bench)) return 1;
   }
   return 0;
 }

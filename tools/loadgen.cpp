@@ -2,10 +2,10 @@
 //
 //   meshbcastd --port 0 &                     # scrape the printed address
 //   loadgen --address tcp:127.0.0.1:34787
-//           --connections 4 --requests 2000 --out BENCH_service.json
+//           --connections 4 --requests 2000 --json-out BENCH_service.json
 //
 // Drives three phases over C concurrent connections and reports each as
-// a row in the `meshbcast.bench.service` document:
+// a row in a `meshbcast.bench` document (analysis/bench_doc.h):
 //
 //   warm_plan  every request asks for the SAME plan fingerprint -- one
 //              compile, then pure memory-tier hits (the cache fast path);
@@ -17,8 +17,8 @@
 // responses return); `--rate R` switches to open-loop with a global
 // target of R requests/second, which is how the shed path is exercised:
 // outrun the queue and count the structured `overloaded` errors.
-// `runs_per_sec` rows are gated by bench_gate; latency percentiles and
-// `shed_rate` ride along as advisory metrics.
+// `runs_per_sec` gates in bench_diff; latency percentiles, `shed_rate` and
+// the run parameters (`connections`, `rate`) ride along ungated.
 //
 // After each phase one `meshbcast.loadgen` v1 JSON line is printed to
 // stdout -- the client-observed view (sent/ok/shed/error counts and
@@ -34,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/bench_doc.h"
 #include "common/cli.h"
 #include "common/json.h"
 #include "common/string_util.h"
@@ -189,28 +190,29 @@ std::string phase_summary_json(const std::string& name,
   return std::move(w).str();
 }
 
-void append_row(JsonWriter& w, const std::string& name,
-                const PhaseStats& stats) {
+/// One meshbcast.bench row per phase; the run parameters ride along.
+BenchRow bench_row(const std::string& name, const PhaseStats& stats,
+                   std::size_t connections, double rate) {
   const std::uint64_t total = stats.ok + stats.sheds + stats.errors;
-  w.begin_object()
-      .member("name", name)
-      .member("requests", total)
-      .member("ok", stats.ok)
-      .member("sheds", stats.sheds)
-      .member("errors", stats.errors)
-      .member("elapsed_s", stats.elapsed_s)
-      .member("runs_per_sec",
-              stats.elapsed_s > 0.0
-                  ? static_cast<double>(stats.ok) / stats.elapsed_s
-                  : 0.0)
-      .member("shed_rate", total > 0 ? static_cast<double>(stats.sheds) /
-                                           static_cast<double>(total)
-                                     : 0.0)
-      .member("mean_ms", stats.mean())
-      .member("p50_ms", stats.percentile(0.50))
-      .member("p95_ms", stats.percentile(0.95))
-      .member("p99_ms", stats.percentile(0.99))
-      .end_object();
+  return {name,
+          {{"connections", static_cast<double>(connections)},
+           {"rate", rate},
+           {"requests", static_cast<double>(total)},
+           {"ok", static_cast<double>(stats.ok)},
+           {"sheds", static_cast<double>(stats.sheds)},
+           {"errors", static_cast<double>(stats.errors)},
+           {"elapsed_s", stats.elapsed_s},
+           {"runs_per_sec",
+            stats.elapsed_s > 0.0
+                ? static_cast<double>(stats.ok) / stats.elapsed_s
+                : 0.0},
+           {"shed_rate", total > 0 ? static_cast<double>(stats.sheds) /
+                                         static_cast<double>(total)
+                                   : 0.0},
+           {"mean_ms", stats.mean()},
+           {"p50_ms", stats.percentile(0.50)},
+           {"p95_ms", stats.percentile(0.95)},
+           {"p99_ms", stats.percentile(0.99)}}};
 }
 
 }  // namespace
@@ -229,8 +231,8 @@ int main(int argc, char** argv) {
   cli.add_option("dims", "topology dims as MxN", "32x16");
   cli.add_option("phases",
                  "comma list from {warm,cold,sim}", "warm,cold,sim");
-  cli.add_option("out", "write meshbcast.bench.service JSON here ('' = "
-                        "skip)", "BENCH_service.json");
+  cli.add_option("json-out", "write the meshbcast.bench JSON here ('' = "
+                             "skip)", "BENCH_service.json");
   cli.add_option("summary-out",
                  "write the meshbcast.loadgen phase summaries here"
                  " ('' = skip)", "");
@@ -305,16 +307,7 @@ int main(int argc, char** argv) {
   };
 
   std::vector<std::string> phase_summaries;
-  JsonWriter doc;
-  doc.begin_object()
-      .member("schema", "meshbcast.bench.service")
-      .member("version", std::uint64_t{1})
-      .member("bench", "service_loadgen")
-      .member("connections", static_cast<std::uint64_t>(connections))
-      .member("rate", rate)
-      .key("results")
-      .begin_array();
-  bool any = false;
+  BenchDoc doc{"service_loadgen", {}};
   for (const Workload& workload : workloads) {
     const bool warm = workload.name == "warm_plan";
     const bool cold = workload.name == "cold_plan";
@@ -343,11 +336,9 @@ int main(int argc, char** argv) {
     const std::string summary = phase_summary_json(workload.name, stats);
     std::printf("%s\n", summary.c_str());
     phase_summaries.push_back(summary);
-    append_row(doc, workload.name, stats);
-    any = true;
+    doc.rows.push_back(bench_row(workload.name, stats, connections, rate));
   }
-  doc.end_array().end_object();
-  if (!any) {
+  if (doc.rows.empty()) {
     std::fprintf(stderr, "loadgen: no phases selected\n");
     return 2;
   }
@@ -385,14 +376,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string out = cli.get("out");
+  const std::string out = cli.get("json-out");
   if (!out.empty()) {
-    std::ofstream file(out, std::ios::trunc);
-    if (!file) {
-      std::fprintf(stderr, "loadgen: cannot write %s\n", out.c_str());
-      return 1;
-    }
-    file << doc.str() << '\n';
+    if (!write_bench_doc(out, doc)) return 1;
     std::printf("wrote %s\n", out.c_str());
   }
   return 0;
