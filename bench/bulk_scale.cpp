@@ -6,12 +6,13 @@
 // that scaling claim: schedule compilation (implicit_paper_plan, which
 // runs the resolver's probe broadcasts on the bulk engine) and the
 // instrumented slot kernel (bulk_simulate) on 2D-4 meshes from 4k to 2M
-// nodes, with per-size throughput in nodes/s.
+// nodes, plus 2D-8 (two resolver probes) and 3D-6 (the widest frontier)
+// at 10^6 nodes, with per-size throughput in nodes/s.
 //
 //   $ bulk_scale [--json-out BENCH_bulk.json]
 //
 // --json-out writes a meshbcast.bench JSON document (schema in
-// EXPERIMENTS.md) with a bulk_plan/ and bulk_sim/ entry per mesh size;
+// EXPERIMENTS.md) with a bulk_plan/ and bulk_sim/ entry per mesh;
 // nodes/s follows from runs_per_sec times the node count in the name.
 
 #include <cstdio>
@@ -34,30 +35,35 @@ int main(int argc, char** argv) {
   // Iteration counts shrink with size so the 2M run stays CI-friendly;
   // the small mesh gets enough repeats to smooth scheduler noise.
   const struct {
-    int m, n;
+    const char* family;
+    int m, n, l;
     std::size_t min_iters;
-  } sizes[] = {{64, 64, 16}, {1000, 1000, 3}, {2048, 1024, 2}};
+  } meshes[] = {{"2D-4", 64, 64, 1, 16},      {"2D-4", 1000, 1000, 1, 3},
+                {"2D-4", 2048, 1024, 1, 2},   {"2D-8", 1000, 1000, 1, 3},
+                {"3D-6", 100, 100, 100, 3}};
 
   wsn::AsciiTable table(
       {"Mesh", "nodes", "plan ms", "sim ms", "sim nodes/s"});
-  table.set_title("Bulk engine scaling (2D-4, center source)");
+  table.set_title("Bulk engine scaling (center source)");
 
   std::vector<wsn::BenchRow> results;
   std::size_t sink = 0;  // keeps the timed bodies observable
-  for (const auto& s : sizes) {
-    const wsn::ImplicitLattice lat = wsn::ImplicitLattice::mesh2d4(s.m, s.n);
+  for (const auto& s : meshes) {
+    const wsn::ImplicitLattice lat =
+        wsn::ImplicitLattice::make(s.family, s.m, s.n, s.l);
     const wsn::NodeId src = lat.central_node();
-    const std::string dims =
-        std::to_string(s.m) + "x" + std::to_string(s.n);
+    std::string key = std::string(s.family) + "/" + std::to_string(s.m) +
+                      "x" + std::to_string(s.n);
+    if (lat.is_3d()) key.append("x").append(std::to_string(s.l));
 
     results.push_back(wsn::bench::measure(
-        "bulk_plan/2D-4/" + dims,
+        "bulk_plan/" + key,
         [&] { sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size(); },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
 
     const wsn::FlatRelayPlan plan = wsn::implicit_paper_plan(lat, src);
     results.push_back(wsn::bench::measure(
-        "bulk_sim/2D-4/" + dims,
+        "bulk_sim/" + key,
         [&] { sink += wsn::bulk_simulate(lat, plan).stats.reached; },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
 
@@ -70,7 +76,7 @@ int main(int argc, char** argv) {
     std::snprintf(plan_ms, sizeof plan_ms, "%.3f", *plan_r.find("mean_ms"));
     std::snprintf(sim_ms, sizeof sim_ms, "%.3f", sim_mean_ms);
     std::snprintf(rate, sizeof rate, "%.2fM", nodes_per_sec / 1e6);
-    table.add_row({dims, std::to_string(lat.num_nodes()), plan_ms, sim_ms,
+    table.add_row({key, std::to_string(lat.num_nodes()), plan_ms, sim_ms,
                    rate});
   }
 

@@ -177,6 +177,18 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
 
   std::vector<std::uint32_t>& touched = touched_words_;
   std::vector<std::uint32_t> tx_words;
+  // Adds one rule's shifted transmitter bits to word w's hearer counter.
+  // ones|twos only gains bits within a slot, so a word is listed in
+  // `touched` exactly once: when it first leaves zero.
+  const auto hear = [&](std::size_t w, std::uint64_t part) {
+    if ((ones_[w] | twos_[w]) == 0) {
+      touched.push_back(static_cast<std::uint32_t>(w));
+    }
+    twos_[w] |= ones_[w] & part;
+    ones_[w] ^= part;
+  };
+  // Every record this run can write, once, instead of growth by doubling.
+  out.transmissions.reserve(plan.total_offsets());
 
   // Progress is pure observation: it reads R and the wall clock, never
   // the kernel state, so instrumented runs stay bit-identical.
@@ -251,23 +263,14 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
         // All masked sources have in-range targets, so any part that falls
         // off the array is necessarily zero and safe to drop.
         if (q >= 0 && static_cast<std::size_t>(q) < words_ && lo_part != 0) {
-          const auto w = static_cast<std::size_t>(q);
-          twos_[w] |= ones_[w] & lo_part;
-          ones_[w] ^= lo_part;
-          touched.push_back(static_cast<std::uint32_t>(w));
+          hear(static_cast<std::size_t>(q), lo_part);
         }
         if (q + 1 >= 0 && static_cast<std::size_t>(q + 1) < words_ &&
             hi_part != 0) {
-          const auto w = static_cast<std::size_t>(q + 1);
-          twos_[w] |= ones_[w] & hi_part;
-          ones_[w] ^= hi_part;
-          touched.push_back(static_cast<std::uint32_t>(w));
+          hear(static_cast<std::size_t>(q + 1), hi_part);
         }
       }
     }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
 
     // --- attribution pass: each transmitter's decodes ------------------
     //
@@ -298,6 +301,12 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
 
     // --- classification pass: word-parallel counting, then the (sparse)
     // per-receiver walk over fresh and charged bits ---------------------
+    //
+    // `touched` is in first-heard order, not id order, and nothing here
+    // needs id order: the fields written are per node, the counters are
+    // integers, every rx_energy addend is the same constant, and the
+    // schedule pushes are sorted when their slot is popped.  Clearing
+    // each touched word leaves ones/twos all zero for the next slot.
     std::size_t decoded = 0;
     for (const std::uint32_t w : touched) {
       const std::uint64_t t = transmitting_[w];

@@ -25,14 +25,25 @@
 ///   * ones/twos -- a 2-bit saturating per-node hearer counter, built by
 ///     SWAR adds of shift(T & rule_mask, delta) one shift rule at a time
 ///
-/// and a slot becomes a handful of word-at-a-time passes touching only the
-/// words near the frontier: exactly-one-hearer nodes are ones & ~twos & ~T
-/// (half-duplex excluded), collisions popcount(twos & ~T), fresh coverage
-/// rx & ~R -- no per-node branching anywhere in the counting.  Deliveries
-/// are attributed per transmitter: the slot's records are contiguous (the
-/// transmitters are sorted), and each transmitter's valid rules point at
-/// the hearers whose exactly-one-hearer and fresh bits it is credited
-/// with.  Nothing n-sized besides the bit vectors and the outcome itself.
+/// and a slot becomes four passes whose cost follows the frontier, never
+/// the lattice:
+///
+///   1. transmit -- the slot's transmitters, id-ascending: set T, append
+///      the records, bill tx energy (ImplicitLattice::tx_range, one sqrt
+///      per transmitter), and list the T words;
+///   2. hearer -- per rule, shift(T & rule_mask, delta) of each T word
+///      into ones/twos; a word joins the touched list the moment its
+///      ones|twos leaves zero, so the list has no duplicates and no order;
+///   3. attribution -- each transmitter's valid rules point at the
+///      hearers whose exactly-one-hearer and fresh bits it is credited
+///      with (the slot's records are contiguous);
+///   4. classification -- over the touched words only: exactly-one-hearer
+///      nodes are ones & ~twos & ~T (half-duplex excluded), collisions
+///      popcount(twos & ~T), fresh coverage rx & ~R, with no per-node
+///      branching in the counting; fresh nodes are scheduled, and each
+///      word's counters are cleared, so every slot starts from zero.
+///
+/// Nothing n-sized besides the bit vectors and the outcome itself.
 ///
 /// Semantics contract: `run` takes the same FlatRelayPlan as
 /// `Simulator::run` and returns a BroadcastOutcome *bit-identical* to it

@@ -43,6 +43,29 @@ ImplicitLattice::ImplicitLattice(std::string family, int m, int n, int l,
   // NodeId is 32-bit; the id space caps the lattice (ROADMAP targets
   // 10⁶–10⁷, far below).
   WSN_EXPECTS(num_nodes_ <= static_cast<std::size_t>(kInvalidNode));
+  steps_.reserve(rules_.size());
+  for (const ShiftRule& rule : rules_) {
+    // The first node the rule applies at: its ranges clamped to the grid,
+    // where one step along x or y settles the (x + y) parity.  A rule
+    // that applies nowhere keeps a zero step no query reads.
+    const int x0 = std::max(1, rule.xlo);
+    const int y0 = std::max(1, rule.ylo);
+    const int z0 = std::max(1, rule.zlo);
+    Coord step{0, 0, 0};
+    bool found = z0 > std::min(l_, rule.zhi);
+    for (int y = y0; !found && y <= std::min({n_, rule.yhi, y0 + 1}); ++y) {
+      for (int x = x0; !found && x <= std::min({m_, rule.xhi, x0 + 1});
+           ++x) {
+        const Coord c{x, y, z0};
+        if (!rule_valid(rule, c)) continue;
+        const Coord to = to_coord(static_cast<NodeId>(
+            static_cast<std::int64_t>(to_id(c)) + rule.delta));
+        step = {to.x - c.x, to.y - c.y, to.z - c.z};
+        found = true;
+      }
+    }
+    steps_.push_back(step);
+  }
 }
 
 ImplicitLattice ImplicitLattice::mesh2d4(int m, int n, Meters spacing) {
@@ -196,11 +219,12 @@ std::string ImplicitLattice::name() const {
 
 ImplicitLattice::Coord ImplicitLattice::to_coord(NodeId id) const noexcept {
   WSN_ASSERT(id < num_nodes_);
-  const auto idx = static_cast<std::int64_t>(id);
-  const std::int64_t plane = static_cast<std::int64_t>(m_) * n_;
-  return {static_cast<int>(idx % m_) + 1,
-          static_cast<int>((idx / m_) % n_) + 1,
-          static_cast<int>(idx / plane) + 1};
+  // Ids are 32-bit, so 32-bit division suffices: row = (z-1)·n + (y-1).
+  const auto m = static_cast<std::uint32_t>(m_);
+  const auto n = static_cast<std::uint32_t>(n_);
+  const std::uint32_t row = id / m;
+  return {static_cast<int>(id - row * m) + 1, static_cast<int>(row % n) + 1,
+          static_cast<int>(row / n) + 1};
 }
 
 NodeId ImplicitLattice::to_id(Coord c) const noexcept {
@@ -233,27 +257,44 @@ ImplicitLattice::NeighborSet ImplicitLattice::neighbors(
   return out;
 }
 
+std::size_t ImplicitLattice::degree(NodeId id) const noexcept {
+  const Coord c = to_coord(id);
+  return static_cast<std::size_t>(std::count_if(
+      rules_.begin(), rules_.end(),
+      [c](const ShiftRule& rule) { return rule_valid(rule, c); }));
+}
+
 bool ImplicitLattice::adjacent(NodeId a, NodeId b) const noexcept {
   const NeighborSet set = neighbors(a);
   return std::find(set.begin(), set.end(), b) != set.end();
 }
 
+double ImplicitLattice::squared_distance(Coord a, Coord b) const noexcept {
+  const double dx = static_cast<Meters>(a.x - 1) * spacing_ -
+                    static_cast<Meters>(b.x - 1) * spacing_;
+  const double dy = static_cast<Meters>(a.y - 1) * spacing_ -
+                    static_cast<Meters>(b.y - 1) * spacing_;
+  const double dz = static_cast<Meters>(a.z - 1) * spacing_ -
+                    static_cast<Meters>(b.z - 1) * spacing_;
+  return dx * dx + dy * dy + dz * dz;
+}
+
 Meters ImplicitLattice::distance(NodeId a, NodeId b) const noexcept {
-  const std::array<Meters, 3> pa = position(a);
-  const std::array<Meters, 3> pb = position(b);
-  const double dx = pa[0] - pb[0];
-  const double dy = pa[1] - pb[1];
-  const double dz = pa[2] - pb[2];
-  return std::sqrt(dx * dx + dy * dy + dz * dz);
+  return std::sqrt(squared_distance(to_coord(a), to_coord(b)));
 }
 
 Meters ImplicitLattice::tx_range(NodeId id) const noexcept {
   if (range_override_ > 0.0) return range_override_;
-  Meters range = 0.0;
-  for (const NodeId u : neighbors(id)) {
-    range = std::max(range, distance(id, u));
+  const Coord c = to_coord(id);
+  double widest = 0.0;
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    if (!rule_valid(rules_[r], c)) continue;
+    const Coord& step = steps_[r];
+    widest = std::max(
+        widest, squared_distance(c, {c.x + step.x, c.y + step.y,
+                                     c.z + step.z}));
   }
-  return range;
+  return std::sqrt(widest);
 }
 
 }  // namespace wsn

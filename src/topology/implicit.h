@@ -113,9 +113,8 @@ class ImplicitLattice {
   [[nodiscard]] std::array<Meters, 3> position(NodeId id) const noexcept;
 
   [[nodiscard]] NeighborSet neighbors(NodeId id) const noexcept;
-  [[nodiscard]] std::size_t degree(NodeId id) const noexcept {
-    return neighbors(id).size();
-  }
+  /// neighbors(id).size(): one id per valid rule, counted without the set.
+  [[nodiscard]] std::size_t degree(NodeId id) const noexcept;
   [[nodiscard]] bool adjacent(NodeId a, NodeId b) const noexcept;
 
   /// Euclidean distance via the planar embedding, the exact arithmetic
@@ -123,8 +122,10 @@ class ImplicitLattice {
   [[nodiscard]] Meters distance(NodeId a, NodeId b) const noexcept;
 
   /// Distance to the farthest neighbor, bit-identical to the materialized
-  /// topology: max over the ascending neighbor list of `distance`, or the
-  /// wrapped metric's uniform override on tori.
+  /// topology: max over the neighbors of `distance`, or the wrapped
+  /// metric's uniform override on tori.  Takes one sqrt, of the widest
+  /// squared distance; sqrt is correctly rounded, hence monotone, so that
+  /// is the same double as the widest distance.
   [[nodiscard]] Meters tx_range(NodeId id) const noexcept;
 
   /// The kernel descriptors: every adjacency direction as a shift rule.
@@ -158,6 +159,14 @@ class ImplicitLattice {
   Meters range_override_ = 0.0;
   std::size_t num_nodes_ = 1;
   std::vector<ShiftRule> rules_;
+  /// Per rule, the neighbor's coordinate minus the node's: each rule is
+  /// one translation over its valid range, read off when the lattice is
+  /// built so tx_range never decodes a neighbor id.
+  std::vector<Coord> steps_;
+
+  /// Squared distance between two grid coordinates, with the
+  /// position()/distance() arithmetic: per axis (a-1)·s - (b-1)·s.
+  [[nodiscard]] double squared_distance(Coord a, Coord b) const noexcept;
 };
 
 }  // namespace wsn

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,76 @@ TEST(BulkSimulator, AttributionAndNodeEnergyMatchOnEveryLattice) {
         cross_check(torus4, ImplicitLattice::torus2d4(3, 3), plan, options);
         cross_check(torus8, ImplicitLattice::torus2d8(3, 3), plan, options);
       }
+    }
+  }
+}
+
+// 0.3 m is inexact in binary, so per-node ranges differ in the last ulp:
+// the bulk engine's one-sqrt tx_range must still bill every transmission
+// and every node's energy to the bit the reference bills.  The paper's
+// electronics term is ~5000x the amplifier term at this range and rounds
+// those ulps away, so an amplifier-only radio runs too.
+TEST(BulkSimulator, InexactSpacingEnergyMatchesOnEveryMesh) {
+  const struct {
+    const char* family;
+    int m, n, l;
+  } meshes[] = {{"2D-3", 17, 13, 1}, {"2D-4", 16, 12, 1},
+                {"2D-8", 13, 14, 1}, {"3D-6", 9, 6, 11}};
+  const FirstOrderRadioModel radios[] = {FirstOrderRadioModel{},
+                                         FirstOrderRadioModel{0.0, 100e-12}};
+  for (const auto& c : meshes) {
+    const std::unique_ptr<Topology> topo =
+        make_mesh(c.family, c.m, c.n, c.l, 0.3);
+    const ImplicitLattice lat =
+        ImplicitLattice::make(c.family, c.m, c.n, c.l, 0.3);
+    std::set<Meters> ranges;
+    for (NodeId v = 0; v < lat.num_nodes(); ++v) {
+      ranges.insert(lat.tx_range(v));
+    }
+    EXPECT_GT(ranges.size(), 1u) << c.family;  // the ulp spread is real
+    const auto centre = static_cast<NodeId>(topo->num_nodes() / 2);
+    for (const FirstOrderRadioModel& radio : radios) {
+      SCOPED_TRACE(std::string(c.family) + " elec=" +
+                   std::to_string(radio.elec()));
+      SimOptions options;
+      options.charge_collisions = true;
+      options.record_node_energy = true;
+      options.radio = radio;
+      cross_check(*topo, lat, flooding_plan(topo->num_nodes(), centre),
+                  options);
+      cross_check(*topo, lat, paper_plan(*topo, centre), options);
+      cross_check(*topo, lat, paper_plan(*topo, 0), options);
+    }
+  }
+}
+
+// The hearer pass lists a word when its ones|twos leaves zero, which is
+// sound only if every slot of every run starts with both all zero.  Runs
+// cut short by max_slots, followed by full runs on other families and
+// sizes, must each replay a fresh simulator's outcome on one instance.
+TEST(BulkSimulator, TruncatedRunsLeaveNoHearerState) {
+  const struct {
+    const char* family;
+    int m, n, l;
+  } meshes[] = {{"2D-8", 12, 10, 1}, {"2D-3", 9, 7, 1},
+                {"3D-6", 4, 3, 5},   {"2D-4", 13, 11, 1},
+                {"2D-8", 7, 7, 1}};
+  BulkSimulator reused;
+  for (const auto& c : meshes) {
+    const std::unique_ptr<Topology> topo =
+        make_mesh(c.family, c.m, c.n, c.l);
+    const ImplicitLattice lat =
+        ImplicitLattice::make(c.family, c.m, c.n, c.l);
+    const auto centre = static_cast<NodeId>(topo->num_nodes() / 2);
+    for (const RelayPlan& plan : {flooding_plan(topo->num_nodes(), centre),
+                                  paper_plan(*topo, centre)}) {
+      for (const Slot cap : {Slot{2}, Slot{5}}) {
+        SimOptions capped;
+        capped.max_slots = cap;
+        expect_identical(bulk_simulate(lat, plan, capped),
+                         reused.run(lat, plan, capped));
+      }
+      expect_identical(bulk_simulate(lat, plan), reused.run(lat, plan));
     }
   }
 }
