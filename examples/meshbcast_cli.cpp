@@ -3,10 +3,12 @@
 //   meshbcast_cli run      --family 2D-4 --width 32 --height 16 --src 264
 //   meshbcast_cli sweep    --family 2D-8                       (all sources)
 //   meshbcast_cli viz      --family 2D-3 --src 201             (relay map)
+//   meshbcast_cli viz      --family 2D-8 --frames 12           (+ wavefront)
 //   meshbcast_cli pipeline --family 2D-4 --packets 4           (throughput)
 //
 // One binary exposing the main entry points: single broadcast, full
-// source sweep, role-map rendering, and pipeline-period search.  The
+// source sweep, role-map rendering (with --frames N, also the first N
+// slots of the broadcast as it spreads), and pipeline-period search.  The
 // --protocol flag switches between the paper's specialized rules, the
 // generic CDS, and the flooding/gossip baselines.
 //
@@ -22,8 +24,10 @@
 //   --plan-in FILE         load the plan from an artifact instead of
 //                          compiling (node count validated)
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -153,6 +157,10 @@ int main(int argc, char** argv) {
                  "slots (0 = silent)",
                  "0");
   cli.add_option("packets", "pipeline depth (pipeline command)", "4");
+  cli.add_option("frames",
+                 "viz: also print the wavefront of the first N slots "
+                 "('*' transmits, 'x' collision, 'o' holds, '.' waits)",
+                 "0");
   cli.add_option("workers",
                  "sweep worker threads (flag > MESHBCAST_THREADS > "
                  "hardware)",
@@ -250,6 +258,31 @@ int main(int argc, char** argv) {
                  engine.c_str());
     return 1;
   }
+  // The mesh shape is checked once for both engines, so a bad value is a
+  // usage error rather than a topology precondition failure.
+  const std::string family = cli.get("family");
+  if (!wsn::is_regular_family(family)) {
+    std::fprintf(stderr, "unknown --family %s (2D-3|2D-4|2D-8|3D-6)\n",
+                 family.c_str());
+    return 1;
+  }
+  const auto dimension = [&](const char* name, int& out) {
+    const std::uint64_t value = cli.get_u64(name);
+    if (value == 0 ||
+        value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      std::fprintf(stderr, "--%s must be a positive mesh dimension\n", name);
+      return false;
+    }
+    out = static_cast<int>(value);
+    return true;
+  };
+  int width = 0;
+  int height = 0;
+  int depth = 1;  // 2D families ignore it
+  if (!dimension("width", width) || !dimension("height", height) ||
+      (family == "3D-6" && !dimension("depth", depth))) {
+    return 1;
+  }
   if (engine == "bulk") {
     // Validate the whole flag surface BEFORE touching the mesh: at bulk
     // sizes nothing may be allocated until we know the run can proceed.
@@ -286,10 +319,8 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    const wsn::ImplicitLattice lat = wsn::ImplicitLattice::make(
-        cli.get("family"), static_cast<int>(cli.get_u64("width")),
-        static_cast<int>(cli.get_u64("height")),
-        static_cast<int>(cli.get_u64("depth")));
+    const wsn::ImplicitLattice lat =
+        wsn::ImplicitLattice::make(family, width, height, depth);
     wsn::NodeId bulk_src = 0;
     if (cli.get("src") == "center") {
       bulk_src = lat.central_node();
@@ -344,10 +375,7 @@ int main(int argc, char** argv) {
     return finish(0);
   }
 
-  const auto topo = wsn::make_mesh(cli.get("family"),
-                                   static_cast<int>(cli.get_u64("width")),
-                                   static_cast<int>(cli.get_u64("height")),
-                                   static_cast<int>(cli.get_u64("depth")));
+  const auto topo = wsn::make_mesh(family, width, height, depth);
   wsn::NodeId src = 0;
   if (cli.get("src") == "center") {
     src = wsn::graph_center(*topo);
@@ -479,19 +507,41 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "viz renders the 2D families only\n");
       return 1;
     }
+    const std::uint64_t frames = cli.get_u64("frames");
     const PlanOutcome outcome = obtain_plan(cli.get("protocol"));
+    sim_options.record_collisions = frames != 0;
     const auto out = wsn::simulate_broadcast(*topo, outcome.plan, sim_options);
     std::printf("%s\n%s\n", out.stats.summary().c_str(),
                 plan_line(outcome).c_str());
     std::fputs(
         wsn::render_roles(*grid, outcome.plan.to_relay_plan(), &out).c_str(),
         stdout);
+    if (frames != 0) {
+      wsn::Slot last = 1;
+      for (const wsn::TxRecord& rec : out.transmissions) {
+        last = std::max(last, rec.slot);
+      }
+      const auto shown =
+          static_cast<wsn::Slot>(std::min<std::uint64_t>(last, frames));
+      for (wsn::Slot slot = 1; slot <= shown; ++slot) {
+        std::printf("\nslot %u:\n%s", slot,
+                    wsn::render_wavefront(*grid, out, slot).c_str());
+      }
+      if (shown < last) {
+        std::printf("\n(%u more slots until the broadcast completes)\n",
+                    last - shown);
+      }
+    }
     return finish(0);
   }
   if (command == "pipeline") {
     const PlanOutcome outcome = obtain_plan(cli.get("protocol"));
     const wsn::FlatRelayPlan& plan = outcome.plan;
     const auto packets = static_cast<std::size_t>(cli.get_u64("packets"));
+    if (packets == 0) {
+      std::fprintf(stderr, "--packets must be at least 1\n");
+      return 1;
+    }
     const wsn::Slot period =
         wsn::min_pipeline_interval(*topo, plan, packets, 256);
     if (period == 0) {

@@ -34,8 +34,17 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   const std::string family = cli.get("family");
-  const auto topo = wsn::make_paper_topology(family);
+  if (!wsn::is_regular_family(family)) {
+    std::fprintf(stderr, "unknown --family %s (2D-3|2D-4|2D-8|3D-6)\n",
+                 family.c_str());
+    return 1;
+  }
   const wsn::Joules budget = cli.get_f64("budget-uj") * 1e-6;
+  if (!(budget > 0.0)) {
+    std::fprintf(stderr, "--budget-uj must be positive\n");
+    return 1;
+  }
+  const auto topo = wsn::make_paper_topology(family);
   const std::size_t max_rounds = cli.get_u64("max-rounds");
   const bool rotate = cli.get_flag("rotate");
 

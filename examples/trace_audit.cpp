@@ -3,8 +3,8 @@
 // 1-2), delay vs Table 5, full coverage, and wavefront causality.
 //
 // Two modes:
-//   file mode -- re-read a JSONL trace exported earlier (export_trace,
-//   meshbcast_cli --trace-out, scenario_runner --trace-out):
+//   file mode -- re-read a JSONL trace exported earlier (meshbcast_cli
+//   run --trace-out t.jsonl, scenario_runner --trace-out):
 //     $ trace_audit --trace trace.jsonl --family 2D-8 --width 14
 //                   --height 14 --src 116
 //   live mode (no --trace) -- run the paper broadcast on the requested
@@ -16,11 +16,12 @@
 // meshbcast.audit document for CI artifacts.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/cli.h"
+#include "common/string_util.h"
 #include "obs/audit/auditor.h"
 #include "obs/audit/trace_reader.h"
 #include "obs/event_sink.h"
@@ -49,19 +50,40 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 2;
 
   const std::string family = cli.get("family");
-  const auto topo = wsn::make_mesh(family,
-                                   static_cast<int>(cli.get_u64("width")),
-                                   static_cast<int>(cli.get_u64("height")),
-                                   static_cast<int>(cli.get_u64("depth")));
+  if (!wsn::is_regular_family(family)) {
+    std::fprintf(stderr, "unknown --family %s (2D-3|2D-4|2D-8|3D-6)\n",
+                 family.c_str());
+    return 2;
+  }
+  const auto dimension = [&](const char* name, int& out) {
+    const std::uint64_t value = cli.get_u64(name);
+    if (value == 0 ||
+        value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      std::fprintf(stderr, "--%s must be a positive mesh dimension\n", name);
+      return false;
+    }
+    out = static_cast<int>(value);
+    return true;
+  };
+  int width = 0;
+  int height = 0;
+  int depth = 1;  // 2D families ignore it
+  if (!dimension("width", width) || !dimension("height", height) ||
+      (family == "3D-6" && !dimension("depth", depth))) {
+    return 2;
+  }
+  const auto topo = wsn::make_mesh(family, width, height, depth);
 
   wsn::NodeId src = wsn::kInvalidNode;
   if (const std::string src_arg = cli.get("src"); src_arg != "infer") {
-    src = static_cast<wsn::NodeId>(std::strtoul(src_arg.c_str(), nullptr, 10));
-    if (src >= topo->num_nodes()) {
-      std::fprintf(stderr, "source id %u out of range (%zu nodes)\n", src,
-                   topo->num_nodes());
+    std::uint64_t value = 0;
+    if (!wsn::parse_u64(src_arg, value) || value >= topo->num_nodes()) {
+      std::fprintf(stderr,
+                   "bad --src %s (a node id below %zu, or 'infer')\n",
+                   src_arg.c_str(), topo->num_nodes());
       return 2;
     }
+    src = static_cast<wsn::NodeId>(value);
   }
 
   wsn::AuditConfig config;

@@ -68,6 +68,30 @@ std::string render_slots(const Grid2D& grid, const BroadcastOutcome& outcome) {
   return out;
 }
 
+std::string render_wavefront(const Grid2D& grid,
+                             const BroadcastOutcome& outcome, Slot slot) {
+  WSN_EXPECTS(outcome.first_rx.size() == grid.num_nodes());
+  std::vector<char> glyph(grid.num_nodes(), '.');
+  for (NodeId v = 0; v < grid.num_nodes(); ++v) {
+    if (outcome.first_rx[v] < slot) glyph[v] = 'o';
+  }
+  for (const CollisionRecord& ev : outcome.collision_events) {
+    if (ev.slot == slot) glyph[ev.node] = 'x';
+  }
+  for (const TxRecord& rec : outcome.transmissions) {
+    if (rec.slot == slot) glyph[rec.node] = '*';
+  }
+  std::string out;
+  for (int y = grid.n(); y >= 1; --y) {
+    for (int x = 1; x <= grid.m(); ++x) {
+      out += glyph[grid.to_id({x, y})];
+      if (x != grid.m()) out += ' ';
+    }
+    out += '\n';
+  }
+  return out;
+}
+
 std::string render_roles_3d(const Grid3D& grid, const RelayPlan& plan, int z,
                             const BroadcastOutcome* outcome) {
   WSN_EXPECTS(plan.num_nodes() == grid.num_nodes());

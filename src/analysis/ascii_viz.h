@@ -21,6 +21,9 @@
 ///   * `render_slots`   -- each node's first transmission slot (the paper's
 ///     "numbers beside the edge are the transmission sequences"); '..' for
 ///     nodes that never transmit.
+///   * `render_wavefront` -- one frame of a simulated broadcast: '*'
+///     transmitting in that slot, 'x' a collision in it, 'o' already holding
+///     the message, '.' still waiting.
 ///
 /// 2D meshes render as the grid, row n at the top; the 3D mesh renders one
 /// XY plane.
@@ -38,6 +41,12 @@ namespace wsn {
 /// First-transmission slots of a simulated 2D broadcast, 2-3 chars per cell.
 [[nodiscard]] std::string render_slots(const Grid2D& grid,
                                        const BroadcastOutcome& outcome);
+
+/// The broadcast as it stands in `slot` (1-based), one glyph per node.
+/// Collisions show only when the run set `SimOptions::record_collisions`.
+[[nodiscard]] std::string render_wavefront(const Grid2D& grid,
+                                           const BroadcastOutcome& outcome,
+                                           Slot slot);
 
 /// Role map of one XY plane (1-based `z`) of a 3D plan.
 [[nodiscard]] std::string render_roles_3d(const Grid3D& grid,

@@ -127,9 +127,7 @@ bool parse_entry(const JsonValue& doc, std::size_t position,
         return fail(error, where + ": family must be a string");
       }
       out.family = value.as_string();
-      const auto& families = regular_families();
-      if (std::find(families.begin(), families.end(), out.family) ==
-          families.end()) {
+      if (!is_regular_family(out.family)) {
         return fail(error,
                     where + ": unknown family '" + out.family + "'");
       }

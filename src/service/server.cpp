@@ -30,12 +30,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-bool known_family(const std::string& family) {
-  const std::vector<std::string>& families = regular_families();
-  return std::find(families.begin(), families.end(), family) !=
-         families.end();
-}
-
 std::uint64_t wall_micros() {
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(now);
@@ -550,7 +544,7 @@ const MeshbcastService::TopoEntry* MeshbcastService::topology_for(
 std::string MeshbcastService::respond_plan(const RpcRequest& req, bool& ok,
                                            StageTrace& trace) {
   const PlanRpc& plan = req.plan;
-  if (!known_family(plan.family)) {
+  if (!is_regular_family(plan.family)) {
     ok = false;
     return rpc_error_json(req, rpc_code::kBadRequest,
                           "unknown family: " + plan.family);

@@ -20,7 +20,7 @@
 /// compilation.
 ///
 /// `fetch_or_compile` is the one entry point the rest of the system uses
-/// (sweeps, the CLI, warm_plans, the scenario engine, the service).  The
+/// (sweeps, the CLI, the scenario engine, the service).  The
 /// protocol id names everything beyond the topology, source and horizon
 /// that the plan depends on: "paper" and "cds" are pure functions of the
 /// topology, while the scenario engine's ETX plans put their learned

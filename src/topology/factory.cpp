@@ -1,5 +1,7 @@
 #include "topology/factory.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "topology/mesh2d3.h"
 #include "topology/mesh2d4.h"
@@ -12,6 +14,12 @@ const std::vector<std::string>& regular_families() {
   static const std::vector<std::string> kFamilies = {"2D-3", "2D-4", "2D-8",
                                                      "3D-6"};
   return kFamilies;
+}
+
+bool is_regular_family(std::string_view family) {
+  const std::vector<std::string>& families = regular_families();
+  return std::find(families.begin(), families.end(), family) !=
+         families.end();
 }
 
 std::unique_ptr<Topology> make_paper_topology(std::string_view family) {

@@ -24,6 +24,10 @@ struct PaperConfig {
 /// The four regular families, in the paper's table order.
 [[nodiscard]] const std::vector<std::string>& regular_families();
 
+/// True when `family` names one of `regular_families()`: the one check a
+/// caller makes before `make_mesh`/`make_paper_topology` on untrusted input.
+[[nodiscard]] bool is_regular_family(std::string_view family);
+
 /// Builds the paper-sized instance of `family` ("2D-3", "2D-4", "2D-8",
 /// "3D-6").  Aborts on an unknown family (programming error).
 [[nodiscard]] std::unique_ptr<Topology> make_paper_topology(

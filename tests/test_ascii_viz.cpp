@@ -89,6 +89,27 @@ TEST(AsciiViz, SlotsShowDotForSilentNodes) {
   EXPECT_EQ(viz, " 1  .  .\n");
 }
 
+TEST(AsciiViz, WavefrontFramesShowTransmittersCollisionsAndHolders) {
+  // 3x3 mesh, source in the center.  Slot 1: the source transmits.  Slot 2:
+  // nodes 1 and 3 transmit together and collide at corner 0 and at the
+  // source, which hear both; 5 and 7 already hold the message.
+  const Mesh2D4 topo(3, 3);
+  RelayPlan plan = RelayPlan::empty(9, 4);
+  plan.tx_offsets[1] = {1};
+  plan.tx_offsets[3] = {1};
+  SimOptions options;
+  options.record_collisions = true;
+  const auto out = simulate_broadcast(topo, plan, options);
+  EXPECT_EQ(render_wavefront(topo.grid(), out, 1), ". . .\n. * .\n. . .\n");
+  EXPECT_EQ(render_wavefront(topo.grid(), out, 2), ". o .\n* x o\nx * .\n");
+  // Slot 3 is past the last transmission: every reached node holds, and
+  // corners 0 and 8, which never heard a lone transmitter, still wait.
+  EXPECT_EQ(render_wavefront(topo.grid(), out, 3), "o o .\no o o\n. o o\n");
+  // Without recorded collisions the corner waits and the source holds.
+  const auto quiet = simulate_broadcast(topo, plan);
+  EXPECT_EQ(render_wavefront(topo.grid(), quiet, 2), ". o .\n* o o\n. * .\n");
+}
+
 TEST(AsciiViz, Roles3DRendersOnePlane) {
   const Mesh3D6 topo(4, 4, 3);
   const RelayPlan plan = paper_plan(topo, topo.grid().to_id({2, 2, 2}));
