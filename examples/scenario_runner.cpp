@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   using namespace wsn;
 
   CliParser cli("scenario_runner",
-                "Run a declarative scenario file on the batch engine");
+                "Run a declarative scenario file on the batch engine", 2);
   cli.add_option("scenario", "scenario spec file (JSON)", "");
   cli.add_option("out", "results stream (JSONL)", "results.jsonl");
   cli.add_flag("resume", "continue an interrupted run");

@@ -31,7 +31,8 @@
 
 int main(int argc, char** argv) {
   wsn::CliParser cli("trace_audit",
-                     "audit a broadcast trace against the paper's invariants");
+                     "audit a broadcast trace against the paper's invariants",
+                     2);
   cli.add_option("trace", "JSONL trace to audit (empty = run live)", "");
   cli.add_option("family", "topology family (2D-3, 2D-4, 2D-8, 3D-6)",
                  "2D-8");

@@ -1,26 +1,31 @@
 #include "common/cli.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/assert.h"
 #include "common/string_util.h"
 
 namespace wsn {
 
-CliParser::CliParser(std::string program, std::string summary)
-    : program_(std::move(program)), summary_(std::move(summary)) {}
+CliParser::CliParser(std::string program, std::string summary,
+                     int usage_status)
+    : program_(std::move(program)),
+      summary_(std::move(summary)),
+      usage_status_(usage_status) {}
 
 void CliParser::add_option(std::string name, std::string description,
                            std::string fallback) {
   WSN_EXPECTS(find(name) == nullptr);
+  std::string value = fallback;
   options_.push_back(Option{std::move(name), std::move(description),
-                            std::move(fallback), /*is_flag=*/false,
-                            /*seen=*/false});
+                            std::move(fallback), std::move(value),
+                            /*is_flag=*/false, /*seen=*/false});
 }
 
 void CliParser::add_flag(std::string name, std::string description) {
   WSN_EXPECTS(find(name) == nullptr);
-  options_.push_back(Option{std::move(name), std::move(description), "",
+  options_.push_back(Option{std::move(name), std::move(description), "", "",
                             /*is_flag=*/true, /*seen=*/false});
 }
 
@@ -95,17 +100,26 @@ std::string CliParser::get(std::string_view name) const {
   return opt->value;
 }
 
+void CliParser::fail_number(std::string_view name, const char* kind,
+                            const std::string& text) const {
+  std::fprintf(stderr, "%s: option --%.*s expects %s, got '%s'\n\n",
+               program_.c_str(), static_cast<int>(name.size()), name.data(),
+               kind, text.c_str());
+  std::fputs(usage().c_str(), stderr);
+  std::exit(usage_status_);
+}
+
 std::uint64_t CliParser::get_u64(std::string_view name) const {
   std::uint64_t out = 0;
   const std::string text = get(name);
-  WSN_EXPECTS(parse_u64(text, out));
+  if (!parse_u64(text, out)) fail_number(name, "an unsigned integer", text);
   return out;
 }
 
 double CliParser::get_f64(std::string_view name) const {
   double out = 0.0;
   const std::string text = get(name);
-  WSN_EXPECTS(parse_f64(text, out));
+  if (!parse_f64(text, out)) fail_number(name, "a number", text);
   return out;
 }
 
@@ -121,8 +135,8 @@ std::string CliParser::usage() const {
   for (const auto& opt : options_) width = std::max(width, opt.name.size());
   for (const auto& opt : options_) {
     out += "  --" + pad_right(opt.name, width + 2) + opt.description;
-    if (!opt.is_flag && !opt.value.empty()) {
-      out += " (default: " + opt.value + ")";
+    if (!opt.is_flag && !opt.fallback.empty()) {
+      out += " (default: " + opt.fallback + ")";
     }
     out += "\n";
   }

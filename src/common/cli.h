@@ -16,8 +16,10 @@ namespace wsn {
 
 class CliParser {
  public:
-  /// `program` and `summary` feed the usage header.
-  CliParser(std::string program, std::string summary);
+  /// `program` and `summary` feed the usage header; `usage_status` is the
+  /// exit status of a malformed number (see get_u64), which should match
+  /// what the program returns when parse() fails.
+  CliParser(std::string program, std::string summary, int usage_status = 1);
 
   /// Declares an option with a value; `fallback` is used when absent.
   void add_option(std::string name, std::string description,
@@ -31,6 +33,9 @@ class CliParser {
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   /// Accessors; all expect that `parse` succeeded and the name was declared.
+  /// get_u64/get_f64 treat text that is not a number as a usage error:
+  /// they print the option, the text and the usage block to stderr and
+  /// exit with `usage_status`.
   [[nodiscard]] std::string get(std::string_view name) const;
   [[nodiscard]] std::uint64_t get_u64(std::string_view name) const;
   [[nodiscard]] double get_f64(std::string_view name) const;
@@ -46,6 +51,7 @@ class CliParser {
   struct Option {
     std::string name;
     std::string description;
+    std::string fallback;
     std::string value;
     bool is_flag = false;
     bool seen = false;
@@ -53,9 +59,12 @@ class CliParser {
 
   Option* find(std::string_view name) noexcept;
   const Option* find(std::string_view name) const noexcept;
+  [[noreturn]] void fail_number(std::string_view name, const char* kind,
+                                const std::string& text) const;
 
   std::string program_;
   std::string summary_;
+  int usage_status_;
   std::vector<Option> options_;
   std::vector<std::string> positional_;
 };

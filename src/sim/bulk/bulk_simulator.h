@@ -16,34 +16,50 @@
 /// rules instead of a materialized adjacency.
 ///
 /// The reference simulator walks per-node adjacency spans -- O(Σ degree)
-/// pointer-chasing per slot with per-node branching.  At 10⁶–10⁷ nodes that
-/// is both too slow and too much memory (the CSR alone).  Here node state
-/// lives in bit vectors:
+/// pointer-chasing per slot with per-node branching.  At 10⁶–10⁷ nodes
+/// that is both too slow and too much memory (the CSR alone).  Here node
+/// state lives in bit vectors:
 ///
-///   * T      -- transmitting this slot
+///   * T      -- transmitting this slot, with a summary bitmap (one bit
+///     per T word) that lists the loaded words in id order
 ///   * R      -- has received (the reached set)
 ///   * ones/twos -- a 2-bit saturating per-node hearer counter, built by
 ///     SWAR adds of shift(T & rule_mask, delta) one shift rule at a time
 ///
-/// and a slot becomes four passes whose cost follows the frontier, never
-/// the lattice:
+/// next to the lattice's rule masks (ImplicitLattice::rule_masks) and the
+/// plan's relay bitsets (FlatRelayPlan::plain_relays/other_relays).  The
+/// schedule is kept in words too: a plain relay -- offsets exactly {1},
+/// nearly every relay of a paper plan -- forwards in the slot after its
+/// first reception, so each word's fresh & plain bits are kept as one
+/// forward and ORed into the next slot's T.  Only fresh & other relays
+/// (retransmitting, staggered, repaired) read their offsets, into a
+/// calendar keyed by slot.  A slot is five passes whose cost follows the
+/// frontier, never the lattice:
 ///
-///   1. transmit -- the slot's transmitters, id-ascending: set T, append
-///      the records, bill tx energy (ImplicitLattice::tx_range, one sqrt
-///      per transmitter), and list the T words;
-///   2. hearer -- per rule, shift(T & rule_mask, delta) of each T word
+///   1. load -- the slot after a slot with forwards is the next slot, else
+///      the calendar's first; OR in the forwards and the calendar entries,
+///      then walk the summary bitmap for the ascending list of T words;
+///   2. transmit -- per T word, its transmitters in id order: append the
+///      records and bill tx energy.  A transmitter's valid rules are bit b
+///      of the rule masks' word; where the lattice's range follows from
+///      that rule set (ImplicitLattice::range_by_rule_set: exact spacings
+///      and tori), the cost comes from a per-run table keyed by it, else
+///      from ImplicitLattice::tx_range;
+///   3. hearer -- per rule, shift(T & rule_mask, delta) of each T word
 ///      into ones/twos; a word joins the touched list the moment its
 ///      ones|twos leaves zero, so the list has no duplicates and no order;
-///   3. attribution -- each transmitter's valid rules point at the
+///   4. attribution -- each transmitter's valid rules point at the
 ///      hearers whose exactly-one-hearer and fresh bits it is credited
 ///      with (the slot's records are contiguous);
-///   4. classification -- over the touched words only: exactly-one-hearer
+///   5. classification -- over the touched words only: exactly-one-hearer
 ///      nodes are ones & ~twos & ~T (half-duplex excluded), collisions
-///      popcount(twos & ~T), fresh coverage rx & ~R, with no per-node
-///      branching in the counting; fresh nodes are scheduled, and each
-///      word's counters are cleared, so every slot starts from zero.
+///      twos & ~T, fresh coverage rx & ~R, counted by popcount with no
+///      per-node branching; fresh nodes get their first_rx and are
+///      scheduled as above, and each word's counters are cleared, so
+///      every slot starts from zero.  T is cleared word by word.
 ///
-/// Nothing n-sized besides the bit vectors and the outcome itself.
+/// Nothing n-sized besides the bit vectors and the outcome itself, and no
+/// per-node map, sort or set/clear-bit loop.
 ///
 /// Semantics contract: `run` takes the same FlatRelayPlan as
 /// `Simulator::run` and returns a BroadcastOutcome *bit-identical* to it
@@ -101,19 +117,24 @@ class BulkSimulator {
   void set_progress(BulkProgressFn fn, std::uint64_t every_slots = 64);
 
  private:
-  /// (Re)builds the per-rule validity bitmasks; cached across runs keyed
-  /// on the lattice identity, so resolver-style repeated runs pay once.
-  void build_masks(const ImplicitLattice& lat);
+  /// A word of plain relays that first received in one slot and forward
+  /// in the next.
+  struct Forward {
+    std::uint32_t word;
+    std::uint64_t bits;
+  };
 
   std::size_t words_ = 0;
-  std::string mask_key_;               // lattice name; "" = masks invalid
-  std::vector<std::uint64_t> masks_;   // rules × words_, rule-major
   std::vector<std::uint64_t> transmitting_;
+  std::vector<std::uint64_t> tx_summary_;  // bit w: T word w is loaded
   std::vector<std::uint64_t> ones_;
   std::vector<std::uint64_t> twos_;
   std::vector<std::uint64_t> received_;
   std::vector<std::uint32_t> touched_words_;
-  std::map<Slot, std::vector<NodeId>> schedule_;
+  std::vector<std::uint32_t> tx_words_;   // the slot's T words, ascending
+  std::vector<std::uint32_t> rule_sets_;  // per record: its valid rules
+  std::vector<Forward> forwards_;         // plain relays for the next slot
+  std::map<Slot, std::vector<NodeId>> schedule_;  // every other relay
   BulkProgressFn progress_;
   std::uint64_t progress_every_ = 64;
 };

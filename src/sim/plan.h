@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -95,8 +96,8 @@ struct RelayPlan {
   }
 };
 
-/// The same plan in CSR form: one starts array, one offsets array, three
-/// allocations total regardless of relay count.
+/// The same plan in CSR form: one starts array, one offsets array and two
+/// relay bitsets: four allocations, regardless of relay count.
 ///
 /// RelayPlan's vector-of-vectors is the right shape for *construction* --
 /// protocols push offsets node by node, the resolver appends repairs --
@@ -123,6 +124,7 @@ class FlatRelayPlan {
     // costs, and any second walk over the per-node vectors doubles it.
     const std::size_t n = plan.num_nodes();
     starts_.resize(n + 1);
+    size_relay_sets(n);
     std::uint32_t* const start = starts_.data();
     for (std::size_t v = 0; v < n; ++v) {
       const std::vector<Slot>& offsets = plan.tx_offsets[v];
@@ -133,6 +135,7 @@ class FlatRelayPlan {
           last = offset;
         }
         offsets_.insert(offsets_.end(), offsets.begin(), offsets.end());
+        file_relay(v, offsets);
       }
       start[v + 1] = static_cast<std::uint32_t>(offsets_.size());
     }
@@ -152,6 +155,18 @@ class FlatRelayPlan {
     flat.source_ = source;
     flat.starts_ = std::move(starts);
     flat.offsets_ = std::move(offsets);
+    // Files each relay whose parts are in bounds; validate() rejects the
+    // rest before any engine reads the sets.
+    const std::size_t n = flat.num_nodes();
+    flat.size_relay_sets(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::uint32_t lo = flat.starts_[v];
+      const std::uint32_t hi = flat.starts_[v + 1];
+      if (lo < hi && hi <= flat.offsets_.size()) {
+        flat.file_relay(v, std::span<const Slot>(flat.offsets_.data() + lo,
+                                                 hi - lo));
+      }
+    }
     return flat;
   }
 
@@ -185,6 +200,19 @@ class FlatRelayPlan {
     return offsets_.size();
   }
 
+  /// The relays as bitsets over node ids (bit v % 64 of word v / 64).  A
+  /// plain relay's offsets are exactly {1}: it forwards once, one slot
+  /// after its first reception -- nearly every relay of a paper plan.
+  /// Every other relay (retransmitting, staggered, repaired) is in
+  /// other_relays().  The bulk kernel schedules plain relays a word at a
+  /// time and looks up offsets for the others only.
+  [[nodiscard]] std::span<const std::uint64_t> plain_relays() const noexcept {
+    return plain_relays_;
+  }
+  [[nodiscard]] std::span<const std::uint64_t> other_relays() const noexcept {
+    return other_relays_;
+  }
+
   /// Same contract as RelayPlan::validate(), plus CSR well-formedness.
   /// A plan flattened from a RelayPlan was checked as it was built and
   /// cannot change since, so the walk below runs for adopted parts only.
@@ -205,9 +233,21 @@ class FlatRelayPlan {
   }
 
  private:
+  void size_relay_sets(std::size_t n) {
+    plain_relays_.assign((n + 63) / 64, 0);
+    other_relays_.assign((n + 63) / 64, 0);
+  }
+  void file_relay(std::size_t v, std::span<const Slot> offsets) noexcept {
+    const bool plain = offsets.size() == 1 && offsets[0] == 1;
+    std::vector<std::uint64_t>& set = plain ? plain_relays_ : other_relays_;
+    set[v / 64] |= std::uint64_t{1} << (v % 64);
+  }
+
   NodeId source_ = kInvalidNode;
   std::vector<std::uint32_t> starts_;
   std::vector<Slot> offsets_;
+  std::vector<std::uint64_t> plain_relays_;
+  std::vector<std::uint64_t> other_relays_;
   bool checked_ = false;  // built from a RelayPlan, contract checked
 };
 

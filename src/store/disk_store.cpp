@@ -3,8 +3,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -31,6 +33,39 @@ std::unordered_set<std::string> read_manifest_keys(const fs::path& path) {
   return keys;
 }
 
+/// Serial for temp-file names, unique per writer in this process.
+std::atomic<std::uint64_t> g_temp_serial{0};
+
+std::string temp_name(const std::string& final_path) {
+  return final_path + ".tmp" +
+         std::to_string(g_temp_serial.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// Rewrites the manifest with its lines in key order, one line per key,
+/// through a temp file and a rename, so a reader sees the old or the new
+/// manifest whole.
+void sort_manifest(const fs::path& path) {
+  std::map<std::string, std::string> lines;
+  {
+    std::ifstream file(path);
+    std::string line;
+    while (std::getline(file, line)) {
+      const std::size_t tab = line.find('\t');
+      if (tab != std::string::npos) lines.emplace(line.substr(0, tab), line);
+    }
+  }
+  const std::string temp = temp_name(path.string());
+  bool written = false;
+  {
+    std::ofstream file(temp, std::ios::trunc);
+    for (const auto& entry : lines) file << entry.second << '\n';
+    written = static_cast<bool>(file);
+  }
+  std::error_code ec;
+  if (written) fs::rename(temp, path, ec);
+  if (!written || ec) fs::remove(temp, ec);
+}
+
 /// The test-only fault injector (see disk_store.h); nullptr in production.
 std::atomic<PlanDiskStore::LoadFaultInjector> g_load_fault_injector{nullptr};
 
@@ -50,6 +85,17 @@ PlanDiskStore::PlanDiskStore(std::string dir) : dir_(std::move(dir)) {
     return;
   }
   manifested_ = read_manifest_keys(fs::path(dir_) / kManifestName);
+}
+
+PlanDiskStore::~PlanDiskStore() {
+  if (!appended_) return;
+  try {
+    sort_manifest(fs::path(dir_) / kManifestName);
+  } catch (const std::exception& e) {
+    // The manifest is documentation; an unsorted one still lists every key.
+    std::fprintf(stderr, "plan store: cannot sort %s/%s: %s\n", dir_.c_str(),
+                 kManifestName, e.what());
+  }
 }
 
 std::string PlanDiskStore::artifact_path(const PlanFingerprint& fp) const {
@@ -86,11 +132,8 @@ bool PlanDiskStore::save(const PlanFingerprint& fp, const StoredPlan& value) {
   // Unique temp name per writer, then an atomic rename: a reader never
   // observes a half-written artifact, and concurrent writers of the same
   // key each install identical bytes.
-  static std::atomic<std::uint64_t> temp_serial{0};
   const std::string final_path = artifact_path(fp);
-  const std::string temp_path =
-      final_path + ".tmp" +
-      std::to_string(temp_serial.fetch_add(1, std::memory_order_relaxed));
+  const std::string temp_path = temp_name(final_path);
   if (!write_plan_file(temp_path, value)) {
     std::error_code ec;
     fs::remove(temp_path, ec);
@@ -108,6 +151,7 @@ bool PlanDiskStore::save(const PlanFingerprint& fp, const StoredPlan& value) {
     std::ofstream manifest(fs::path(dir_) / kManifestName, std::ios::app);
     if (manifest) {
       manifest << fp.hex() << '\t' << fp.canonical << '\n';
+      appended_ = true;
     }
   }
   return true;

@@ -19,9 +19,13 @@
 ///
 /// The manifest is documentation, not an index: loads go straight to the
 /// content-addressed path, so a torn or missing manifest can never serve
-/// a wrong plan.  Saves are atomic (unique temp file + rename) and
-/// last-writer-wins, which is exactly right for a content-addressed
-/// store -- every writer of a key writes the same bytes.
+/// a wrong plan.  Lines are appended as saves complete, and a store that
+/// appended any rewrites the manifest in key order when it closes: two
+/// stores that saved the same plans hold byte-identical directories, in
+/// whatever order concurrent saves finished.  Saves are atomic (unique
+/// temp file + rename) and last-writer-wins, which is exactly right for a
+/// content-addressed store -- every writer of a key writes the same
+/// bytes.
 ///
 /// Failure policy: every load problem -- absent file, truncation, bad
 /// magic, stale format version, checksum damage, structural nonsense --
@@ -36,6 +40,10 @@ class PlanDiskStore {
   /// from `ok()` means the directory could not be created; loads then
   /// miss and saves fail, but nothing throws.
   explicit PlanDiskStore(std::string dir);
+  /// Sorts the manifest by key if this store appended to it.
+  ~PlanDiskStore();
+  PlanDiskStore(const PlanDiskStore&) = delete;
+  PlanDiskStore& operator=(const PlanDiskStore&) = delete;
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
@@ -80,6 +88,7 @@ class PlanDiskStore {
   mutable std::atomic<std::uint64_t> read_retries_{0};
   std::mutex manifest_mutex_;
   std::unordered_set<std::string> manifested_;
+  bool appended_ = false;  // guarded by manifest_mutex_
 };
 
 }  // namespace wsn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/assert.h"
 
@@ -21,6 +22,28 @@ AxisRange axis_range(int step, int extent) noexcept {
   return {1, extent};
 }
 
+constexpr std::size_t kWordBits = 64;
+
+/// Sets bits [lo, hi] (inclusive), optionally only every second bit
+/// starting at lo (the 2D-3 parity mask).
+void set_bit_range(std::span<std::uint64_t> words, std::size_t lo,
+                   std::size_t hi, bool strided) {
+  // Alternating bits: 0x5555… anchored so bit `lo` is set.
+  constexpr std::uint64_t kEven = 0x5555555555555555ull;
+  for (std::size_t w = lo / kWordBits; w <= hi / kWordBits; ++w) {
+    const std::size_t base = w * kWordBits;
+    std::uint64_t range = ~std::uint64_t{0};
+    if (base < lo) range &= ~std::uint64_t{0} << (lo - base);
+    if (base + kWordBits - 1 > hi) {
+      range &= ~std::uint64_t{0} >> (base + kWordBits - 1 - hi);
+    }
+    // The phase of `lo` within this word: `lo - base` wraps for words
+    // past lo's, where it still has the parity of base - lo.
+    if (strided) range &= ((lo - base) % 2 == 0) ? kEven : ~kEven;
+    words[w] |= range;
+  }
+}
+
 }  // namespace
 
 ImplicitLattice::ImplicitLattice(std::string family, int m, int n, int l,
@@ -37,7 +60,8 @@ ImplicitLattice::ImplicitLattice(std::string family, int m, int n, int l,
       range_override_(range_override),
       num_nodes_(static_cast<std::size_t>(m) * static_cast<std::size_t>(n) *
                  static_cast<std::size_t>(l)),
-      rules_(std::move(rules)) {
+      rules_(std::move(rules)),
+      masks_(std::make_shared<MaskCache>()) {
   WSN_EXPECTS(m >= 1 && n >= 1 && l >= 1);
   WSN_EXPECTS(spacing > 0.0);
   // NodeId is 32-bit; the id space caps the lattice (ROADMAP targets
@@ -66,6 +90,58 @@ ImplicitLattice::ImplicitLattice(std::string family, int m, int n, int l,
     }
     steps_.push_back(step);
   }
+  // Every coordinate product (k - 1)·s and step difference below is exact
+  // when k·s is for each k up to the longest axis, so a node's squared
+  // distances, and with them its range, follow from its rule set alone.
+  // Products are checked with fma: its result is the product's rounding
+  // error, which is zero exactly when the product is exact.
+  bool exact = true;
+  for (int k = 1; exact && k <= std::max({m_, n_, l_}); ++k) {
+    const auto kd = static_cast<double>(k);
+    exact = std::fma(kd, spacing_, -(kd * spacing_)) == 0.0;
+  }
+  range_by_rule_set_ = range_override_ > 0.0 || exact;
+}
+
+struct ImplicitLattice::MaskCache {
+  std::once_flag built;
+  std::vector<std::uint64_t> words;
+};
+
+std::span<const std::uint64_t> ImplicitLattice::rule_masks() const {
+  std::call_once(masks_->built, [this] {
+    const std::size_t words = (num_nodes_ + kWordBits - 1) / kWordBits;
+    const auto m = static_cast<std::size_t>(m_);
+    std::vector<std::uint64_t>& masks = masks_->words;
+    masks.assign(rules_.size() * words, 0);
+    for (std::size_t r = 0; r < rules_.size(); ++r) {
+      const ShiftRule& rule = rules_[r];
+      const std::span<std::uint64_t> mask(masks.data() + r * words, words);
+      // Coordinate ranges are row-aligned: fill each valid row's [xlo, xhi]
+      // span wholesale (every second bit under the 2D-3 parity constraint).
+      for (int z = std::max(1, rule.zlo); z <= std::min(l_, rule.zhi); ++z) {
+        for (int y = std::max(1, rule.ylo); y <= std::min(n_, rule.yhi);
+             ++y) {
+          int xlo = std::max(1, rule.xlo);
+          const int xhi = std::min(m_, rule.xhi);
+          if (rule.parity >= 0) {
+            // (x + y) & 1 == parity pins x's parity for this row.
+            const int want = rule.parity ^ (y & 1);
+            if ((xlo & 1) != want) ++xlo;
+          }
+          if (xlo > xhi) continue;
+          const std::size_t row =
+              (static_cast<std::size_t>(z - 1) * static_cast<std::size_t>(n_) +
+               static_cast<std::size_t>(y - 1)) *
+              m;
+          set_bit_range(mask, row + static_cast<std::size_t>(xlo - 1),
+                        row + static_cast<std::size_t>(xhi - 1),
+                        rule.parity >= 0);
+        }
+      }
+    }
+  });
+  return masks_->words;
 }
 
 ImplicitLattice ImplicitLattice::mesh2d4(int m, int n, Meters spacing) {

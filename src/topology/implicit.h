@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,7 +20,8 @@
 /// up to boundary rules, so adjacency compresses to a handful of *shift
 /// rules*: "the node `delta` ids away is a neighbor whenever my coordinates
 /// satisfy this range/parity predicate".  An `ImplicitLattice` carries only
-/// the dims and those rules: O(1) memory per node overall.
+/// the dims and those rules, plus -- once the bulk kernel asks for them --
+/// one bit per node per rule (rule_masks()).
 ///
 /// Contract: for equal family/dims/spacing, `neighbors()` returns exactly
 /// the byte sequence `Topology::neighbors()` returns on the materialized
@@ -128,10 +131,28 @@ class ImplicitLattice {
   /// is the same double as the widest distance.
   [[nodiscard]] Meters tx_range(NodeId id) const noexcept;
 
+  /// True when tx_range(id) is a function of which rules are valid at
+  /// `id` alone: on tori (one uniform range), and on meshes whose every
+  /// k·spacing, k up to the longest axis, is an exact double (0.5 m and
+  /// 2.5 m are; 0.3 m is not, and its ranges differ in the last ulp from
+  /// node to node).  The bulk kernel then bills a transmitter's energy by
+  /// its rule set instead of calling tx_range.
+  [[nodiscard]] bool range_by_rule_set() const noexcept {
+    return range_by_rule_set_;
+  }
+
   /// The kernel descriptors: every adjacency direction as a shift rule.
   [[nodiscard]] const std::vector<ShiftRule>& rules() const noexcept {
     return rules_;
   }
+
+  /// The rules as the bulk kernel reads them: per rule, a bitset over node
+  /// ids whose bit v (bit v % 64 of word v / 64) is set where the rule
+  /// applies at v; rule-major, (num_nodes() + 63) / 64 words per rule.
+  /// Built on first use, once, and shared by copies of the lattice, so a
+  /// simulator and every resolver probe on one lattice read one copy.
+  /// Thread-safe.
+  [[nodiscard]] std::span<const std::uint64_t> rule_masks() const;
 
   /// True when `rule` applies at coordinate `c`.
   [[nodiscard]] static bool rule_valid(const ShiftRule& rule,
@@ -163,6 +184,9 @@ class ImplicitLattice {
   /// one translation over its valid range, read off when the lattice is
   /// built so tx_range never decodes a neighbor id.
   std::vector<Coord> steps_;
+  bool range_by_rule_set_ = false;
+  struct MaskCache;
+  std::shared_ptr<MaskCache> masks_;
 
   /// Squared distance between two grid coordinates, with the
   /// position()/distance() arithmetic: per axis (a-1)·s - (b-1)·s.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -163,6 +165,56 @@ TEST(BulkSimulator, MatchesReferenceOnSeededRandomPlans) {
   }
 }
 
+// Mostly plain relays ({1}), which the kernel forwards a word at a time,
+// mixed with other relays whose offsets reach about 40 slots: the calendar
+// path, long quiet stretches with no transmitter at all, and plain and
+// calendar transmitters sharing a slot.
+TEST(BulkSimulator, MatchesReferenceOnPlansMixingPlainAndOtherRelays) {
+  std::mt19937 rng(27u);
+  const struct {
+    const char* family;
+    int m, n, l;
+  } cases[] = {{"2D-3", 13, 9, 1}, {"2D-4", 70, 3, 1},
+               {"2D-8", 11, 12, 1}, {"3D-6", 5, 4, 6}};
+  std::size_t gaps = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.family);
+    const std::unique_ptr<Topology> topo = make_mesh(c.family, c.m, c.n, c.l);
+    const ImplicitLattice lat = ImplicitLattice::make(c.family, c.m, c.n, c.l);
+    const auto count = topo->num_nodes();
+    std::uniform_int_distribution<NodeId> pick_src(
+        0, static_cast<NodeId>(count - 1));
+    std::uniform_int_distribution<int> role(0, 9);
+    std::uniform_int_distribution<Slot> first(1, 40);
+    std::uniform_int_distribution<Slot> gap(1, 12);
+    for (int trial = 0; trial < 6; ++trial) {
+      RelayPlan plan = RelayPlan::empty(count, pick_src(rng));
+      for (NodeId v = 0; v < count; ++v) {
+        const int r = role(rng);
+        if (r < 5) {
+          plan.tx_offsets[v] = {1};
+        } else if (r < 8) {
+          std::vector<Slot> offsets{first(rng)};
+          for (int k = role(rng) % 3; k > 0; --k) {
+            offsets.push_back(offsets.back() + gap(rng));
+          }
+          plan.tx_offsets[v] = offsets;
+        } else if (v != plan.source) {
+          plan.tx_offsets[v].clear();
+        }
+      }
+      cross_check(*topo, lat, plan);
+      const BroadcastOutcome ref = simulate_broadcast(*topo, plan);
+      for (std::size_t i = 1; i < ref.transmissions.size(); ++i) {
+        if (ref.transmissions[i].slot > ref.transmissions[i - 1].slot + 1) {
+          ++gaps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(gaps, 0u);  // the plans do leave slots with no transmitter
+}
+
 TEST(BulkSimulator, MaxSlotsTruncationMatches) {
   const std::unique_ptr<Topology> topo = make_mesh("2D-4", 12, 9);
   const ImplicitLattice lat = ImplicitLattice::mesh2d4(12, 9);
@@ -171,6 +223,32 @@ TEST(BulkSimulator, MaxSlotsTruncationMatches) {
     SimOptions options;
     options.max_slots = cap;
     cross_check(*topo, lat, plan, options);
+  }
+}
+
+// A plain relay first receives in slot s and forwards in s + 1; a cap of
+// s must stop the run between the two, at every s of the broadcast.
+TEST(BulkSimulator, MaxSlotsBetweenPlainReceptionAndForwardMatches) {
+  const std::unique_ptr<Topology> topo = make_mesh("2D-8", 9, 8);
+  const ImplicitLattice lat = ImplicitLattice::mesh2d8(9, 8);
+  RelayPlan plan = flooding_plan(topo->num_nodes(), 40);
+  plan.tx_offsets[13] = {2, 5};  // one calendar relay among the plain ones
+  const BroadcastOutcome full = simulate_broadcast(*topo, plan);
+  ASSERT_GT(full.stats.delay, 2u);
+  for (Slot cap = 0; cap <= full.stats.delay + 1; ++cap) {
+    SCOPED_TRACE(cap);
+    SimOptions options;
+    options.max_slots = cap;
+    cross_check(*topo, lat, plan, options);
+    const BroadcastOutcome capped = bulk_simulate(lat, plan, options);
+    // Relays that first heard in the last slot are reached but silent.
+    if (cap >= 1 && cap <= full.stats.delay) {
+      EXPECT_TRUE(std::any_of(capped.first_rx.begin(), capped.first_rx.end(),
+                              [cap](Slot s) { return s == cap; }));
+    }
+    for (const TxRecord& rec : capped.transmissions) {
+      EXPECT_LE(rec.slot, cap);
+    }
   }
 }
 
@@ -264,6 +342,51 @@ TEST(BulkSimulator, InexactSpacingEnergyMatchesOnEveryMesh) {
   }
 }
 
+// Where every k·spacing is exact (2.5 m) and on the tori (one range for
+// every node, whatever the spacing), the kernel bills tx energy by a
+// transmitter's rule set; the bill must still match the reference's
+// per-node ranges to the bit.
+TEST(BulkSimulator, RuleSetEnergyMatchesOnExactSpacingAndTori) {
+  const struct {
+    const char* family;
+    int m, n, l;
+  } meshes[] = {{"2D-3", 17, 13, 1}, {"2D-4", 16, 12, 1},
+                {"2D-8", 13, 14, 1}, {"3D-6", 9, 6, 11}};
+  const FirstOrderRadioModel radios[] = {FirstOrderRadioModel{},
+                                         FirstOrderRadioModel{0.0, 100e-12}};
+  SimOptions options;
+  options.charge_collisions = true;
+  options.record_node_energy = true;
+  for (const FirstOrderRadioModel& radio : radios) {
+    options.radio = radio;
+    for (const auto& c : meshes) {
+      SCOPED_TRACE(std::string(c.family) + " elec=" +
+                   std::to_string(radio.elec()));
+      const std::unique_ptr<Topology> topo =
+          make_mesh(c.family, c.m, c.n, c.l, 2.5);
+      const ImplicitLattice lat =
+          ImplicitLattice::make(c.family, c.m, c.n, c.l, 2.5);
+      ASSERT_TRUE(lat.range_by_rule_set());
+      const auto centre = static_cast<NodeId>(topo->num_nodes() / 2);
+      cross_check(*topo, lat, flooding_plan(topo->num_nodes(), centre),
+                  options);
+      cross_check(*topo, lat, paper_plan(*topo, centre), options);
+      cross_check(*topo, lat, paper_plan(*topo, 0), options);
+    }
+    for (const Meters spacing : {0.3, 2.5}) {
+      const Torus2D4 torus4(7, 5, spacing);
+      const Torus2D8 torus8(6, 5, spacing);
+      const ImplicitLattice lat4 = ImplicitLattice::torus2d4(7, 5, spacing);
+      const ImplicitLattice lat8 = ImplicitLattice::torus2d8(6, 5, spacing);
+      ASSERT_TRUE(lat4.range_by_rule_set());
+      cross_check(torus4, lat4, flooding_plan(torus4.num_nodes(), 11),
+                  options);
+      cross_check(torus8, lat8, flooding_plan(torus8.num_nodes(), 29),
+                  options);
+    }
+  }
+}
+
 // The hearer pass lists a word when its ones|twos leaves zero, which is
 // sound only if every slot of every run starts with both all zero.  Runs
 // cut short by max_slots, followed by full runs on other families and
@@ -347,6 +470,37 @@ TEST(BulkSimulator, ProgressCallbackObservesWithoutPerturbing) {
   ticks.clear();
   expect_identical(reference, instrumented.run(lat, plan));
   EXPECT_TRUE(ticks.empty());
+}
+
+// A tick every slot: each reports one transmitting slot, in order, with
+// the reference's transmitter count for it and the nodes reached by then.
+TEST(BulkSimulator, ProgressFrontierCountsMatchReference) {
+  const std::unique_ptr<Topology> topo = make_mesh("3D-6", 6, 5, 4);
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(6, 5, 4);
+  RelayPlan plan = paper_plan(*topo, 37);
+  plan.tx_offsets[80] = {4, 9};  // a calendar relay transmitting late
+  const BroadcastOutcome ref = simulate_broadcast(*topo, plan);
+
+  std::map<Slot, std::size_t> per_slot;
+  for (const TxRecord& rec : ref.transmissions) per_slot[rec.slot] += 1;
+  BulkSimulator sim;
+  std::vector<BulkProgress> ticks;
+  sim.set_progress([&ticks](const BulkProgress& p) { ticks.push_back(p); },
+                   1);
+  expect_identical(ref, sim.run(lat, plan));
+
+  ASSERT_EQ(ticks.size(), per_slot.size());
+  auto slot = per_slot.begin();
+  for (std::size_t i = 0; i < ticks.size(); ++i, ++slot) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ticks[i].slot, slot->first);
+    EXPECT_EQ(ticks[i].slots_done, i + 1);
+    EXPECT_EQ(ticks[i].frontier, slot->second);
+    const auto reached = static_cast<std::size_t>(
+        std::count_if(ref.first_rx.begin(), ref.first_rx.end(),
+                      [&](Slot s) { return s <= slot->first; }));
+    EXPECT_EQ(ticks[i].reached, reached);
+  }
 }
 
 TEST(BulkSimulator, RejectsUnsupportedOptions) {

@@ -71,6 +71,25 @@ TEST(Cli, FlagWithValueFails) {
   EXPECT_FALSE(parse(cli, {"--verbose=yes"}));
 }
 
+// A malformed number is the user's mistake, not the program's: a message
+// naming the option and the text, the usage block, and the exit status
+// the program gave the parser.
+TEST(Cli, NonNumericValueIsAUsageError) {
+  CliParser cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--size", "abc", "--spacing=12x"}));
+  EXPECT_EXIT((void)cli.get_u64("size"), testing::ExitedWithCode(1),
+              "prog: option --size expects an unsigned integer, got 'abc'"
+              "(.|\n)*--size +mesh size \\(default: 32\\)");
+  EXPECT_EXIT((void)cli.get_f64("spacing"), testing::ExitedWithCode(1),
+              "option --spacing expects a number, got '12x'");
+
+  CliParser tool("tool", "test tool", 2);
+  tool.add_option("limit", "rows", "10");
+  ASSERT_TRUE(parse(tool, {"--limit="}));
+  EXPECT_EXIT((void)tool.get_u64("limit"), testing::ExitedWithCode(2),
+              "option --limit expects an unsigned integer, got ''");
+}
+
 TEST(Cli, HelpShortCircuits) {
   CliParser cli = make_parser();
   EXPECT_FALSE(parse(cli, {"--help"}));

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,6 +159,68 @@ TEST(ImplicitLattice, RulesCoverExactlyTheNeighborSet) {
       EXPECT_TRUE(std::equal(set.begin(), set.end(), from_rules.begin()));
     }
   }
+}
+
+// The bulk kernel's rule bitsets say, bit for bit, where each rule is
+// valid; copies of a lattice share one set.
+TEST(ImplicitLattice, RuleMasksMatchRuleValidity) {
+  const ImplicitLattice lattices[] = {
+      ImplicitLattice::mesh2d3(9, 7),   ImplicitLattice::mesh2d4(70, 3),
+      ImplicitLattice::mesh2d8(13, 11), ImplicitLattice::mesh3d6(5, 4, 6),
+      ImplicitLattice::torus2d4(7, 5),  ImplicitLattice::torus2d8(6, 5)};
+  for (const ImplicitLattice& lat : lattices) {
+    SCOPED_TRACE(lat.name());
+    const std::span<const std::uint64_t> masks = lat.rule_masks();
+    const std::size_t words = (lat.num_nodes() + 63) / 64;
+    ASSERT_EQ(masks.size(), lat.rules().size() * words);
+    for (std::size_t r = 0; r < lat.rules().size(); ++r) {
+      for (std::size_t bit = 0; bit < words * 64; ++bit) {
+        const std::uint64_t word = masks[r * words + bit / 64];
+        const bool set = ((word >> (bit % 64)) & 1u) != 0;
+        const bool valid =
+            bit < lat.num_nodes() &&
+            ImplicitLattice::rule_valid(
+                lat.rules()[r], lat.to_coord(static_cast<NodeId>(bit)));
+        ASSERT_EQ(set, valid) << "rule " << r << " node " << bit;
+      }
+    }
+    const ImplicitLattice copy = lat;
+    EXPECT_EQ(copy.rule_masks().data(), masks.data());
+  }
+}
+
+// range_by_rule_set() is a promise the bulk kernel bills energy on: where
+// it holds, nodes with the same valid rules have bit-identical ranges.
+TEST(ImplicitLattice, RangeFollowsRuleSetWhereSpacingIsExact) {
+  const ImplicitLattice exact[] = {
+      ImplicitLattice::mesh2d3(17, 13),
+      ImplicitLattice::mesh2d8(13, 14),
+      ImplicitLattice::mesh2d8(13, 14, 2.5),
+      ImplicitLattice::mesh3d6(9, 6, 11, 2.5),
+      ImplicitLattice::torus2d4(7, 5, 0.3),
+      ImplicitLattice::torus2d8(6, 5, 0.7)};
+  for (const ImplicitLattice& lat : exact) {
+    SCOPED_TRACE(lat.name() + " spacing " + std::to_string(lat.spacing()));
+    EXPECT_TRUE(lat.range_by_rule_set());
+    std::map<unsigned, Meters> by_rules;
+    for (NodeId v = 0; v < lat.num_nodes(); ++v) {
+      unsigned rule_set = 0;
+      for (std::size_t r = 0; r < lat.rules().size(); ++r) {
+        if (ImplicitLattice::rule_valid(lat.rules()[r], lat.to_coord(v))) {
+          rule_set |= 1u << r;
+        }
+      }
+      const auto [it, fresh] = by_rules.emplace(rule_set, lat.tx_range(v));
+      if (!fresh) {
+        EXPECT_EQ(it->second, lat.tx_range(v)) << "node " << v;
+      }
+    }
+  }
+  EXPECT_FALSE(ImplicitLattice::mesh2d8(13, 14, 0.3).range_by_rule_set());
+  EXPECT_FALSE(ImplicitLattice::mesh3d6(9, 6, 11, 0.7).range_by_rule_set());
+  // 0.1 m is inexact too, but 1..2 times it happen to round exactly.
+  EXPECT_TRUE(ImplicitLattice::mesh2d4(2, 2, 0.1).range_by_rule_set());
+  EXPECT_FALSE(ImplicitLattice::mesh2d4(3, 2, 0.1).range_by_rule_set());
 }
 
 TEST(ImplicitLattice, CentralNodeIsInGrid) {

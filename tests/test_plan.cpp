@@ -123,6 +123,12 @@ void expect_same_flat(const FlatRelayPlan& a, const FlatRelayPlan& b) {
     EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
         << "node " << v;
   }
+  const auto eq = [](std::span<const std::uint64_t> x,
+                     std::span<const std::uint64_t> y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_TRUE(eq(a.plain_relays(), b.plain_relays()));
+  EXPECT_TRUE(eq(a.other_relays(), b.other_relays()));
 }
 
 /// RelayPlan -> FlatRelayPlan -> RelayPlan is the identity, and the
@@ -155,6 +161,46 @@ TEST(FlatRelayPlan, PipelinedPlanWithRetransmittersRoundTrips) {
   const RelayPlan plan = repeat_k(paper_plan(*topo, 0), 2);
   ASSERT_FALSE(plan.retransmitters().empty());
   expect_round_trip(plan);
+}
+
+// The kernel's relay bitsets: exactly-{1} relays are plain, every other
+// relay (retransmitting, delayed, repaired) is other, silent nodes are in
+// neither -- across a word boundary, and the same whether the plan was
+// flattened or adopted from its parts.
+TEST(FlatRelayPlan, RelaySetsSplitPlainFromOtherRelays) {
+  RelayPlan plan = RelayPlan::empty(130, 3);
+  plan.tx_offsets[0] = {1};
+  plan.tx_offsets[1] = {1, 2};
+  plan.tx_offsets[2] = {2};
+  plan.tx_offsets[63] = {1};
+  plan.tx_offsets[64] = {3, 40};
+  plan.tx_offsets[129] = {1};
+  const FlatRelayPlan flat(plan);
+  const auto bit = [](std::span<const std::uint64_t> set, NodeId v) {
+    return ((set[v / 64] >> (v % 64)) & 1u) != 0;
+  };
+  ASSERT_EQ(flat.plain_relays().size(), 3u);
+  ASSERT_EQ(flat.other_relays().size(), 3u);
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) {
+    const std::vector<Slot>& offsets = plan.tx_offsets[v];
+    const bool plain = offsets == std::vector<Slot>{1};
+    EXPECT_EQ(bit(flat.plain_relays(), v), plain) << "node " << v;
+    EXPECT_EQ(bit(flat.other_relays(), v), !plain && !offsets.empty())
+        << "node " << v;
+  }
+
+  std::vector<std::uint32_t> starts{0};
+  std::vector<Slot> offsets;
+  for (NodeId v = 0; v < flat.num_nodes(); ++v) {
+    const auto span = flat.offsets(v);
+    offsets.insert(offsets.end(), span.begin(), span.end());
+    starts.push_back(static_cast<std::uint32_t>(offsets.size()));
+  }
+  expect_same_flat(flat, FlatRelayPlan::adopt(flat.source(), std::move(starts),
+                                              std::move(offsets)));
+  // Parts out of bounds file nothing; validate() is what rejects them.
+  const FlatRelayPlan torn = FlatRelayPlan::adopt(0, {0, 5}, {Slot{1}});
+  EXPECT_EQ(torn.plain_relays()[0] | torn.other_relays()[0], 0u);
 }
 
 using FlatRelayPlanDeathTest = ::testing::Test;

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "protocol/registry.h"
 #include "store/disk_store.h"
@@ -153,6 +157,59 @@ TEST(StoreDisk, SaveOverwriteIsIdempotent) {
   EXPECT_EQ(lines, 1u);
   StoredPlan out;
   EXPECT_EQ(store.load(fp, out), PlanSerdeStatus::kOk);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(file),
+          std::istreambuf_iterator<char>()};
+}
+
+// Concurrent saves finish in any order; the closed store must not show
+// it, so a byte-diff of two stores is a determinism check at any worker
+// count.  Reopening a store and adding a key keeps the order too.
+TEST(StoreDisk, ManifestIsInKeyOrderWhateverTheSaveOrder) {
+  const TempDir forward("order_forward");
+  const TempDir backward("order_backward");
+  const auto topo = make_mesh("2D-4", 6, 4);
+  std::vector<PlanFingerprint> fps;
+  for (const NodeId src : {5u, 0u, 3u, 1u}) {
+    fps.push_back(fingerprint_plan_request(*topo, src, "paper"));
+  }
+  const StoredPlan plan = sample_plan();
+  {
+    PlanDiskStore store(forward.path.string());
+    for (const PlanFingerprint& fp : fps) ASSERT_TRUE(store.save(fp, plan));
+  }
+  {
+    PlanDiskStore store(backward.path.string());
+    for (auto it = fps.rbegin(); it != fps.rend(); ++it) {
+      ASSERT_TRUE(store.save(*it, plan));
+    }
+  }
+  const std::string manifest = read_file(forward.path / "MANIFEST.tsv");
+  EXPECT_EQ(manifest, read_file(backward.path / "MANIFEST.tsv"));
+
+  const auto keys_of = [](const std::string& text) {
+    std::vector<std::string> keys;
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+      keys.push_back(line.substr(0, line.find('\t')));
+    }
+    return keys;
+  };
+  std::vector<std::string> keys = keys_of(manifest);
+  EXPECT_EQ(keys.size(), fps.size());
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+
+  {
+    PlanDiskStore store(forward.path.string());
+    ASSERT_TRUE(store.save(fingerprint_plan_request(*topo, 2, "paper"), plan));
+    ASSERT_TRUE(store.save(fps.front(), plan));  // already listed
+  }
+  keys = keys_of(read_file(forward.path / "MANIFEST.tsv"));
+  EXPECT_EQ(keys.size(), fps.size() + 1);
+  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
 }
 
 TEST(StoreDisk, UncreatableDirectoryDegradesWithoutThrowing) {

@@ -21,7 +21,7 @@
 
 int main(int argc, char** argv) {
   wsn::CliParser cli("bench_diff",
-                     "diff two BENCH documents or directories of them");
+                     "diff two BENCH documents or directories of them", 2);
   cli.add_option("tolerance",
                  "fractional band treated as equal (|b/a - 1|)", "0.05");
   cli.add_option("json-out", "write the meshbcast.bench.diff JSON here"

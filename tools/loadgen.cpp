@@ -218,7 +218,7 @@ BenchRow bench_row(const std::string& name, const PhaseStats& stats,
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("loadgen", "load generator and bench for meshbcastd");
+  CliParser cli("loadgen", "load generator and bench for meshbcastd", 2);
   cli.add_option("address",
                  "service address (tcp:<host>:<port> or unix:<path>)", "");
   cli.add_option("connections", "concurrent client connections", "4");

@@ -236,7 +236,8 @@ int run_verify(const std::vector<JournalRecord>& records,
 int main(int argc, char** argv) {
   using namespace wsn;
 
-  CliParser cli("meshbcast_journal", "WSNJRNL1 request-journal query tool");
+  CliParser cli("meshbcast_journal", "WSNJRNL1 request-journal query tool",
+                2);
   cli.add_option("journal", "journal file to read", "");
   cli.add_option("method", "filter: plan | simulate | scenario", "");
   cli.add_option("outcome", "filter: ok | error | shed", "");

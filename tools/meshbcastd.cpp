@@ -44,7 +44,7 @@
 int main(int argc, char** argv) {
   using namespace wsn;
 
-  CliParser cli("meshbcastd", "broadcast-planning service daemon");
+  CliParser cli("meshbcastd", "broadcast-planning service daemon", 2);
   cli.add_option("port", "loopback TCP port (0 = ephemeral)", "0");
   cli.add_option("unix", "Unix-domain socket path (wins over --port)", "");
   cli.add_option("workers", "executor threads", "2");

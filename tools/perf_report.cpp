@@ -88,7 +88,8 @@ bool read_metrics_file(const std::string& path, wsn::MetricsSnapshot& out) {
 
 int main(int argc, char** argv) {
   wsn::CliParser cli("perf_report",
-                     "attribute per-worker wall time from a span timeline");
+                     "attribute per-worker wall time from a span timeline",
+                     2);
   cli.add_option("timeline", "meshbcast.timeline JSONL dump to ingest", "");
   cli.add_option("metrics", "meshbcast.metrics scrape to embed ('' = none)",
                  "");
