@@ -7,13 +7,16 @@
 // runs the resolver's probe broadcasts on the bulk engine) and the
 // instrumented slot kernel (bulk_simulate) on 2D-4 meshes from 4k to 2M
 // nodes, plus 2D-8 (two resolver probes) and 3D-6 (the widest frontier)
-// at 10^6 nodes, with per-size throughput in nodes/s.
+// at 10^6 nodes, with per-size throughput in nodes/s.  The kernel runs
+// twice per mesh: at the default width, whose wide slots run in bands
+// on every core, and at one worker, for the speedup of the bands.
 //
 //   $ bulk_scale [--json-out BENCH_bulk.json]
 //
 // --json-out writes a meshbcast.bench JSON document (schema in
-// EXPERIMENTS.md) with a bulk_plan/ and bulk_sim/ entry per mesh;
-// nodes/s follows from runs_per_sec times the node count in the name.
+// EXPERIMENTS.md) with bulk_plan/, bulk_sim/ and bulk_sim/.../workers=1
+// entries per mesh; nodes/s follows from runs_per_sec times the node
+// count in the name.
 
 #include <cstdio>
 #include <string>
@@ -42,8 +45,8 @@ int main(int argc, char** argv) {
                 {"2D-4", 2048, 1024, 1, 2},   {"2D-8", 1000, 1000, 1, 3},
                 {"3D-6", 100, 100, 100, 3}};
 
-  wsn::AsciiTable table(
-      {"Mesh", "nodes", "plan ms", "sim ms", "sim nodes/s"});
+  wsn::AsciiTable table({"Mesh", "nodes", "plan ms", "sim ms",
+                         "sim nodes/s", "1-worker sim ms"});
   table.set_title("Bulk engine scaling (center source)");
 
   std::vector<wsn::BenchRow> results;
@@ -66,25 +69,35 @@ int main(int argc, char** argv) {
         "bulk_sim/" + key,
         [&] { sink += wsn::bulk_simulate(lat, plan).stats.reached; },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
+    results.push_back(wsn::bench::measure(
+        "bulk_sim/" + key + "/workers=1",
+        [&] {
+          wsn::BulkSimulator one(lat.num_nodes(), /*workers=*/1);
+          sink += one.run(lat, plan).stats.reached;
+        },
+        s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
 
-    const wsn::BenchRow& plan_r = results[results.size() - 2];
-    const wsn::BenchRow& sim_r = results.back();
+    const wsn::BenchRow& plan_r = results[results.size() - 3];
+    const wsn::BenchRow& sim_r = results[results.size() - 2];
+    const double one_ms = *results.back().find("mean_ms");
     const double sim_mean_ms = *sim_r.find("mean_ms");
     const double nodes_per_sec =
         static_cast<double>(lat.num_nodes()) / (sim_mean_ms * 1e-3);
-    char plan_ms[32], sim_ms[32], rate[32];
+    char plan_ms[32], sim_ms[32], rate[32], one_sim_ms[32];
     std::snprintf(plan_ms, sizeof plan_ms, "%.3f", *plan_r.find("mean_ms"));
     std::snprintf(sim_ms, sizeof sim_ms, "%.3f", sim_mean_ms);
     std::snprintf(rate, sizeof rate, "%.2fM", nodes_per_sec / 1e6);
+    std::snprintf(one_sim_ms, sizeof one_sim_ms, "%.3f", one_ms);
     table.add_row({key, std::to_string(lat.num_nodes()), plan_ms, sim_ms,
-                   rate});
+                   rate, one_sim_ms});
   }
 
   std::fputs(table.render().c_str(), stdout);
   std::printf(
       "\n'plan' compiles the schedule through the bulk resolver (probe "
       "broadcasts\nincluded); 'sim' is one fully instrumented broadcast "
-      "over the compiled plan.\n(checksum %zu)\n",
+      "over the compiled plan,\nits wide slots in bands on every core; "
+      "'1-worker sim' runs it on one thread.\n(checksum %zu)\n",
       sink);
 
   const std::string json_path = cli.get("json-out");

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -86,9 +87,11 @@ inline void reset_lists(std::vector<std::vector<Slot>>& lists,
 /// guaranteed quiet-slot phase finishes whatever is left.
 ///
 /// Each distinct plan is simulated once.  `best` receives the outcome of
-/// the returned plan.  The working plan is the best plan plus the offset
+/// the returned plan, and `report.repairs` the offsets it gained over the
+/// input, if any.  The working plan is the best plan plus the offset
 /// lists edited since; an undo log of those lists' old contents takes it
-/// back to the best plan on a stall or exit, so no whole plan is copied.
+/// back to the best plan on a stall or exit, so no whole plan is copied
+/// or counted.
 template <typename Net, typename SimT>
 RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
                              const SimOptions& options,
@@ -107,6 +110,11 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
     undo.emplace_back(v, plan.tx_offsets[v]);
     return plan.tx_offsets[v];
   };
+  // Offsets the working plan and the best plan hold over the input: the
+  // optimistic phase also *prunes* stranded relays, so either can be
+  // negative.
+  std::int64_t gained = 0;
+  std::int64_t best_gained = 0;
   std::size_t stall = 0;
 
   // Per victim: the sorted slots at which some neighbor transmitted, which
@@ -117,6 +125,13 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
   std::vector<std::vector<Slot>> heard_slots;
   std::vector<std::vector<Slot>> claimed;
   std::vector<char> covered;
+  // Bit v: v neighbours some victim, so its transmissions are heard by
+  // one.  Adjacency is symmetric, so only these nodes' records feed
+  // heard_slots.
+  std::vector<std::uint64_t> near_victim((net.num_nodes() + 63) / 64);
+  const auto is_near = [&](NodeId v) {
+    return (near_victim[v / 64] >> (v % 64) & 1u) != 0;
+  };
 
   // The loop runs only while the current plan strands someone: it is
   // either the best plan (best_unreached > 0) or a trial no better.
@@ -127,7 +142,14 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
 
     // Records come in slot order, so each victim's list is sorted.
     reset_lists(heard_slots, victims.size());
+    std::fill(near_victim.begin(), near_victim.end(), 0);
+    for (const NodeId u : victims) {
+      for (const NodeId h : net.neighbors(u)) {
+        near_victim[h / 64] |= std::uint64_t{1} << (h % 64);
+      }
+    }
     for (const TxRecord& rec : outcome.transmissions) {
+      if (!is_near(rec.node)) continue;
       for (NodeId u : net.neighbors(rec.node)) {
         if (unreached(u)) {
           heard_slots[victim_index(victims, u)].push_back(rec.slot);
@@ -187,6 +209,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       if (chosen == 0) continue;  // quiet-slot phase will handle this one
 
       edit(helper).push_back(chosen - helper_rx);
+      gained += 1;
       added += 1;
       for (NodeId w : net.neighbors(helper)) {
         if (!unreached(w)) continue;
@@ -202,7 +225,9 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
             std::none_of(nw.begin(), nw.end(), unreached);
         if (all_neighbors_reached && w != plan.source &&
             !plan.tx_offsets[w].empty()) {
-          edit(w).clear();
+          std::vector<Slot>& pruned = edit(w);
+          gained -= static_cast<std::int64_t>(pruned.size());
+          pruned.clear();
         }
       }
     }
@@ -214,6 +239,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
     if (victims.size() < best_unreached) {
       std::swap(best, trial);
       best_unreached = victims.size();
+      best_gained = gained;
       undo.clear();
       stall = 0;
     } else if (++stall >= kPatience) {
@@ -224,6 +250,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     plan.tx_offsets[it->first] = std::move(it->second);
   }
+  if (best_gained > 0) report.repairs += static_cast<std::size_t>(best_gained);
   return plan;
 }
 
@@ -250,17 +277,9 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
   const std::size_t n = net.num_nodes();
   WSN_EXPECTS(plan.num_nodes() == n);
 
-  const std::size_t planned_before = plan.planned_tx();
   BroadcastOutcome current;  // outcome of `plan` as it stands
   plan = optimistic_repairs(net, std::move(plan), options, local, sim,
                             current);
-  // Net extra transmissions; the optimistic phase also *prunes* stranded
-  // relays, so the difference can be negative -- clamp rather than let the
-  // unsigned arithmetic wrap.
-  const std::size_t planned_after = plan.planned_tx();
-  if (planned_after > planned_before) {
-    local.repairs += planned_after - planned_before;
-  }
 
   const auto finish = [&] {
     if (report != nullptr) *report = local;

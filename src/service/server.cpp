@@ -380,10 +380,10 @@ void MeshbcastService::worker_loop() {
       m_.workers_busy->set(
           static_cast<double>(busy_.load(std::memory_order_relaxed)));
     }
-    {
-      const std::lock_guard<std::mutex> lock(work->pending->mutex);
-      work->pending->done = true;
-    }
+    // Notify under the lock: once the handler sees `done` it returns and
+    // destroys the stack-held Pending, condition variable included.
+    const std::lock_guard<std::mutex> lock(work->pending->mutex);
+    work->pending->done = true;
     work->pending->cv.notify_one();
   }
 }

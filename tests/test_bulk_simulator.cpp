@@ -8,6 +8,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "protocol/registry.h"
@@ -501,6 +502,206 @@ TEST(BulkSimulator, ProgressFrontierCountsMatchReference) {
                       [&](Slot s) { return s <= slot->first; }));
     EXPECT_EQ(ticks[i].reached, reached);
   }
+}
+
+// --- Bands: a wide slot's passes split across the pool -----------------
+//
+// A slot only splits once it loads 2 * kMinBandWords T words, which takes
+// a lattice of about 10⁵ nodes; that is past what the reference engine
+// checks quickly, so these compare every width with one worker, whose
+// kernel the tests above pin to the reference.
+
+/// The most T words any slot of `out` loaded.  Records are slot- then
+/// id-ascending, so a slot's words come in order.
+std::size_t widest_slot_words(const BroadcastOutcome& out) {
+  std::size_t widest = 0;
+  std::size_t words = 0;
+  const TxRecord* prev = nullptr;
+  for (const TxRecord& rec : out.transmissions) {
+    if (prev == nullptr || prev->slot != rec.slot) {
+      words = 1;
+    } else if (prev->node / 64 != rec.node / 64) {
+      words += 1;
+    }
+    widest = std::max(widest, words);
+    prev = &rec;
+  }
+  return widest;
+}
+
+/// Widths past one: fewer threads than the widest slot has bands, as
+/// many, and more than any slot has (a run never uses more threads than
+/// the pool, default_worker_count()).
+constexpr std::size_t kWidths[] = {2, 3, 4, 64};
+
+/// Runs `plan` at one worker and at every width in kWidths and expects
+/// bit-identical outcomes.  The widest slot must reach `bands` bands, so
+/// a lattice too narrow to band fails instead of passing vacuously.
+void expect_width_invariant(const ImplicitLattice& lat, const RelayPlan& plan,
+                            const SimOptions& options, std::size_t bands) {
+  const FlatRelayPlan flat = FlatRelayPlan::from(plan);
+  BulkSimulator one(lat.num_nodes(), 1);
+  const BroadcastOutcome ref = one.run(lat, flat, options);
+  ASSERT_GE(widest_slot_words(ref), bands * BulkSimulator::kMinBandWords);
+  for (const std::size_t workers : kWidths) {
+    SCOPED_TRACE(workers);
+    BulkSimulator sim(lat.num_nodes(), workers);
+    expect_identical(ref, sim.run(lat, flat, options));
+  }
+}
+
+/// Seven relays in ten plain ({1}), two on the calendar with one or two
+/// offsets up to 6, one silent.
+RelayPlan mixed_plan(std::size_t count, NodeId source, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> role(0, 9);
+  std::uniform_int_distribution<Slot> gap(1, 3);
+  RelayPlan plan = RelayPlan::empty(count, source);
+  for (NodeId v = 0; v < count; ++v) {
+    const int r = role(rng);
+    if (r < 7) {
+      plan.tx_offsets[v] = {1};
+    } else if (r < 9) {
+      std::vector<Slot> offsets{gap(rng)};
+      if (r == 8) offsets.push_back(offsets.back() + gap(rng));
+      plan.tx_offsets[v] = offsets;
+    } else if (v != source) {
+      plan.tx_offsets[v].clear();
+    }
+  }
+  return plan;
+}
+
+// The ±plane rules of 3D-6 reach 64 words past a band's edge, so every
+// band reads halo words its neighbours write in the next pass.
+TEST(BulkBands, ThreeD6MatchesOneWorkerAcrossBandEdges) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(64, 64, 64);
+  const auto centre = lat.central_node();
+  expect_width_invariant(lat, flooding_plan(lat.num_nodes(), centre), {}, 4);
+  expect_width_invariant(lat, mixed_plan(lat.num_nodes(), centre, 5u), {}, 4);
+}
+
+TEST(BulkBands, DiagonalRulesMatchOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh2d8(512, 512);
+  expect_width_invariant(
+      lat, flooding_plan(lat.num_nodes(), lat.central_node()), {}, 2);
+}
+
+TEST(BulkBands, TorusMatchesOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::torus2d4(512, 512);
+  expect_width_invariant(lat, flooding_plan(lat.num_nodes(), 0), {}, 4);
+}
+
+// At 0.3 m the tx cost comes from tx_range per transmitter, not the
+// per-rule-set table.
+TEST(BulkBands, InexactSpacingMatchesOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48, 0.3);
+  ASSERT_FALSE(lat.range_by_rule_set());
+  SimOptions options;
+  options.record_node_energy = true;
+  expect_width_invariant(
+      lat, flooding_plan(lat.num_nodes(), lat.central_node()), options, 2);
+}
+
+TEST(BulkBands, ChargedCollisionsAndNodeEnergyMatchOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
+  SimOptions options;
+  options.charge_collisions = true;
+  options.record_node_energy = true;
+  expect_width_invariant(
+      lat, flooding_plan(lat.num_nodes(), lat.central_node()), options, 2);
+}
+
+// A cap that ends the run on a banded slot leaves that slot's forwards
+// loaded for a slot that never runs; the next run must not see them.
+TEST(BulkBands, SlotCapInABandedSlotMatchesOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
+  const FlatRelayPlan plan = FlatRelayPlan::from(
+      mixed_plan(lat.num_nodes(), lat.central_node(), 9u));
+  BulkSimulator one(lat.num_nodes(), 1);
+  const BroadcastOutcome full = one.run(lat, plan);
+  Slot banded = 0;  // the first slot that splits
+  for (Slot s = 1; s <= full.stats.delay && banded == 0; ++s) {
+    SimOptions capped;
+    capped.max_slots = s;
+    if (widest_slot_words(one.run(lat, plan, capped)) >=
+        2 * BulkSimulator::kMinBandWords) {
+      banded = s;
+    }
+  }
+  ASSERT_NE(banded, 0u);
+  for (const std::size_t workers : kWidths) {
+    SCOPED_TRACE(workers);
+    BulkSimulator sim(lat.num_nodes(), workers);
+    for (const Slot cap : {banded, banded + 1}) {
+      SimOptions capped;
+      capped.max_slots = cap;
+      expect_identical(one.run(lat, plan, capped),
+                       sim.run(lat, plan, capped));
+    }
+    expect_identical(full, sim.run(lat, plan));
+  }
+}
+
+TEST(BulkBands, ProgressTicksMatchOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
+  const FlatRelayPlan plan =
+      FlatRelayPlan::from(flooding_plan(lat.num_nodes(), lat.central_node()));
+  std::vector<std::vector<BulkProgress>> ticks;
+  std::vector<BroadcastOutcome> outcomes;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    BulkSimulator sim(lat.num_nodes(), workers);
+    std::vector<BulkProgress>& seen = ticks.emplace_back();
+    sim.set_progress([&seen](const BulkProgress& p) { seen.push_back(p); },
+                     1);
+    outcomes.push_back(sim.run(lat, plan));
+  }
+  ASSERT_GE(widest_slot_words(outcomes[0]),
+            2 * BulkSimulator::kMinBandWords);
+  expect_identical(outcomes[0], outcomes[1]);
+  ASSERT_EQ(ticks[0].size(), ticks[1].size());
+  for (std::size_t i = 0; i < ticks[0].size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ticks[0][i].slot, ticks[1][i].slot);
+    EXPECT_EQ(ticks[0][i].slots_done, ticks[1][i].slots_done);
+    EXPECT_EQ(ticks[0][i].frontier, ticks[1][i].frontier);
+    EXPECT_EQ(ticks[0][i].reached, ticks[1][i].reached);
+    EXPECT_EQ(ticks[0][i].total_nodes, ticks[1][i].total_nodes);
+  }
+}
+
+// Classification clears a T word when it lists the word's hearers; a word
+// nobody hears in is cleared on its own.  On a 65-wide 2D-4 mesh, node 64
+// (the end of row 1) is bit 0 of word 1 and hears only node 63 (word 0)
+// and node 129 (word 2): as the lone source its word is never touched in
+// slot 1, and a stale bit would hide its collision in slot 2.
+TEST(BulkBands, TransmitterWordNobodyHearsIsCleared) {
+  const std::unique_ptr<Topology> topo = make_mesh("2D-4", 65, 3);
+  const ImplicitLattice lat = ImplicitLattice::mesh2d4(65, 3);
+  cross_check(*topo, lat, flooding_plan(topo->num_nodes(), 64));
+}
+
+// Two runs at once: whichever finds the pool held runs every slot in one
+// band, and both replay the one-worker outcome.
+TEST(BulkBands, ConcurrentRunsMatchOneWorker) {
+  const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
+  const FlatRelayPlan plan =
+      FlatRelayPlan::from(flooding_plan(lat.num_nodes(), lat.central_node()));
+  const BroadcastOutcome ref = BulkSimulator(lat.num_nodes(), 1).run(lat, plan);
+  ASSERT_GE(widest_slot_words(ref), 2 * BulkSimulator::kMinBandWords);
+  std::vector<BroadcastOutcome> outcomes(4);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        BulkSimulator sim(lat.num_nodes());
+        outcomes[t] = sim.run(lat, plan);
+        outcomes[t + 2] = sim.run(lat, plan);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (const BroadcastOutcome& out : outcomes) expect_identical(ref, out);
 }
 
 TEST(BulkSimulator, RejectsUnsupportedOptions) {
