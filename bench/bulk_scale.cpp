@@ -16,7 +16,9 @@
 // --json-out writes a meshbcast.bench JSON document (schema in
 // EXPERIMENTS.md) with bulk_plan/, bulk_sim/ and bulk_sim/.../workers=1
 // entries per mesh; nodes/s follows from runs_per_sec times the node
-// count in the name.
+// count in the name.  Each bulk_plan/ row also carries the exact work of
+// one compile, full_runs_count and reprobes_count, which bench_diff gates
+// at tolerance 0.
 
 #include <cstdio>
 #include <string>
@@ -25,6 +27,7 @@
 #include "bench_json.h"
 #include "common/cli.h"
 #include "common/table.h"
+#include "obs/profile.h"
 #include "protocol/implicit_plan.h"
 #include "sim/bulk/bulk_simulator.h"
 #include "topology/implicit.h"
@@ -51,6 +54,13 @@ int main(int argc, char** argv) {
 
   std::vector<wsn::BenchRow> results;
   std::size_t sink = 0;  // keeps the timed bodies observable
+  wsn::Profiler& profiler = wsn::Profiler::instance();
+  const auto span_count = [&](const char* name) {
+    for (const wsn::Profiler::SpanStats& span : profiler.snapshot()) {
+      if (span.name == name) return static_cast<double>(span.count);
+    }
+    return 0.0;
+  };
   for (const auto& s : meshes) {
     const wsn::ImplicitLattice lat =
         wsn::ImplicitLattice::make(s.family, s.m, s.n, s.l);
@@ -63,6 +73,17 @@ int main(int argc, char** argv) {
         "bulk_plan/" + key,
         [&] { sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size(); },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
+    // The work one compile does, exact on any host: its full broadcasts
+    // (a re-probe that falls back counts as one) and its re-probes, read
+    // off the engine's spans over one more, untimed compile.
+    profiler.reset();
+    profiler.set_enabled(true);
+    sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size();
+    profiler.set_enabled(false);
+    results.back().metrics.emplace_back("full_runs_count",
+                                        span_count("sim.bulk_simulate"));
+    results.back().metrics.emplace_back("reprobes_count",
+                                        span_count("sim.bulk_rerun"));
 
     const wsn::FlatRelayPlan plan = wsn::implicit_paper_plan(lat, src);
     results.push_back(wsn::bench::measure(

@@ -15,7 +15,14 @@ namespace {
 
 constexpr std::string_view kSchema = "meshbcast.bench";
 
+/// An exact work count (`*_count`): deterministic on any host, so it
+/// gates at tolerance 0 in both directions.
+bool is_exact_count(std::string_view name) {
+  return name.ends_with("_count");
+}
+
 int metric_direction(std::string_view name) {
+  if (is_exact_count(name)) return 0;
   // Aggregated variants keep their base direction: cold_jobs_per_sec_min
   // is still a throughput, queue_wait_ms_mean still a latency.  Shed
   // counts and rates are requests turned away; a bare `rate` is a run
@@ -33,8 +40,9 @@ int metric_direction(std::string_view name) {
 }
 
 bool is_gated(std::string_view name) {
-  return metric_direction(name) > 0 && !name.ends_with("_min") &&
-         !name.ends_with("_max");
+  return is_exact_count(name) ||
+         (metric_direction(name) > 0 && !name.ends_with("_min") &&
+          !name.ends_with("_max"));
 }
 
 const BenchRow* find_row(const BenchDoc& doc, const std::string& name) {

@@ -17,13 +17,17 @@
 /// (`workers`, `jobs`, `connections`, `rate`) ride along as ordinary
 /// members.  A metric's direction comes from its name: `*per_sec` and
 /// `*_rate` are higher-is-better, `*_ms` / `*_ns` and anything naming a
-/// `shed` lower-is-better, everything else directionless.
+/// `shed` lower-is-better, everything else directionless.  A metric named
+/// `*_count` is an exact work count (simulations per compile, say): it
+/// depends on no host, so it is directionless and gates at tolerance 0 --
+/// any change, up or down, reads "changed" and fails.
 ///
 /// The comparison reads as "how did B move relative to A" -- A is the
 /// baseline.  A metric moves by more than the tolerance band against its
-/// direction => "regressed".  A metric *gates* when it is higher-is-better
-/// and not a `_min` / `_max` spread column; the gate fails on a gated
-/// metric that regressed or vanished from its row, and on any document
+/// direction => "regressed".  A metric *gates* when it is an exact count,
+/// or higher-is-better and not a `_min` / `_max` spread column; the gate
+/// fails on a gated metric that regressed, changed (an exact count) or
+/// vanished from its row, and on any document
 /// that cannot be compared at all (unreadable, wrong schema, duplicate
 /// row names, a baseline with no current file).  Latency and shed rate
 /// never gate: wall-clock tails wobble hardest on shared runners, and a
@@ -76,7 +80,8 @@ struct DiffMetric {
   std::string verdict;
 
   [[nodiscard]] bool fails_gate() const noexcept {
-    return gated && (verdict == "regressed" || verdict == "only-a");
+    return gated && (verdict == "regressed" || verdict == "changed" ||
+                     verdict == "only-a");
   }
 };
 

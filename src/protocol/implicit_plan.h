@@ -12,11 +12,12 @@
 /// consumes only a Grid2D/Grid3D value), so the raw plan is trivially
 /// identical to the materialized path's.  Resolution runs the SAME
 /// templated algorithm (protocol/resolver_core.h) with BulkSimulator
-/// probes; since bulk outcomes are bit-identical and implicit neighbor
-/// sets byte-identical, the resolved plan equals resolve_full_reachability
-/// on the materialized twin -- asserted per family in
-/// tests/test_implicit_plan.cpp.  This is what lets a 10⁶-node schedule be
-/// compiled and simulated in O(words) memory.
+/// probes -- one full broadcast of the raw plan, then re-probes
+/// (BulkSimulator::rerun); since bulk outcomes are bit-identical and
+/// implicit neighbor sets byte-identical, the resolved plan equals
+/// resolve_full_reachability on the materialized twin -- asserted per
+/// family in tests/test_implicit_plan.cpp.  This is what lets a
+/// 10⁶-node schedule be compiled and simulated in O(words) memory.
 namespace wsn {
 
 /// The family's raw protocol plan (paper rules only, no collision

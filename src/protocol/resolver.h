@@ -30,11 +30,15 @@
 /// prefix is unchanged and each round strictly grows the reached set;
 /// termination in ≤ eccentricity rounds is guaranteed.
 ///
-/// Every distinct plan the resolver builds is simulated exactly once; the
-/// last simulation is of the returned plan, and callers that would
-/// simulate it next can take that outcome instead (the `outcome`
-/// parameter).  The repairs become ordinary plan offsets, so every
-/// reported Tx / energy / delay number includes their full cost.
+/// Every distinct plan the resolver builds is simulated exactly once, in
+/// full or as a re-probe: on an engine with a differential re-probe
+/// (BulkSimulator::rerun, the implicit-lattice path) only the raw plan
+/// runs in full and every later plan re-simulates what its edited lists
+/// can change; the reference engine runs each in full.  The last
+/// simulation is of the returned plan, and callers that would simulate it
+/// next can take that outcome instead (the `outcome` parameter).  The
+/// repairs become ordinary plan offsets, so every reported Tx / energy /
+/// delay number includes their full cost.
 namespace wsn {
 
 struct ResolveReport {

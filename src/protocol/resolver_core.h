@@ -1,7 +1,10 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,16 +24,20 @@
 ///   * `Net`  -- num_nodes(), neighbors(id) (sorted ascending; span or
 ///     value type), adjacent(a, b);
 ///   * `SimT` -- run(net, plan, options) -> BroadcastOutcome, reusing its
-///     scratch across probes (Simulator and BulkSimulator both qualify).
-///     The resolver edits a RelayPlan; each probe flattens it at the
-///     engine boundary, since an engine runs a FlatRelayPlan only.
+///     scratch across probes (Simulator and BulkSimulator both qualify),
+///     and optionally rerun(net, base, overlay, prev, options), a
+///     differential re-probe (BulkSimulator::rerun).
 ///
-/// Probes are the expensive part -- at 10⁶ nodes each is a full bulk
-/// broadcast -- so every distinct plan is simulated exactly once: each
-/// phase keeps the outcome of the plan it holds and hands it on, and the
-/// last probe, always of the returned plan, can go back to the caller.
-/// The bookkeeping between probes is per victim (per unreached node) and
-/// per edited offset list, never per node.
+/// Probes are the expensive part -- at 10⁶ nodes a full one is a bulk
+/// broadcast -- so every distinct plan is simulated exactly once, in full
+/// or as a re-probe: each phase keeps the outcome of the plan it holds
+/// and hands it on, and the last probe, always of the returned plan, can
+/// go back to the caller.  On an engine with a re-probe (Prober below)
+/// the raw plan is flattened once and runs in full once; every later
+/// probe re-simulates only what the lists edited since can change.  On
+/// any other engine each probe runs the whole RelayPlan, flattened at the
+/// engine boundary.  The bookkeeping between probes is per victim (per
+/// unreached node) and per edited offset list, never per node.
 ///
 /// Every decision the resolver makes (helper choice by min first_rx then
 /// min id, quiet-slot probing, 2-hop slot packing) consumes only neighbor
@@ -71,6 +78,82 @@ template <typename Net>
   return static_cast<std::size_t>(it - victims.begin());
 }
 
+/// Engines with a differential re-probe (BulkSimulator::rerun).
+template <typename SimT, typename Net>
+concept Reprobing = requires(SimT& sim, const Net& net,
+                             const FlatRelayPlan& base,
+                             std::span<const OffsetEdit> overlay,
+                             const BroadcastOutcome& prev,
+                             const SimOptions& options) {
+  {
+    sim.rerun(net, base, overlay, prev, options)
+  } -> std::same_as<BroadcastOutcome>;
+};
+
+/// The resolver's probes of the plan it edits.  On an engine with a
+/// re-probe the first probe flattens the plan into a base and runs it in
+/// full; the prober then keeps every list edited since, as the last probe
+/// ran it, so each later probe is a rerun over the base with those lists
+/// before and after.  Anywhere else each probe runs the whole plan.
+template <typename Net, typename SimT>
+class Prober {
+ public:
+  Prober(const Net& net, SimT& sim, const SimOptions& options)
+      : net_(net), sim_(sim), options_(options) {}
+
+  /// The first probe, of the plan as the resolver received it.
+  BroadcastOutcome first(const RelayPlan& plan) {
+    if constexpr (kReprobing) {
+      base_ = FlatRelayPlan(plan);
+      return sim_.run(net_, base_, options_);
+    } else {
+      return sim_.run(net_, plan, options_);
+    }
+  }
+
+  /// Called before v's list is edited.
+  void will_edit(NodeId v) {
+    if constexpr (kReprobing) {
+      const std::span<const Slot> offsets = base_.offsets(v);
+      ran_.try_emplace(v, offsets.begin(), offsets.end());
+    }
+  }
+
+  /// A probe of `plan`; `prev` is the outcome of the last probe, or of the
+  /// plan the resolver rolled back to (see ran_as).
+  BroadcastOutcome next(const RelayPlan& plan, const BroadcastOutcome& prev) {
+    if constexpr (kReprobing) {
+      overlay_.clear();
+      for (const auto& [v, ran] : ran_) {
+        overlay_.push_back({v, ran, plan.tx_offsets[v]});
+      }
+      BroadcastOutcome out = sim_.rerun(net_, base_, overlay_, prev, options_);
+      ran_as(plan);
+      return out;
+    } else {
+      return sim_.run(net_, plan, options_);
+    }
+  }
+
+  /// Records `plan`'s lists as the ones the outcome the next probe starts
+  /// from ran: after each probe, and after a roll-back to an earlier plan.
+  void ran_as(const RelayPlan& plan) {
+    if constexpr (kReprobing) {
+      for (auto& [v, ran] : ran_) ran = plan.tx_offsets[v];
+    }
+  }
+
+ private:
+  static constexpr bool kReprobing = Reprobing<SimT, Net>;
+
+  const Net& net_;
+  SimT& sim_;
+  const SimOptions& options_;
+  FlatRelayPlan base_;
+  std::map<NodeId, std::vector<Slot>> ran_;  // edited since base_, as ran
+  std::vector<OffsetEdit> overlay_;
+};
+
 /// Clears `lists` and sizes it to `count` empty lists, keeping the
 /// capacity of the ones it already had.
 inline void reset_lists(std::vector<std::vector<Slot>>& lists,
@@ -94,19 +177,19 @@ inline void reset_lists(std::vector<std::vector<Slot>>& lists,
 /// or counted.
 template <typename Net, typename SimT>
 RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
-                             const SimOptions& options,
-                             ResolveReport& report, SimT& sim,
+                             ResolveReport& report, Prober<Net, SimT>& probe,
                              BroadcastOutcome& best) {
   constexpr std::size_t kPatience = 3;
   constexpr std::size_t kMaxIters = 48;
   constexpr Slot kMaxProbe = 8;  // how far past the helper's last tx we look
 
-  best = sim.run(net, plan, options);
+  best = probe.first(plan);
   std::vector<NodeId> victims = best.unreached();  // of the current plan
   std::size_t best_unreached = victims.size();
   BroadcastOutcome trial;  // outcome of `plan` while it differs from best
   std::vector<std::pair<NodeId, std::vector<Slot>>> undo;
   const auto edit = [&](NodeId v) -> std::vector<Slot>& {
+    probe.will_edit(v);
     undo.emplace_back(v, plan.tx_offsets[v]);
     return plan.tx_offsets[v];
   };
@@ -234,7 +317,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
     if (added == 0) break;  // interior void; quiet-slot phase handles it
     report.rounds += 1;
 
-    trial = sim.run(net, plan, options);
+    trial = probe.next(plan, outcome);
     victims = trial.unreached();
     if (victims.size() < best_unreached) {
       std::swap(best, trial);
@@ -250,6 +333,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     plan.tx_offsets[it->first] = std::move(it->second);
   }
+  if (!undo.empty()) probe.ran_as(plan);  // the best plan's lists
   if (best_gained > 0) report.repairs += static_cast<std::size_t>(best_gained);
   return plan;
 }
@@ -277,9 +361,9 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
   const std::size_t n = net.num_nodes();
   WSN_EXPECTS(plan.num_nodes() == n);
 
+  Prober<Net, SimT> probe(net, sim, options);
   BroadcastOutcome current;  // outcome of `plan` as it stands
-  plan = optimistic_repairs(net, std::move(plan), options, local, sim,
-                            current);
+  plan = optimistic_repairs(net, std::move(plan), local, probe, current);
 
   const auto finish = [&] {
     if (report != nullptr) *report = local;
@@ -358,13 +442,14 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       const Slot tx_slot = t_end + 1 + static_cast<Slot>(s);
       const Slot rx_slot = first_rx[h];
       WSN_ASSERT(tx_slot > rx_slot);
+      probe.will_edit(h);
       auto& offsets = plan.tx_offsets[h];
       const Slot offset = tx_slot - rx_slot;
       WSN_ASSERT(offsets.empty() || offset > offsets.back());
       offsets.push_back(offset);
       local.repairs += 1;
     }
-    current = sim.run(net, plan, options);
+    current = probe.next(plan, current);
   }
 
   // Round budget exhausted without convergence.  Each round strictly grows

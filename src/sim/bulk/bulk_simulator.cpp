@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -294,6 +295,77 @@ class PoolLease {
   std::size_t width_ = 1;
 };
 
+/// The rules valid at `v`, one bit per rule: v's bit of each rule mask.
+std::uint32_t rule_set_of(const std::uint64_t* masks, std::size_t words,
+                          std::size_t num_rules, NodeId v) noexcept {
+  const std::size_t w = v / kWordBits;
+  const unsigned bit = v % kWordBits;
+  std::uint32_t rule_set = 0;
+  for (std::size_t r = 0; r < num_rules; ++r) {
+    rule_set |= static_cast<std::uint32_t>((masks[r * words + w] >> bit) & 1u)
+                << r;
+  }
+  return rule_set;
+}
+
+/// A transmitter's tx energy.  Where a node's range follows from its rule
+/// set, so does its cost: each rule set's cost is computed at its first
+/// transmitter and read back for the rest -- the same double as a
+/// per-node call, so running sums stay bit-identical.
+class TxCosts {
+ public:
+  TxCosts(const ImplicitLattice& lat, const SimOptions& options)
+      : lat_(lat),
+        options_(options),
+        by_rules_(lat.range_by_rule_set() &&
+                  lat.rules().size() <= kCostedRules) {
+    WSN_ASSERT(lat.rules().size() <= kMaxRules);
+  }
+
+  /// True when the cost is read by rule set rather than per node.
+  [[nodiscard]] bool by_rules() const noexcept { return by_rules_; }
+
+  Joules operator()(NodeId v, std::uint32_t rule_set) {
+    if (!by_rules_) return at(v);
+    if (!costed_[rule_set]) {
+      cost_[rule_set] = at(v);
+      costed_[rule_set] = true;
+    }
+    return cost_[rule_set];
+  }
+
+ private:
+  [[nodiscard]] Joules at(NodeId v) const {
+    return options_.radio.tx_energy(options_.packet_bits, lat_.tx_range(v));
+  }
+
+  const ImplicitLattice& lat_;
+  const SimOptions& options_;
+  const bool by_rules_;
+  std::array<Joules, std::size_t{1} << kCostedRules> cost_{};
+  std::bitset<std::size_t{1} << kCostedRules> costed_;
+};
+
+/// The edited plan in full: `base` with every overlay node's `after`
+/// list, for a re-probe that falls back to a run.
+FlatRelayPlan with_after_lists(const FlatRelayPlan& base,
+                               std::span<const OffsetEdit> overlay) {
+  const std::size_t n = base.num_nodes();
+  std::vector<std::uint32_t> starts(n + 1, 0);
+  std::vector<Slot> offsets;
+  offsets.reserve(base.total_offsets() + overlay.size());
+  std::size_t k = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const std::span<const Slot> list =
+        k < overlay.size() && overlay[k].node == v ? overlay[k++].after
+                                                   : base.offsets(v);
+    offsets.insert(offsets.end(), list.begin(), list.end());
+    starts[v + 1] = static_cast<std::uint32_t>(offsets.size());
+  }
+  return FlatRelayPlan::adopt(base.source(), std::move(starts),
+                              std::move(offsets));
+}
+
 }  // namespace
 
 BulkSimulator::BulkSimulator(std::size_t num_nodes, std::size_t workers)
@@ -361,26 +433,7 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
   const std::span<const std::uint64_t> plain_relays = plan.plain_relays();
   const std::span<const std::uint64_t> other_relays = plan.other_relays();
 
-  // Where a node's range follows from its rule set, so does its tx cost:
-  // each rule set's cost is computed at its first transmitter and read
-  // back for the rest.  The same double as a per-node call, so the
-  // running sums stay bit-identical.
-  WSN_ASSERT(num_rules <= kMaxRules);
-  const bool cost_by_rules =
-      lat.range_by_rule_set() && num_rules <= kCostedRules;
-  std::array<Joules, std::size_t{1} << kCostedRules> rule_set_cost{};
-  std::bitset<std::size_t{1} << kCostedRules> rule_set_costed;
-  const auto tx_cost = [&](NodeId v, std::uint32_t rule_set) {
-    if (!cost_by_rules) {
-      return options.radio.tx_energy(options.packet_bits, lat.tx_range(v));
-    }
-    if (!rule_set_costed[rule_set]) {
-      rule_set_cost[rule_set] =
-          options.radio.tx_energy(options.packet_bits, lat.tx_range(v));
-      rule_set_costed[rule_set] = true;
-    }
-    return rule_set_cost[rule_set];
-  };
+  TxCosts tx_cost(lat, options);
 
   // Relays other than plain ones wait in a calendar keyed by slot; plain
   // relays skip it: the band that finds them fresh loads them into T.
@@ -708,8 +761,8 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
   }
   // One add per decode and charged collision, like the reference -- the
   // addends are all the same constant, so matching the count matches the
-  // bits.
-  for (std::size_t i = 0; i < rx_charges; ++i) out.stats.rx_energy += rx_cost;
+  // bits, which repeated_sum forms without making each addition.
+  out.stats.rx_energy = repeated_sum(rx_cost, rx_charges);
 
   std::size_t reached = 0;
   for (const std::uint64_t w : received_) {
@@ -719,6 +772,399 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
   // Every decode is fresh or a duplicate, and every node but the source
   // was reached by exactly one fresh decode.
   out.stats.duplicates = out.stats.rx - (reached - 1);
+  return out;
+}
+
+BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
+                                      const FlatRelayPlan& base,
+                                      std::span<const OffsetEdit> overlay,
+                                      const BroadcastOutcome& prev,
+                                      const SimOptions& options) {
+  WSN_SPAN("sim.bulk_rerun");
+  const std::size_t n = lat.num_nodes();
+  WSN_EXPECTS(base.num_nodes() == n && prev.first_rx.size() == n);
+  WSN_EXPECTS(options_supported(options));
+  WSN_EXPECTS(!options.record_node_energy || prev.node_energy.size() == n);
+  base.validate();
+  for (std::size_t i = 0; i < overlay.size(); ++i) {
+    const OffsetEdit& edit = overlay[i];
+    WSN_EXPECTS(edit.node < n && (i == 0 || edit.node > overlay[i - 1].node));
+    WSN_EXPECTS(edit.node != base.source() || !edit.after.empty());
+    Slot last = 0;
+    for (const Slot offset : edit.after) {
+      WSN_EXPECTS(offset > last);  // >= 1 and strictly increasing
+      last = offset;
+    }
+  }
+
+  words_ = word_count(n);
+  const std::uint64_t* const masks = lat.rule_masks().data();
+  const std::vector<ShiftRule>& rules = lat.rules();
+  const std::size_t num_rules = rules.size();
+  const Slot max_slots = options.max_slots;
+  const std::vector<Slot>& old_rx = prev.first_rx;
+
+  BroadcastOutcome out;
+  out.first_rx = prev.first_rx;
+  std::vector<Slot>& new_rx = out.first_rx;
+
+  // A node's list on either side: the overlay's where it names the node,
+  // else the base's.
+  edited_.assign(words_, 0);
+  for (const OffsetEdit& edit : overlay) {
+    edited_[edit.node / kWordBits] |= std::uint64_t{1}
+                                      << (edit.node % kWordBits);
+  }
+  const auto edit_of = [&](NodeId v) -> const OffsetEdit& {
+    return *std::lower_bound(
+        overlay.begin(), overlay.end(), v,
+        [](const OffsetEdit& edit, NodeId id) { return edit.node < id; });
+  };
+  const auto offsets_of = [&](NodeId v, bool after) {
+    if ((edited_[v / kWordBits] >> (v % kWordBits) & 1u) == 0) {
+      return base.offsets(v);
+    }
+    const OffsetEdit& edit = edit_of(v);
+    return after ? edit.after : edit.before;
+  };
+  // Whether v transmits in slot t: bit 0 before the edit, bit 1 after.
+  // An unedited node's relay bits answer without its offsets, except for
+  // the few other relays; an edited one is looked up once for both sides.
+  const std::span<const std::uint64_t> plain_relays = base.plain_relays();
+  const std::span<const std::uint64_t> other_relays = base.other_relays();
+  const auto sends = [&](NodeId v, Slot t) -> unsigned {
+    if (t > max_slots) return 0;
+    const Slot rx_before = old_rx[v];
+    const Slot rx_after = new_rx[v];
+    // kNeverSlot is the largest slot, so an unreached node fails t > rx.
+    const bool may_before = t > rx_before;
+    const bool may_after = t > rx_after;
+    if (!may_before && !may_after) return 0;
+    const auto holds = [](std::span<const Slot> offsets, Slot offset) {
+      for (const Slot o : offsets) {
+        if (o >= offset) return o == offset;
+      }
+      return false;
+    };
+    const std::size_t w = v / kWordBits;
+    const std::uint64_t bit = std::uint64_t{1} << (v % kWordBits);
+    std::span<const Slot> before;
+    std::span<const Slot> after;
+    if ((edited_[w] & bit) == 0) {
+      if ((plain_relays[w] & bit) != 0) {
+        return unsigned{may_before && t - rx_before == 1} |
+               unsigned{may_after && t - rx_after == 1} << 1;
+      }
+      if ((other_relays[w] & bit) == 0) return 0;
+      before = after = base.offsets(v);
+    } else {
+      const OffsetEdit& edit = edit_of(v);
+      before = edit.before;
+      after = edit.after;
+    }
+    return unsigned{may_before && holds(before, t - rx_before)} |
+           unsigned{may_after && holds(after, t - rx_after)} << 1;
+  };
+  const auto for_each_neighbor = [&](NodeId u, auto&& fn) {
+    const std::size_t w = u / kWordBits;
+    const unsigned bit = u % kWordBits;
+    for (std::size_t r = 0; r < num_rules; ++r) {
+      if ((masks[r * words_ + w] >> bit & 1u) != 0) {
+        fn(static_cast<NodeId>(static_cast<std::int64_t>(u) + rules[r].delta));
+      }
+    }
+  };
+
+  // --- the dirty (node, slot) pairs, by slot ------------------------------
+  std::map<Slot, std::vector<NodeId>>& dirty = dirty_;
+  dirty.clear();
+  Slot now = 0;  // pairs at or before the slot being visited are done
+  std::size_t work = 0;
+  const auto mark = [&](NodeId u, Slot t) {
+    if (t <= now || t > max_slots) return;
+    dirty[t].push_back(u);
+    ++work;
+  };
+  // A change in whether v sends at t: v itself (half-duplex) and every
+  // neighbour hear differently.
+  const auto mark_schedule = [&](NodeId v, Slot rx, bool after) {
+    if (rx == kNeverSlot) return;
+    for (const Slot offset : offsets_of(v, after)) {
+      const Slot t = rx + offset;
+      if (t <= now || t > max_slots) continue;
+      std::vector<NodeId>& pairs = dirty[t];
+      pairs.push_back(v);
+      for_each_neighbor(v, [&](NodeId w) { pairs.push_back(w); });
+      work += 1 + num_rules;
+    }
+  };
+  for (const OffsetEdit& edit : overlay) {
+    if (std::ranges::equal(edit.before, edit.after)) continue;
+    mark_schedule(edit.node, old_rx[edit.node], false);
+    mark_schedule(edit.node, old_rx[edit.node], true);
+  }
+
+  // What the visits change: record presence and delivered/fresh deltas,
+  // keyed (slot, sender); the nodes whose first_rx moved; the nodes whose
+  // energy events changed; and the counters.
+  const auto key_of = [](Slot slot, NodeId node) {
+    return std::uint64_t{slot} << 32 | node;
+  };
+  struct RecordChange {
+    Slot slot = 0;
+    NodeId node = kInvalidNode;
+    int presence = 0;  // +1 the record appears, -1 it goes
+    int delivered = 0;
+    int fresh = 0;
+  };
+  std::vector<RecordChange> changes;
+  std::vector<NodeId> moved;
+  std::vector<NodeId> recharged;
+  std::int64_t rx_delta = 0;
+  std::int64_t collision_delta = 0;
+  const std::size_t budget = std::max(
+      kReprobeMinWork, prev.transmissions.size() / kReprobeWorkShare);
+
+  std::vector<NodeId> nodes;
+  while (!dirty.empty()) {
+    if (work > budget) {
+      dirty.clear();
+      return run(lat, with_after_lists(base, overlay), options);
+    }
+    const auto first = dirty.begin();
+    now = first->first;
+    const Slot t = now;
+    nodes.swap(first->second);
+    dirty.erase(first);
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+
+    for (const NodeId u : nodes) {
+      const unsigned sent = sends(u, t);
+      const bool sent_before = (sent & 1u) != 0;
+      const bool sent_after = (sent & 2u) != 0;
+      unsigned heard_before = 0;
+      unsigned heard_after = 0;
+      NodeId from_before = kInvalidNode;
+      NodeId from_after = kInvalidNode;
+      for_each_neighbor(u, [&](NodeId w) {
+        const unsigned sending = sends(w, t);
+        if ((sending & 1u) != 0) {
+          heard_before += 1;
+          from_before = w;
+        }
+        if ((sending & 2u) != 0) {
+          heard_after += 1;
+          from_after = w;
+        }
+      });
+      const bool decoded_before = !sent_before && heard_before == 1;
+      const bool decoded_after = !sent_after && heard_after == 1;
+      const bool collided_before = !sent_before && heard_before >= 2;
+      const bool collided_after = !sent_after && heard_after >= 2;
+      rx_delta += int{decoded_after} - int{decoded_before};
+      collision_delta += int{collided_after} - int{collided_before};
+      if (sent_before != sent_after) {
+        changes.push_back({t, u, sent_after ? 1 : -1, 0, 0});
+      }
+
+      // First reception.  new_rx[u] is old_rx[u] until it moves, or
+      // kNeverSlot while u looks for a new first reception, and a slot
+      // once found: it moves at most to never and back, each time here.
+      const Slot was = new_rx[u];
+      if (decoded_after && t < was) {
+        // Reached earlier, or again: both schedules go dirty, and the old
+        // first reception, if still ahead, turns into a duplicate.
+        new_rx[u] = t;
+        moved.push_back(u);
+        mark_schedule(u, old_rx[u], false);
+        mark_schedule(u, old_rx[u], true);
+        mark_schedule(u, t, true);
+        if (old_rx[u] != kNeverSlot) mark(u, old_rx[u]);
+      } else if (!decoded_after && was == t) {
+        // The first reception is gone: the schedule goes dirty, and every
+        // later slot a neighbour sent in may hold the new one.
+        new_rx[u] = kNeverSlot;
+        moved.push_back(u);
+        mark_schedule(u, t, false);
+        mark_schedule(u, t, true);
+        for_each_neighbor(u, [&](NodeId w) {
+          if (old_rx[w] == kNeverSlot) return;
+          for (const Slot offset : offsets_of(w, false)) {
+            mark(u, old_rx[w] + offset);
+          }
+        });
+      }
+
+      const bool fresh_before = decoded_before && t == old_rx[u];
+      const bool fresh_after = decoded_after && t == new_rx[u];
+      if (decoded_before != decoded_after || from_before != from_after ||
+          fresh_before != fresh_after) {
+        if (decoded_before) {
+          changes.push_back({t, from_before, 0, -1, -int{fresh_before}});
+        }
+        if (decoded_after) {
+          changes.push_back({t, from_after, 0, 1, int{fresh_after}});
+        }
+      }
+      if (options.record_node_energy) {
+        const bool charged_before =
+            decoded_before || (options.charge_collisions && collided_before);
+        const bool charged_after =
+            decoded_after || (options.charge_collisions && collided_after);
+        if (sent_before != sent_after || charged_before != charged_after) {
+          recharged.push_back(u);
+        }
+      }
+    }
+  }
+
+  // --- fold the changes in ----------------------------------------------
+  std::sort(moved.begin(), moved.end());
+  moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
+  std::size_t reached = prev.stats.reached;
+  for (const NodeId u : moved) {
+    if (old_rx[u] == kNeverSlot) reached += 1;
+    if (new_rx[u] == kNeverSlot) reached -= 1;
+  }
+
+  // Records, merged in (slot, id) order: the unchanged runs are copied
+  // whole, and each changed key is dropped, adjusted or inserted.
+  std::sort(changes.begin(), changes.end(),
+            [&](const RecordChange& a, const RecordChange& b) {
+              return key_of(a.slot, a.node) < key_of(b.slot, b.node);
+            });
+  const std::vector<TxRecord>& old_records = prev.transmissions;
+  std::vector<TxRecord>& records = out.transmissions;
+  records.reserve(old_records.size() + changes.size());
+  std::size_t copied = 0;
+  for (std::size_t i = 0; i < changes.size();) {
+    TxRecord rec{changes[i].slot, changes[i].node, 0, 0};
+    const std::uint64_t key = key_of(rec.slot, rec.node);
+    int presence = 0;
+    std::int64_t delivered = 0;
+    std::int64_t fresh = 0;
+    for (; i < changes.size() &&
+           key_of(changes[i].slot, changes[i].node) == key;
+         ++i) {
+      presence += changes[i].presence;
+      delivered += changes[i].delivered;
+      fresh += changes[i].fresh;
+    }
+    const auto from = old_records.begin() + static_cast<std::ptrdiff_t>(copied);
+    const auto at = std::lower_bound(
+        from, old_records.end(), key, [&](const TxRecord& old, std::uint64_t k) {
+          return key_of(old.slot, old.node) < k;
+        });
+    records.insert(records.end(), from, at);
+    copied = static_cast<std::size_t>(at - old_records.begin());
+    if (at != old_records.end() && key_of(at->slot, at->node) == key) {
+      WSN_ASSERT(presence <= 0);
+      rec = *at;
+      copied += 1;
+      if (presence < 0) continue;
+    } else {
+      WSN_ASSERT(presence == 1);
+    }
+    delivered += rec.delivered;
+    fresh += rec.fresh;
+    WSN_ASSERT(delivered >= 0 && fresh >= 0 && fresh <= delivered);
+    rec.delivered = static_cast<std::uint32_t>(delivered);
+    rec.fresh = static_cast<std::uint32_t>(fresh);
+    records.push_back(rec);
+  }
+  records.insert(records.end(),
+                 old_records.begin() + static_cast<std::ptrdiff_t>(copied),
+                 old_records.end());
+
+  // --- stats, with the engine's sums in the engine's order --------------
+  BroadcastStats& stats = out.stats;
+  stats.num_nodes = n;
+  stats.reached = reached;
+  stats.tx = records.size();
+  stats.rx = static_cast<std::size_t>(
+      static_cast<std::int64_t>(prev.stats.rx) + rx_delta);
+  stats.collisions = static_cast<std::size_t>(
+      static_cast<std::int64_t>(prev.stats.collisions) + collision_delta);
+  stats.duplicates = stats.rx - (reached - 1);
+  for (auto it = records.rbegin(); it != records.rend(); ++it) {
+    if (it->fresh != 0) {
+      stats.delay = it->slot;  // the last slot with a first reception
+      break;
+    }
+  }
+  // Where the cost follows from the rule set, most transmitters have
+  // every rule: one AND of the masks answers for them, and only the
+  // others gather their rule set.
+  TxCosts tx_cost(lat, options);
+  const auto cost_of = [&](NodeId v) {
+    return tx_cost(v, rule_set_of(masks, words_, num_rules, v));
+  };
+  std::vector<std::uint64_t> interior(words_, 0);
+  if (tx_cost.by_rules()) {
+    interior.assign(masks, masks + words_);
+    for (std::size_t r = 1; r < num_rules; ++r) {
+      for (std::size_t w = 0; w < words_; ++w) {
+        interior[w] &= masks[r * words_ + w];
+      }
+    }
+  }
+  std::optional<Joules> interior_cost;
+  for (const TxRecord& rec : records) {
+    const NodeId v = rec.node;
+    if ((interior[v / kWordBits] >> (v % kWordBits) & 1u) == 0) {
+      stats.tx_energy += cost_of(v);
+      continue;
+    }
+    if (!interior_cost) interior_cost = cost_of(v);
+    stats.tx_energy += *interior_cost;
+  }
+  const Joules rx_cost = options.radio.rx_energy(options.packet_bits);
+  stats.rx_energy = repeated_sum(
+      rx_cost, stats.rx + (options.charge_collisions ? stats.collisions : 0));
+
+  // Per-node energy: each node whose events changed replays its whole
+  // life in slot order -- its transmissions, its decodes and its charged
+  // collisions, read off its and its neighbours' schedules.
+  if (options.record_node_energy) {
+    out.node_energy = prev.node_energy;
+    std::sort(recharged.begin(), recharged.end());
+    recharged.erase(std::unique(recharged.begin(), recharged.end()),
+                    recharged.end());
+    std::vector<Slot> heard;
+    std::vector<Slot> sent;
+    for (const NodeId u : recharged) {
+      heard.clear();
+      sent.clear();
+      const auto schedule = [&](NodeId v, std::vector<Slot>& slots) {
+        if (new_rx[v] == kNeverSlot) return;
+        for (const Slot offset : offsets_of(v, true)) {
+          if (new_rx[v] + offset <= max_slots) {
+            slots.push_back(new_rx[v] + offset);
+          }
+        }
+      };
+      schedule(u, sent);
+      for_each_neighbor(u, [&](NodeId w) { schedule(w, heard); });
+      std::sort(heard.begin(), heard.end());
+      const Joules cost = cost_of(u);
+      Joules energy = 0.0;
+      std::size_t h = 0;
+      for (std::size_t k = 0; k < sent.size() || h < heard.size();) {
+        if (k < sent.size() && (h == heard.size() || sent[k] <= heard[h])) {
+          energy += cost;  // sending, u hears nothing in that slot
+          const Slot t = sent[k++];
+          while (h < heard.size() && heard[h] == t) ++h;
+          continue;
+        }
+        const Slot t = heard[h];
+        std::size_t senders = 0;
+        for (; h < heard.size() && heard[h] == t; ++h) senders += 1;
+        if (senders == 1 || options.charge_collisions) energy += rx_cost;
+      }
+      out.node_energy[u] = energy;
+    }
+  }
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,8 +98,9 @@
 /// constant rx_cost added to 0.0, once per decode and once per charged
 /// collision, so it is a function of that count: the bands count decodes
 /// and charged collisions as integers and the run forms the double once
-/// at its end, with the same additions.  Everything else a band writes is
-/// per node or an integer.
+/// at its end with repeated_sum (sim/stats.h), the bits of those
+/// additions in O(binades).  Everything else a band writes is per node or
+/// an integer.
 ///
 /// Nothing n-sized besides the bit vectors and the outcome itself, and no
 /// per-node map, sort or set/clear-bit loop.
@@ -142,6 +144,17 @@ class BulkSimulator {
   /// 471 on 2D-8) stays in one band, a 3D-6 one (up to 2923) takes four.
   static constexpr std::size_t kMinBandWords = 384;
 
+  /// A re-probe falls back to a full run once its dirty (node, slot)
+  /// marks exceed both kReprobeMinWork and prev's transmissions divided by
+  /// kReprobeWorkShare.  Measured on 2D-8 and 3D-6 at 10⁶ nodes: a mark
+  /// costs 90–150 ns of walk, a full run 150–190 ns per transmission, so a
+  /// re-probe stops paying near one mark per transmission; half that
+  /// leaves room for the merge it still owes.  Below the floor (under a
+  /// millisecond of walk) a re-probe runs to the end whatever the plan's
+  /// size, so a small plan's compile still runs one full broadcast.
+  static constexpr std::size_t kReprobeWorkShare = 2;
+  static constexpr std::size_t kReprobeMinWork = 4096;
+
   BulkSimulator() = default;
   /// Pre-sizes the scratch for `num_nodes`-node lattices.  `workers` caps
   /// how many threads a wide slot's bands run on, with parallel_for's
@@ -160,6 +173,42 @@ class BulkSimulator {
   [[nodiscard]] BroadcastOutcome run(const ImplicitLattice& lat,
                                      const FlatRelayPlan& plan,
                                      const SimOptions& options = {});
+
+  /// A differential re-probe: the outcome `run` returns for `base` with
+  /// `overlay`'s `after` lists, bit-identical field for field, given
+  /// `prev`, the outcome of `base` with its `before` lists under the same
+  /// `options` (node_energy included when they record it).  `overlay` is
+  /// sorted by node, one entry per node, and names every node whose list
+  /// differs from the base's on either side.
+  ///
+  /// Dirty rule.  A reception at node u in slot t can change only where
+  /// the set of u's transmitting neighbours at t changed, or whether u
+  /// itself transmits at t (half-duplex).  So the re-probe starts from
+  /// the transmit slots of the nodes whose lists changed, before and
+  /// after, and visits the dirty (node, slot) pairs -- those transmitters
+  /// and their neighbours -- in ascending slot order, comparing the
+  /// reception before with the reception after.  A node whose first_rx
+  /// moves makes its whole old and new schedule dirty; one that loses its
+  /// first reception also revisits every later slot a neighbour sent in,
+  /// where its new first reception may lie.  Offsets are >= 1, so every
+  /// pair a slot dirties lies in a later slot, and the walk stops when
+  /// none is left.  The records are then merged back in (slot, id) order
+  /// with their delivered/fresh deltas, tx_energy is summed again in
+  /// record order, rx_energy is formed from the decode (and charged
+  /// collision) count with repeated_sum, and the per-node energy of every
+  /// node whose events changed is replayed in slot order.
+  ///
+  /// Fallback.  Past a share of a full run's work -- dirty pairs against
+  /// prev's transmissions, kReprobeWorkShare below -- a re-probe costs
+  /// more than a broadcast, so it stops and runs the edited plan in full
+  /// instead.
+  /// Same `options` surface as `run`; no progress is reported, except by
+  /// a fallback run.
+  [[nodiscard]] BroadcastOutcome rerun(const ImplicitLattice& lat,
+                                       const FlatRelayPlan& base,
+                                       std::span<const OffsetEdit> overlay,
+                                       const BroadcastOutcome& prev,
+                                       const SimOptions& options = {});
 
   /// Observes long runs without touching the kernel: `fn` is invoked
   /// every `every_slots` completed slots and once more when the run
@@ -197,6 +246,8 @@ class BulkSimulator {
   std::vector<std::uint32_t> tx_words_;   // the slot's T words, ascending
   std::vector<Band> bands_;
   std::map<Slot, std::vector<NodeId>> schedule_;  // every other relay
+  std::map<Slot, std::vector<NodeId>> dirty_;     // a re-probe's pairs
+  std::vector<std::uint64_t> edited_;  // bit v: v is in the re-probe overlay
   std::size_t workers_ = 0;
   BulkProgressFn progress_;
   std::uint64_t progress_every_ = 64;

@@ -251,4 +251,16 @@ class FlatRelayPlan {
   bool checked_ = false;  // built from a RelayPlan, contract checked
 };
 
+/// One node's offset list on both sides of a plan edit: `before` as an
+/// earlier run ran it, `after` as the next run runs it.  A sorted span of
+/// these over a FlatRelayPlan base is the sparse overlay a differential
+/// re-probe takes (BulkSimulator::rerun): every node it does not name
+/// runs the base's list on both sides.  The spans borrow the caller's
+/// storage.
+struct OffsetEdit {
+  NodeId node = kInvalidNode;
+  std::span<const Slot> before;
+  std::span<const Slot> after;
+};
+
 }  // namespace wsn

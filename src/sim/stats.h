@@ -65,4 +65,16 @@ struct BroadcastStats {
   [[nodiscard]] std::string summary() const;
 };
 
+/// The double that `count` additions `sum += addend`, starting from
+/// sum = 0.0, leave -- bit for bit -- in O(binades) steps instead of
+/// O(count).  An engine that bills one constant per event (rx_energy is
+/// rx_cost once per decode and charged collision) counts the events and
+/// forms the sum once with this.  Inside one binade of the running sum
+/// every addition rounds onto the same grid, so it adds the same multiple
+/// of that grid's ulp and a run of them is one exact integer step; the
+/// additions that cross a binade edge or round a tie (addend/ulp a
+/// half-integer) are made one by one, and once an addition leaves the sum
+/// unchanged, so do all the rest.  `addend` must be finite and >= 0.
+[[nodiscard]] double repeated_sum(double addend, std::size_t count) noexcept;
+
 }  // namespace wsn

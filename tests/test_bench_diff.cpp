@@ -409,6 +409,43 @@ TEST(BenchDiff, VerdictsFollowMetricDirection) {
   EXPECT_TRUE(report.passed());
 }
 
+// An exact work count gates at tolerance 0 both ways: one more or one
+// fewer simulation per compile fails however wide the timing band is,
+// and an equal count passes.
+TEST(BenchDiff, ExactCountsGateEveryChange) {
+  const BenchDoc a = parse(bench_doc(
+      "{\"name\":\"bulk_plan/2D-8\",\"runs_per_sec\":10.0,"
+      "\"full_runs_count\":1,\"reprobes_count\":1}"));
+  const auto with_counts = [](const char* full, const char* reprobes) {
+    return parse(bench_doc(
+        std::string("{\"name\":\"bulk_plan/2D-8\",\"runs_per_sec\":9.0,"
+                    "\"full_runs_count\":") +
+        full + ",\"reprobes_count\":" + reprobes + "}"));
+  };
+  const DiffReport same = diff_bench_docs(a, with_counts("1", "1"),
+                                          tolerance(0.6));
+  EXPECT_TRUE(same.passed());
+  const DiffMetric* full = find_metric(same, "bulk_plan/2D-8", "full_runs_count");
+  ASSERT_NE(full, nullptr);
+  EXPECT_TRUE(full->gated);
+  EXPECT_EQ(full->direction, 0);
+  EXPECT_EQ(full->verdict, "equal");
+
+  const DiffReport rose = diff_bench_docs(a, with_counts("2", "1"),
+                                          tolerance(0.6));
+  EXPECT_FALSE(rose.passed());
+  EXPECT_EQ(rose.gate_regressions(), 1u);
+  EXPECT_EQ(find_metric(rose, "bulk_plan/2D-8", "full_runs_count")->verdict,
+            "changed");
+
+  const DiffReport fell = diff_bench_docs(a, with_counts("1", "0"),
+                                          tolerance(0.6));
+  EXPECT_FALSE(fell.passed());
+  EXPECT_EQ(fell.gate_regressions(), 1u);
+  EXPECT_TRUE(
+      find_metric(fell, "bulk_plan/2D-8", "reprobes_count")->fails_gate());
+}
+
 TEST(BenchDiff, ToleranceAbsorbsSmallDeltas) {
   const BenchDoc a = parse(
       bench_doc("{\"name\":\"x\",\"jobs_per_sec\":100.0,\"p95_ms\":10.0}"));

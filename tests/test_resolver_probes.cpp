@@ -2,16 +2,21 @@
 // reference and bulk engines fingerprints every plan the resolver asks it
 // to run: no plan may be simulated twice, a plan that needs no repair
 // costs exactly one probe, and the outcome the resolver hands back is the
-// one a fresh run of the returned plan produces, field for field.
+// one a fresh run of the returned plan produces, field for field.  On an
+// engine with a re-probe a compile runs one full broadcast, and every
+// later probe is a re-probe equal to a full run of its plan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/profile.h"
 #include "protocol/cds_broadcast.h"
 #include "protocol/gossip.h"
 #include "protocol/implicit_plan.h"
@@ -200,6 +205,99 @@ TEST(ResolverProbes, PublicEntryPointsReturnTheRunOfTheirPlan) {
   const RelayPlan bulk_plan =
       implicit_paper_plan(lat, 1234, {}, nullptr, &bulk_returned);
   expect_same_outcome(bulk_simulate(lat, bulk_plan), bulk_returned);
+}
+
+/// BulkSimulator with its re-probe, counting full runs, re-probes and the
+/// re-probes that fell back to a full run, and checking every re-probe
+/// against a fresh full run of the plan it re-probed.
+struct ReprobingSim {
+  BroadcastOutcome run(const ImplicitLattice& lat, const FlatRelayPlan& plan,
+                       const SimOptions& options) {
+    full_runs += 1;
+    return engine.run(lat, plan, options);
+  }
+
+  BroadcastOutcome rerun(const ImplicitLattice& lat, const FlatRelayPlan& base,
+                         std::span<const OffsetEdit> overlay,
+                         const BroadcastOutcome& prev,
+                         const SimOptions& options) {
+    reprobes += 1;
+    const std::uint64_t before = full_spans();
+    BroadcastOutcome out = engine.rerun(lat, base, overlay, prev, options);
+    fallbacks += full_spans() - before;
+    RelayPlan edited = base.to_relay_plan();
+    for (const OffsetEdit& edit : overlay) {
+      edited.tx_offsets[edit.node].assign(edit.after.begin(),
+                                          edit.after.end());
+    }
+    BulkSimulator fresh(lat.num_nodes());
+    expect_same_outcome(fresh.run(lat, edited, options), out);
+    return out;
+  }
+
+  static std::uint64_t full_spans() {
+    for (const Profiler::SpanStats& span : Profiler::instance().snapshot()) {
+      if (std::string_view(span.name) == "sim.bulk_simulate") {
+        return span.count;
+      }
+    }
+    return 0;
+  }
+
+  BulkSimulator engine;
+  std::size_t full_runs = 0;
+  std::size_t reprobes = 0;
+  std::uint64_t fallbacks = 0;
+};
+
+// An implicit compile on an engine with a re-probe runs one full
+// broadcast, of the raw plan; every later plan is a re-probe, equal to a
+// full run of it.  A plan that needs no repair costs one full run and no
+// re-probe.
+TEST(ResolverReprobes, ImplicitCompileRunsOneFullBroadcast) {
+  Profiler::instance().reset();
+  Profiler::instance().set_enabled(true);
+  const auto compile = [](const ImplicitLattice& lat, NodeId src,
+                          const SimOptions& options) {
+    SCOPED_TRACE(lat.name() + " from " + std::to_string(src));
+    ReprobingSim sim;
+    ResolveReport report;
+    BroadcastOutcome returned;
+    const RelayPlan plan = resolver_core::resolve_full_reachability(
+        lat, implicit_protocol_plan(lat, src), options, &report, sim,
+        &returned);
+    EXPECT_EQ(sim.full_runs, 1u);
+    EXPECT_EQ(sim.fallbacks, 0u);
+    EXPECT_EQ(report.unrepaired, 0u);
+    BulkSimulator fresh(lat.num_nodes());
+    expect_same_outcome(fresh.run(lat, plan, options), returned);
+    return sim.reprobes;
+  };
+  SimOptions energy;
+  energy.record_node_energy = true;
+  energy.charge_collisions = true;
+  for (const ImplicitLattice& lat :
+       {ImplicitLattice::make("2D-8", PaperConfig::kMesh2dM,
+                              PaperConfig::kMesh2dN, 1),
+        ImplicitLattice::make("3D-6", PaperConfig::kMesh3d,
+                              PaperConfig::kMesh3d, PaperConfig::kMesh3d),
+        ImplicitLattice::mesh2d8(256, 256),
+        ImplicitLattice::mesh3d6(40, 40, 40)}) {
+    const auto n = static_cast<NodeId>(lat.num_nodes());
+    for (const NodeId src : {lat.central_node(), NodeId{0}, n / 3}) {
+      for (const SimOptions& options : {SimOptions{}, energy}) {
+        EXPECT_GE(compile(lat, src, options), 1u);
+      }
+    }
+  }
+  for (const ImplicitLattice& lat :
+       {ImplicitLattice::make("2D-4", PaperConfig::kMesh2dM,
+                              PaperConfig::kMesh2dN, 1),
+        ImplicitLattice::mesh2d4(256, 256)}) {
+    EXPECT_EQ(compile(lat, lat.central_node(), {}), 0u);
+  }
+  Profiler::instance().set_enabled(false);
+  Profiler::instance().reset();
 }
 
 }  // namespace
