@@ -26,6 +26,9 @@
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "fault/adaptive.h"
+#include "fault/link_estimator.h"
+#include "fault/models.h"
 #include "obs/profile.h"
 #include "protocol/registry.h"
 #include "store/plan_store.h"
@@ -176,6 +179,37 @@ int main(int argc, char** argv) {
     results.push_back(wsn::bench::measure("resilience_sweep/gilbert", [&] {
       (void)wsn::run_resilience_sweep(*topo, plan, bench_config);
     }));
+
+    // One estimate and one adaptive-ARQ broadcast on the paper 2D-8 mesh
+    // under Gilbert loss, each on a fresh model.  step_words_count is the
+    // exact work of one more, untimed call: the chain words its model
+    // stepped (fault/models.h), the same on any host.
+    const auto mesh = wsn::make_paper_topology("2D-8");
+    const auto add_gilbert_row = [&](const char* name, auto run) {
+      const auto channel = [] {
+        return wsn::GilbertElliottModel::from_mean_loss(0.1, 4.0, 24083);
+      };
+      results.push_back(wsn::bench::measure(name, [&] {
+        wsn::GilbertElliottModel model = channel();
+        run(model);
+      }));
+      wsn::GilbertElliottModel model = channel();
+      run(model);
+      results.back().metrics.emplace_back(
+          "step_words_count", static_cast<double>(model.words_stepped()));
+    };
+    add_gilbert_row("link_estimate/gilbert",
+                    [&](wsn::GilbertElliottModel& model) {
+                      (void)wsn::estimate_link_quality(*mesh, model);
+                    });
+    const wsn::RelayPlan mesh_plan = wsn::paper_plan(
+        *mesh, static_cast<wsn::NodeId>(mesh->num_nodes() / 2));
+    add_gilbert_row("adaptive_arq/gilbert",
+                    [&](wsn::GilbertElliottModel& model) {
+                      wsn::SimOptions options;
+                      options.faults = &model;
+                      (void)wsn::run_adaptive_arq(*mesh, mesh_plan, options);
+                    });
 
     wsn::PlannerComparisonConfig cmp_config;
     cmp_config.loss_rates = {0.2};

@@ -54,10 +54,7 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
       break;
     }
 
-    Slot t_end = 1;
-    for (const TxRecord& rec : outcome.transmissions) {
-      t_end = std::max(t_end, rec.slot);
-    }
+    const Slot t_end = outcome.timeline_end();
     // Capped exponential backoff between the dead timeline and this wave;
     // bursty channels get time to leave the bad state before we respend.
     const std::uint64_t raw = static_cast<std::uint64_t>(config.base_backoff)

@@ -34,6 +34,20 @@
 /// Both bodies return identical mantissas; the tests pin each against the
 /// oracle.  Comparisons against a probability go through integer
 /// thresholds: u >= p exactly when m >= `mantissa_threshold(p)`.
+///
+/// Chain words: `step_words` runs a two-state (Good/Bad) Markov chain on
+/// one link 64 slots at a time.  Word w holds the chain's states at slots
+/// 64w ... 64w + 63, bit j set when slot 64w + j is Bad.  For each word it
+/// draws the 64 step mantissas and compares them with the two thresholds
+/// into masks T (m < enter_bad: a Good chain turns Bad) and S
+/// (m >= leave_bad: a Bad chain stays Bad).  Slot j's step is then the
+/// map x -> T_j ^ (C_j & x) with C = S ^ T, and a six-round prefix over
+/// those maps gives every bit of the word from the state before it.  Slot
+/// 0 has no step: a chain starts Good there.  The last word of a call may
+/// stop after any group of 8 slots, so a chain read at an early slot
+/// draws only the groups up to it.  The same two bodies exist: the AVX-512
+/// one compares eight draws into a mask register at once, the scalar one
+/// builds each group's masks in a byte.
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
 #define WSN_FAULT_DRAW_AVX512 1
 #else
@@ -93,5 +107,36 @@ void draw_mantissas_avx512(const LinkHash& link, std::uint64_t first,
 void draw_mantissas(const LinkHash& link, std::uint64_t first,
                     std::uint64_t stride, std::uint64_t salt, std::size_t n,
                     std::uint64_t* out) noexcept;
+
+/// The step of a Good/Bad chain: slot s draws m with `salt`; a Good chain
+/// turns Bad when m < enter_bad, a Bad one stays Bad when m >= leave_bad.
+struct ChainStep {
+  std::uint64_t salt = 0;
+  std::uint64_t enter_bad = 0;
+  std::uint64_t leave_bad = 0;
+};
+
+/// out[i] = the chain word first_word + i for i < n.  `bad_before` is the
+/// state at slot 64 * first_word - 1; it is ignored when first_word is 0.
+/// The last word steps only its first `last_slots` slots (1 to 64) rounded
+/// up to a multiple of 8; its bits past those read Good and are no state.
+void step_words_scalar(const LinkHash& link, const ChainStep& step,
+                       std::uint64_t first_word, std::size_t n,
+                       unsigned last_slots, bool bad_before,
+                       std::uint64_t* out) noexcept;
+
+#if WSN_FAULT_DRAW_AVX512
+/// The same as `step_words_scalar`, each eight draws compared into a mask
+/// register.  Call it only when `draw_avx512_supported()`.
+void step_words_avx512(const LinkHash& link, const ChainStep& step,
+                       std::uint64_t first_word, std::size_t n,
+                       unsigned last_slots, bool bad_before,
+                       std::uint64_t* out) noexcept;
+#endif
+
+/// The chain words through whichever body the process picked.
+void step_words(const LinkHash& link, const ChainStep& step,
+                std::uint64_t first_word, std::size_t n, unsigned last_slots,
+                bool bad_before, std::uint64_t* out) noexcept;
 
 }  // namespace wsn

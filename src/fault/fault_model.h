@@ -17,11 +17,13 @@
 /// Contract:
 ///
 ///   * `begin_run()` is called once by the simulator before the first
-///     slot; implementations reset any per-run caches there so the same
+///     slot; implementations reset any per-run state there so the same
 ///     model instance can score several runs (the resolver simulates
 ///     repeatedly).  Two runs of the same model + seed + plan must produce
 ///     identical answers -- fault injection is seeded, never wall-clock
-///     random.
+///     random.  A pure memo -- one that caches answers which are functions
+///     of (seed, link/node, slot) alone, like the Gilbert-Elliott chain
+///     words -- may outlive a run, since no run can change what it holds.
 ///   * `node_up(v, s)` false means v neither transmits nor receives in
 ///     slot s.  A scheduled transmission during an outage is lost, not
 ///     deferred (the radio was off when its timer fired).
@@ -38,10 +40,10 @@
 ///     loop of `link_delivers` over those slots -- the default is that
 ///     loop.  The slots must fit in `Slot`.  Where answers are pure
 ///     functions of (seed, link, slot), as in fault/models.h, an override
-///     may compute the count without reading or advancing per-run state.
+///     may compute the count without reading or writing any cache.
 ///
 /// Implementations may keep mutable per-link state (the Gilbert-Elliott
-/// chain does); therefore one model instance must not be shared by
+/// chain words are); therefore one model instance must not be shared by
 /// concurrent simulations -- Monte-Carlo harnesses construct one per
 /// trial (see analysis/resilience.h).
 namespace wsn {

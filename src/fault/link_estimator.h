@@ -27,12 +27,16 @@
 /// inside one burst, giving an estimate of the *stationary* delivery rate.
 ///
 /// Cost: one `FaultModel::count_delivered` call per directed link.  The
-/// iid and Gilbert-Elliott models answer it from one link hash and one
-/// batch of counter-mode draws (fault/fault_draw.h), whose AVX-512 body
-/// runs when `__builtin_cpu_supports("x86-64-v4")` holds and whose scalar
-/// body runs everywhere else; the choice is made once per process and
-/// never changes a bit of the estimate.  Other models (composites, crash
-/// schedules) fall back to a loop over `link_delivers`.
+/// iid model answers it from one link hash and one batch of counter-mode
+/// draws (fault/fault_draw.h); the Gilbert-Elliott model steps the link's
+/// chain in 64-slot words up to the last probe (`step_words`, 7 words for
+/// the default 64 probes at stride 7), counts the probes in a lossless
+/// state with a popcount and draws a loss only for the others.  Both
+/// kernels have an AVX-512 body that runs when
+/// `__builtin_cpu_supports("x86-64-v4")` holds and a scalar body that runs
+/// everywhere else; the choice is made once per process and never changes
+/// a bit of the estimate.  Other models (composites, crash schedules) fall
+/// back to a loop over `link_delivers`.
 namespace wsn {
 
 struct LinkEstimatorConfig {

@@ -1,6 +1,7 @@
 #include "fault/models.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/assert.h"
 #include "common/random.h"
@@ -19,6 +20,11 @@ constexpr std::size_t kDrawChunk = 512;
 
 std::uint64_t link_key(NodeId tx, NodeId rx) noexcept {
   return (static_cast<std::uint64_t>(tx) << 32) | rx;
+}
+
+// Home slot of link `key` in a power-of-two index of `size` slots.
+std::size_t index_slot(std::uint64_t key, std::size_t size) noexcept {
+  return static_cast<std::size_t>(splitmix64_mix(key)) & (size - 1);
 }
 
 }  // namespace
@@ -60,8 +66,8 @@ GilbertElliottModel::GilbertElliottModel(double p_gb, double p_bg,
     : p_gb_(p_gb),
       p_bg_(p_bg),
       seed_(seed),
-      enter_bad_(mantissa_threshold(p_gb)),
-      leave_bad_(mantissa_threshold(p_bg)),
+      step_{kChainStepSalt, mantissa_threshold(p_gb),
+            mantissa_threshold(p_bg)},
       survive_good_(mantissa_threshold(loss_good)),
       survive_bad_(mantissa_threshold(loss_bad)) {
   WSN_EXPECTS(p_gb >= 0.0 && p_gb <= 1.0);
@@ -94,54 +100,129 @@ bool GilbertElliottModel::survives(const LinkHash& hash, Slot slot,
   return threshold == 0 || draw_mantissa(hash, slot, kGeLossSalt) >= threshold;
 }
 
+void GilbertElliottModel::step(const LinkHash& hash, std::uint64_t first_word,
+                               std::size_t n, unsigned last_slots,
+                               bool bad_before, std::uint64_t* out) noexcept {
+  step_words(hash, step_, first_word, n, last_slots, bad_before, out);
+  words_stepped_ += n;
+}
+
+GilbertElliottModel::Chain& GilbertElliottModel::chain(std::uint64_t key) {
+  static_assert(sizeof(Chain) == 104, "models.h states a link's bytes");
+  const auto at_index = [this](std::size_t i) -> Chain& {
+    return blocks_[i / kBlockChains][i % kBlockChains];
+  };
+  const std::size_t chains =
+      blocks_.empty()
+          ? 0
+          : (blocks_.size() - 1) * kBlockChains + blocks_.back().size();
+  if (2 * (chains + 1) > index_.size()) {  // keep the load <= 1/2
+    index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);
+    for (std::size_t i = 0; i < chains; ++i) {
+      std::size_t at = index_slot(at_index(i).key, index_.size());
+      while (index_[at] != 0) at = (at + 1) & (index_.size() - 1);
+      index_[at] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t at = index_slot(key, index_.size());; at = (at + 1) & mask) {
+    const std::uint32_t entry = index_[at];
+    if (entry == 0) {
+      if (chains % kBlockChains == 0) {
+        blocks_.emplace_back().reserve(kBlockChains);
+      }
+      blocks_.back().push_back(Chain{absorb_link(seed_, key), key});
+      index_[at] = static_cast<std::uint32_t>(chains + 1);
+      return blocks_.back().back();
+    }
+    Chain& link = at_index(entry - 1);
+    if (link.key == key) return link;
+  }
+}
+
+void GilbertElliottModel::fill(Chain& link, std::uint64_t slot) {
+  // The word `filled` stops in is stepped again from its start.
+  const std::uint64_t first = link.filled / 64;
+  const bool bad_before = first > 0 && (link.words[first - 1] >> 63) != 0;
+  step(link.hash, first, slot / 64 + 1 - first,
+       static_cast<unsigned>(slot % 64 + 1), bad_before, link.words + first);
+  link.filled = static_cast<std::uint32_t>((slot / 8 + 1) * 8);
+}
+
+bool GilbertElliottModel::bad_at(Chain& link, std::uint64_t slot) {
+  const std::uint64_t w = slot / 64;
+  if (w < kChainWords) {
+    if (slot >= link.filled) fill(link, slot);
+    return ((link.words[w] >> (slot % 64)) & 1) != 0;
+  }
+  if (link.past != w) {
+    // Past the cache: step on from the kept word when it lies before `w`,
+    // else from the cache's last word, and keep only word `w`.
+    const bool from_past = link.past != 0 && link.past < w;
+    if (!from_past && link.filled < 64 * kChainWords) {
+      fill(link, 64 * kChainWords - 1);
+    }
+    std::uint64_t at = from_past ? link.past : kChainWords - 1;
+    std::uint64_t bits = from_past ? link.past_word : link.words[at];
+    for (; at < w; ++at) {
+      step(link.hash, at + 1, 1, 64, (bits >> 63) != 0, &bits);
+    }
+    link.past = static_cast<std::uint32_t>(w);
+    link.past_word = bits;
+  }
+  return ((link.past_word >> (slot % 64)) & 1) != 0;
+}
+
 bool GilbertElliottModel::link_delivers(NodeId tx, NodeId rx, Slot slot) {
-  const std::uint64_t key = link_key(tx, rx);
-  const auto [it, created] = chains_.try_emplace(key);
-  ChainState& chain = it->second;
-  if (created) chain.hash = absorb_link(seed_, key);
-  if (slot < chain.slot) {  // out-of-order query: replay from slot 0
-    chain.slot = 0;
-    chain.bad = false;
+  Chain& link = chain(link_key(tx, rx));
+  return survives(link.hash, slot, bad_at(link, slot));
+}
+
+std::size_t GilbertElliottModel::survivors(const LinkHash& hash,
+                                           std::uint64_t first_slot,
+                                           std::uint64_t probes,
+                                           std::uint64_t threshold) const {
+  if (threshold == 0) return static_cast<std::size_t>(std::popcount(probes));
+  std::size_t delivered = 0;
+  for (; probes != 0; probes &= probes - 1) {
+    const auto bit = static_cast<unsigned>(std::countr_zero(probes));
+    if (draw_mantissa(hash, first_slot + bit, kGeLossSalt) >= threshold) {
+      delivered += 1;
+    }
   }
-  while (chain.slot < slot) {
-    chain.slot += 1;
-    const std::uint64_t m =
-        draw_mantissa(chain.hash, chain.slot, kChainStepSalt);
-    chain.bad = chain.bad ? m >= leave_bad_ : m < enter_bad_;
-  }
-  return survives(chain.hash, slot, chain.bad);
+  return delivered;
 }
 
 std::size_t GilbertElliottModel::count_delivered(NodeId tx, NodeId rx,
                                                  Slot first_slot, Slot stride,
                                                  std::size_t rounds) {
+  if (rounds == 0) return 0;
+  if (stride == 0) return rounds * count_delivered(tx, rx, first_slot, 1, 1);
   const LinkHash hash = absorb_link(seed_, link_key(tx, rx));
+  const std::uint64_t last = first_slot + (rounds - 1) * std::uint64_t{stride};
+  std::uint64_t words[kChainWords];
   std::size_t delivered = 0;
   std::size_t left = rounds;
   std::uint64_t probe = first_slot;  // the next probe slot
-  // The chain starts Good at slot 0, which no step draw reaches.
-  for (; left > 0 && probe == 0; --left, probe += stride) {
-    if (survives(hash, 0, false)) delivered += 1;
-  }
-  std::uint64_t steps[kDrawChunk];  // the draw that moves the chain to
-  bool bad[kDrawChunk];             // base + i, and the state it leaves
-  bool state = false;
-  for (std::uint64_t base = 1; left > 0; base += kDrawChunk) {
-    const std::uint64_t last = probe + (left - 1) * std::uint64_t{stride};
+  bool bad_before = false;
+  for (std::uint64_t base = 0; left > 0; base += kChainWords) {
     const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kDrawChunk, last - base + 1));
-    draw_mantissas(hash, base, 1, kChainStepSalt, n, steps);
-    // Both outcomes of a step are compared before the state picks one,
-    // so the only serial work per step is that pick.
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool stays_bad = steps[i] >= leave_bad_;
-      const bool turns_bad = steps[i] < enter_bad_;
-      state = (state & stays_bad) | (!state & turns_bad);
-      bad[i] = state;
+        std::min<std::uint64_t>(kChainWords, last / 64 + 1 - base));
+    const bool ends = base + n > last / 64;
+    step(hash, base, n, ends ? static_cast<unsigned>(last % 64 + 1) : 64,
+         bad_before, words);
+    bad_before = (words[n - 1] >> 63) != 0;
+    // The probes of each word as a mask, then one popcount per state that
+    // cannot lose and one draw per probe in a state that can.
+    std::uint64_t probes[kChainWords] = {};
+    for (const std::uint64_t end = (base + n) * 64; left > 0 && probe < end;
+         --left, probe += stride) {
+      probes[probe / 64 - base] |= std::uint64_t{1} << (probe % 64);
     }
-    for (; left > 0 && probe < base + n; --left, probe += stride) {
-      const bool probe_bad = bad[probe - base];
-      if (survives(hash, static_cast<Slot>(probe), probe_bad)) delivered += 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t first = (base + i) * 64;
+      delivered += survivors(hash, first, probes[i] & ~words[i], survive_good_);
+      delivered += survivors(hash, first, probes[i] & words[i], survive_bad_);
     }
   }
   return delivered;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -43,10 +42,25 @@ class IidLossModel final : public FaultModel {
 /// Markov chain (Good/Bad) stepped once per slot; the packet drops with
 /// `loss_good` in the Good state and `loss_bad` in the Bad state.  Chains
 /// start Good at slot 0 and evolve with per-(link, slot) hashed draws, so
-/// the state at any slot is a pure function of the seed -- lazily advanced
-/// and memoized per link, reset by `begin_run()`.
+/// the state at any slot is a pure function of the seed.
+///
+/// The chains run 64 slots at a time through `step_words`
+/// (fault/fault_draw.h).  `link_delivers` keeps each link's words for the
+/// life of the model, stepped through the 8-slot group of the latest slot
+/// it was asked about, so later queries and later runs read a slot's
+/// state with one bit test and `begin_run()` has nothing to reset.  The
+/// cache stops at kChainWords words (slots below 512): a query past it
+/// steps on from the last cached word, or from the one word kept past it
+/// when that lies before the query, and keeps only the word it reached.
+/// A link costs one 104-byte entry in the model's arena (its LinkHash,
+/// key, fill marks, the kept word and the 64 bytes of cached words) and 8
+/// to 16 bytes of the arena's index, whatever slots it is asked about;
+/// the arena grows 64 entries at a time.
 class GilbertElliottModel final : public FaultModel {
  public:
+  /// Words of a link's chain the cache keeps: slots [0, 64 * kChainWords).
+  static constexpr std::size_t kChainWords = 8;
+
   /// Transition probabilities per slot: Good->Bad `p_gb`, Bad->Good
   /// `p_bg`; all probabilities in [0, 1], `p_bg` > 0.
   GilbertElliottModel(double p_gb, double p_bg, double loss_good,
@@ -58,11 +72,11 @@ class GilbertElliottModel final : public FaultModel {
   [[nodiscard]] static GilbertElliottModel from_mean_loss(
       double mean_loss, double mean_burst, std::uint64_t seed);
 
-  void begin_run() override { chains_.clear(); }
   [[nodiscard]] bool link_delivers(NodeId tx, NodeId rx,
                                    Slot slot) override;
-  /// Walks a fresh chain from slot 0 in a local variable, drawing its
-  /// steps in batches; the memoized chains are neither read nor written.
+  /// Steps the link's words up to the last probe into a stack buffer and
+  /// draws a loss only at probes whose state can lose; the cache is
+  /// neither read nor written.
   [[nodiscard]] std::size_t count_delivered(NodeId tx, NodeId rx,
                                             Slot first_slot, Slot stride,
                                             std::size_t rounds) override;
@@ -70,13 +84,38 @@ class GilbertElliottModel final : public FaultModel {
   /// Long-run fraction of slots a link spends in the Bad state.
   [[nodiscard]] double stationary_bad() const noexcept;
 
+  /// Chain words this model has stepped, whole or in part, cached or not:
+  /// the exact work of its `step_words` calls.
+  [[nodiscard]] std::uint64_t words_stepped() const noexcept {
+    return words_stepped_;
+  }
+
  private:
-  struct ChainState {
-    Slot slot = 0;
-    bool bad = false;
-    LinkHash hash;  // absorbed when the chain is created
+  struct Chain {
+    LinkHash hash;
+    std::uint64_t key = 0;
+    std::uint32_t filled = 0;  // slots [0, filled) are in `words`
+    std::uint32_t past = 0;    // index of `past_word`; 0 = none yet
+    std::uint64_t past_word = 0;
+    std::uint64_t words[kChainWords] = {};
   };
 
+  /// The chain of link `key`, created on first use.
+  [[nodiscard]] Chain& chain(std::uint64_t key);
+  /// Steps `link`'s cached words through the group of `slot`.
+  void fill(Chain& link, std::uint64_t slot);
+  /// Whether `link`'s chain is Bad at `slot`.
+  [[nodiscard]] bool bad_at(Chain& link, std::uint64_t slot);
+  /// `step_words` on this model's chain step, counted.
+  void step(const LinkHash& hash, std::uint64_t first_word, std::size_t n,
+            unsigned last_slots, bool bad_before,
+            std::uint64_t* out) noexcept;
+  /// How many of the slots first_slot + b, for each bit b of `probes`,
+  /// deliver in a state whose survival threshold is `threshold`.
+  [[nodiscard]] std::size_t survivors(const LinkHash& hash,
+                                      std::uint64_t first_slot,
+                                      std::uint64_t probes,
+                                      std::uint64_t threshold) const;
   /// Draws the loss of `slot` in state `bad`.
   [[nodiscard]] bool survives(const LinkHash& hash, Slot slot,
                               bool bad) const noexcept;
@@ -84,15 +123,19 @@ class GilbertElliottModel final : public FaultModel {
   double p_gb_;
   double p_bg_;
   std::uint64_t seed_;
-  // Mantissa thresholds of p_gb, p_bg, loss_good and loss_bad: a
-  // step's draw m turns Good to Bad when m < enter_bad_ and Bad to Good
-  // when m < leave_bad_; a packet survives when m >= its state's
-  // threshold.
-  std::uint64_t enter_bad_;
-  std::uint64_t leave_bad_;
+  // The step's mantissa thresholds of p_gb (enter_bad) and p_bg
+  // (leave_bad), and those of loss_good and loss_bad: a packet survives
+  // when its draw is >= its state's threshold.
+  ChainStep step_;
   std::uint64_t survive_good_;
   std::uint64_t survive_bad_;
-  std::unordered_map<std::uint64_t, ChainState> chains_;
+  // The arena: chains in creation order, kBlockChains to a block, so
+  // adding a chain copies at most one block's worth of them.  `index_`
+  // maps a link by open addressing to its chain's number + 1 (0 = empty).
+  static constexpr std::size_t kBlockChains = 64;
+  std::vector<std::vector<Chain>> blocks_;
+  std::vector<std::uint32_t> index_;
+  std::uint64_t words_stepped_ = 0;
 };
 
 /// One node outage: `node` is down for slots in [down_from, up_at);

@@ -81,10 +81,7 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
     }
   }
 
-  Slot t_end = 1;
-  for (const TxRecord& rec : outcome.transmissions) {
-    t_end = std::max(t_end, rec.slot);
-  }
+  const Slot t_end = outcome.timeline_end();
 
   // Fragile: reached with a single successful decode -- one lost packet
   // away from being stranded.  (Unreached nodes are the resolver's

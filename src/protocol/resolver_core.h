@@ -382,10 +382,7 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
     local.rounds += 1;
     const std::vector<Slot>& first_rx = current.first_rx;
 
-    Slot t_end = 1;
-    for (const TxRecord& rec : current.transmissions) {
-      t_end = std::max(t_end, rec.slot);
-    }
+    const Slot t_end = current.timeline_end();
 
     // Pick helpers: walk the unreached boundary; one helper transmission
     // covers all of its unreached neighbors at once.

@@ -54,6 +54,11 @@ Slot BroadcastOutcome::first_tx(NodeId node) const noexcept {
   return kNeverSlot;
 }
 
+Slot BroadcastOutcome::timeline_end() const noexcept {
+  return transmissions.empty() ? 1
+                               : std::max<Slot>(1, transmissions.back().slot);
+}
+
 Simulator::Simulator(std::size_t num_nodes) {
   hear_count_.reserve(num_nodes);
   heard_from_.reserve(num_nodes);

@@ -115,6 +115,10 @@ struct BroadcastOutcome {
   /// Slot of `node`'s first transmission, or kNeverSlot if it never
   /// transmitted.
   [[nodiscard]] Slot first_tx(NodeId node) const noexcept;
+  /// Slot of the last transmission that fired, and at least 1: the end of
+  /// the timeline that retry waves are appended after.  Read off the last
+  /// record, since `transmissions` is in slot order.
+  [[nodiscard]] Slot timeline_end() const noexcept;
 };
 
 /// The simulation engine with its per-run scratch buffers.

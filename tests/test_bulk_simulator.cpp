@@ -7,10 +7,12 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/models.h"
 #include "protocol/registry.h"
 #include "sim/simulator.h"
 #include "topology/factory.h"
@@ -93,6 +95,68 @@ TEST(BulkSimulator, MatchesReferenceOnPaperTopologies) {
     for (const NodeId src : sources) {
       cross_check(*topo, lat, paper_plan(*topo, src));
     }
+  }
+}
+
+/// Records come in slot order, ties by id, which is what lets
+/// BroadcastOutcome::timeline_end read the last one.
+void expect_slot_order(const BroadcastOutcome& outcome) {
+  Slot end = 1;
+  for (std::size_t i = 0; i < outcome.transmissions.size(); ++i) {
+    const TxRecord& rec = outcome.transmissions[i];
+    if (i > 0) {
+      const TxRecord& prev = outcome.transmissions[i - 1];
+      ASSERT_TRUE(prev.slot < rec.slot ||
+                  (prev.slot == rec.slot && prev.node < rec.node))
+          << "record " << i;
+    }
+    end = std::max(end, rec.slot);
+  }
+  EXPECT_EQ(outcome.timeline_end(), end);
+}
+
+TEST(TimelineEnd, RecordsAreInSlotOrderOnBothEngines) {
+  EXPECT_EQ(BroadcastOutcome{}.timeline_end(), 1u);
+  for (const std::string& family : regular_families()) {
+    SCOPED_TRACE(family);
+    const std::unique_ptr<Topology> topo = make_paper_topology(family);
+    const ImplicitLattice lat =
+        family == "3D-6"
+            ? ImplicitLattice::mesh3d6(PaperConfig::kMesh3d,
+                                       PaperConfig::kMesh3d,
+                                       PaperConfig::kMesh3d,
+                                       PaperConfig::kSpacing)
+            : ImplicitLattice::make(family, PaperConfig::kMesh2dM,
+                                    PaperConfig::kMesh2dN, 1,
+                                    PaperConfig::kSpacing);
+    const std::size_t n = topo->num_nodes();
+    const RelayPlan plan = paper_plan(*topo, static_cast<NodeId>(n / 2));
+
+    Simulator ref(n);
+    expect_slot_order(ref.run(*topo, plan));
+    // Faded and crashed transmissions leave gaps, never disorder.
+    GilbertElliottModel bursty = GilbertElliottModel::from_mean_loss(0.2, 4, 7);
+    CrashScheduleModel crashes = CrashScheduleModel::sample(n, 0.05, 16, 4, 9);
+    CompositeFaultModel faults({&bursty, &crashes});
+    SimOptions faulted;
+    faulted.faults = &faults;
+    expect_slot_order(ref.run(*topo, plan, faulted));
+
+    BulkSimulator bulk(n);
+    const FlatRelayPlan flat = FlatRelayPlan::from(plan);
+    const BroadcastOutcome prev = bulk.run(lat, flat);
+    expect_slot_order(prev);
+    // A re-probe merges a late extra send of the first relay back in.
+    const TxRecord& first = prev.transmissions.front();
+    const std::vector<Slot>& before = plan.tx_offsets[first.node];
+    ASSERT_FALSE(before.empty());
+    std::vector<Slot> after = before;
+    after.push_back(before.back() + 3 * (prev.timeline_end() + 1));
+    const OffsetEdit edit{first.node, before, after};
+    const BroadcastOutcome edited =
+        bulk.rerun(lat, flat, std::span<const OffsetEdit>(&edit, 1), prev);
+    expect_slot_order(edited);
+    EXPECT_GT(edited.timeline_end(), prev.timeline_end());
   }
 }
 

@@ -190,6 +190,76 @@ TEST(FaultOracle, GilbertElliottMatchesTheFrozenChain) {
   }
 }
 
+// ---- chain words at their edges --------------------------------------------
+// The model keeps a link's chain in 64-slot words up to a fixed horizon
+// and steps on past it without storing; every edge must answer like the
+// frozen walk.
+
+constexpr Slot kHorizonSlot = 64 * GilbertElliottModel::kChainWords;
+
+std::vector<Slot> word_edge_slots() {
+  std::vector<Slot> slots;
+  for (Slot s = 62; s <= 66; ++s) slots.push_back(s);
+  for (Slot s = 126; s <= 130; ++s) slots.push_back(s);
+  for (Slot s = kHorizonSlot - 3; s <= kHorizonSlot + 2; ++s) {
+    slots.push_back(s);
+  }
+  for (const Slot s : {Slot{1000000}, Slot{1000001}, Slot{1000064}}) {
+    slots.push_back(s);
+  }
+  return slots;
+}
+
+struct GeParams {
+  double p_gb, p_bg, loss_good, loss_bad;
+};
+
+void expect_edges_match(const GeParams& p, std::uint64_t seed) {
+  const std::vector<Slot> in_order = word_edge_slots();
+  std::vector<Slot> shuffled = in_order;
+  Xoshiro256 rng(seed);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+  }
+  // Past the horizon and back, then a kept word revisited.
+  const std::vector<Slot> back_and_forth = {1000000, 65, kHorizonSlot + 1,
+                                            1000001, 600,  1000064,
+                                            1000000, 0,    kHorizonSlot - 1};
+  GilbertElliottModel model(p.p_gb, p.p_bg, p.loss_good, p.loss_bad, seed);
+  OracleGe oracle{p.p_gb, p.p_bg, p.loss_good, p.loss_bad, seed, {}};
+  for (const std::vector<Slot>& order : {in_order, shuffled, back_and_forth}) {
+    for (const Slot slot : order) {
+      ASSERT_EQ(model.link_delivers(3, 9, slot), oracle.delivers(3, 9, slot))
+          << "p_gb " << p.p_gb << " slot " << slot;
+    }
+    model.begin_run();
+    oracle.begin_run();
+  }
+}
+
+TEST(FaultOracle, GilbertElliottMatchesAtWordEdgesAndPastTheHorizon) {
+  const double from_mean_p_gb = 0.25 * (0.1 / 0.9) / (1.0 - 0.1 / 0.9);
+  const GeParams params[] = {
+      {from_mean_p_gb, 0.25, 0.0, 0.9},  // from_mean_loss(0.1, 4)
+      {0.08, 0.3, 0.05, 0.85},           // loss in both states
+      {1.0, 0.3, 0.05, 0.85},            // every Good step turns Bad
+      {0.6, 0.2, 0.1, 0.7},              // p_gb > p_bg: S and T together
+  };
+  for (const GeParams& p : params) {
+    for (const std::uint64_t seed : {4ull, 0xabcdefull}) {
+      expect_edges_match(p, seed);
+    }
+  }
+  // The first set is from_mean_loss's own.
+  GilbertElliottModel from_mean =
+      GilbertElliottModel::from_mean_loss(0.1, 4, 4);
+  OracleGe oracle = oracle_ge_from_mean(0.1, 4, 4);
+  for (const Slot slot : word_edge_slots()) {
+    ASSERT_EQ(from_mean.link_delivers(3, 9, slot), oracle.delivers(3, 9, slot))
+        << slot;
+  }
+}
+
 // estimate_link_quality's probe pass, driven by the oracle.
 template <typename Oracle>
 std::vector<double> oracle_estimate(const Topology& topo, Oracle& oracle) {
@@ -551,6 +621,97 @@ TEST(FaultDrawKernel, Avx512MatchesTheOracle) {
 
 TEST(FaultDrawKernel, DispatchedBodyMatchesTheOracle) {
   expect_kernel_matches_oracle(&draw_mantissas);
+}
+
+// ---- the chain word kernel -------------------------------------------------
+// Both bodies of step_words against a chain walked slot by slot on the
+// frozen draw.
+
+using StepBody = void (*)(const LinkHash&, const ChainStep&, std::uint64_t,
+                          std::size_t, unsigned, bool,
+                          std::uint64_t*) noexcept;
+
+std::uint64_t oracle_mantissa(std::uint64_t seed, std::uint64_t link,
+                              std::uint64_t slot, std::uint64_t salt) {
+  return static_cast<std::uint64_t>(oracle_canonical(seed, link, slot, salt) *
+                                    0x1.0p53);
+}
+
+void expect_step_words_match_oracle(StepBody body) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  constexpr std::uint64_t kSentinel = 0x5a5a5a5a5a5a5a5aull;
+  const std::uint64_t thresholds[] = {0,
+                                      kOne,
+                                      mantissa_threshold(0.08),
+                                      mantissa_threshold(0.3),
+                                      mantissa_threshold(0.6)};
+  Xoshiro256 rng(77);
+  for (const std::uint64_t enter : thresholds) {
+    for (const std::uint64_t leave : thresholds) {
+      const std::uint64_t seed = rng();
+      const std::uint64_t link =
+          oracle_link(static_cast<NodeId>(rng.below(900)),
+                      static_cast<NodeId>(rng.below(900)));
+      const ChainStep step{0x6eb, enter, leave};
+      const LinkHash hash = absorb_link(seed, link);
+      for (const std::uint64_t first_word : {0ull, 1ull, 6ull}) {
+        for (const bool bad_before : {false, true}) {
+          for (const std::size_t n : {1u, 3u}) {
+            for (const unsigned last_slots : {1u, 8u, 9u, 40u, 63u, 64u}) {
+              std::vector<std::uint64_t> out(n + 8, kSentinel);
+              body(hash, step, first_word, n, last_slots, bad_before,
+                   out.data());
+              // The walk: Good at slot 0, else `bad_before` carried in.
+              bool bad = first_word == 0 ? false : bad_before;
+              const std::uint64_t stepped = (last_slots + 7) / 8 * 8;
+              for (std::size_t i = 0; i < n; ++i) {
+                const bool last = i + 1 == n;
+                for (unsigned j = 0; j < 64; ++j) {
+                  const std::uint64_t slot = (first_word + i) * 64 + j;
+                  const bool bit = ((out[i] >> j) & 1) != 0;
+                  if (last && j >= stepped) {
+                    ASSERT_FALSE(bit) << "unstepped slot " << slot;
+                    continue;
+                  }
+                  if (slot > 0) {
+                    const std::uint64_t m =
+                        oracle_mantissa(seed, link, slot, 0x6eb);
+                    bad = bad ? m >= leave : m < enter;
+                  }
+                  ASSERT_EQ(bit, bad)
+                      << "enter " << enter << " leave " << leave << " slot "
+                      << slot << " carry " << bad_before << " last_slots "
+                      << last_slots;
+                }
+              }
+              for (std::size_t i = n; i < n + 8; ++i) {
+                ASSERT_EQ(out[i], kSentinel);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultDrawKernel, StepWordsScalarMatchesTheOracle) {
+  expect_step_words_match_oracle(&step_words_scalar);
+}
+
+TEST(FaultDrawKernel, StepWordsAvx512MatchesTheOracle) {
+#if WSN_FAULT_DRAW_AVX512
+  if (!draw_avx512_supported()) {
+    GTEST_SKIP() << "this CPU does not support x86-64-v4 (AVX-512)";
+  }
+  expect_step_words_match_oracle(&step_words_avx512);
+#else
+  GTEST_SKIP() << "this build has no AVX-512 step body";
+#endif
+}
+
+TEST(FaultDrawKernel, StepWordsDispatchedMatchesTheOracle) {
+  expect_step_words_match_oracle(&step_words);
 }
 
 TEST(FaultDrawKernel, ThresholdIsTheExactComparison) {
