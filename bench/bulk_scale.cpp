@@ -17,8 +17,9 @@
 // EXPERIMENTS.md) with bulk_plan/, bulk_sim/ and bulk_sim/.../workers=1
 // entries per mesh; nodes/s follows from runs_per_sec times the node
 // count in the name.  Each bulk_plan/ row also carries the exact work of
-// one compile, full_runs_count and reprobes_count, which bench_diff gates
-// at tolerance 0.
+// one compile, full_runs_count and reprobes_count, and its resolver's
+// repairs_count and resolver_rounds_count, which bench_diff gates at
+// tolerance 0.
 
 #include <cstdio>
 #include <string>
@@ -75,15 +76,21 @@ int main(int argc, char** argv) {
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
     // The work one compile does, exact on any host: its full broadcasts
     // (a re-probe that falls back counts as one) and its re-probes, read
-    // off the engine's spans over one more, untimed compile.
+    // off the engine's spans over one more, untimed compile, and the
+    // repairs and rounds its resolver reports.
+    wsn::ResolveReport resolve;
     profiler.reset();
     profiler.set_enabled(true);
-    sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size();
+    sink += wsn::implicit_paper_plan(lat, src, {}, &resolve).tx_offsets.size();
     profiler.set_enabled(false);
     results.back().metrics.emplace_back("full_runs_count",
                                         span_count("sim.bulk_simulate"));
     results.back().metrics.emplace_back("reprobes_count",
                                         span_count("sim.bulk_rerun"));
+    results.back().metrics.emplace_back("repairs_count",
+                                        static_cast<double>(resolve.repairs));
+    results.back().metrics.emplace_back("resolver_rounds_count",
+                                        static_cast<double>(resolve.rounds));
 
     const wsn::FlatRelayPlan plan = wsn::implicit_paper_plan(lat, src);
     results.push_back(wsn::bench::measure(

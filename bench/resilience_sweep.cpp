@@ -204,12 +204,20 @@ int main(int argc, char** argv) {
                     });
     const wsn::RelayPlan mesh_plan = wsn::paper_plan(
         *mesh, static_cast<wsn::NodeId>(mesh->num_nodes() / 2));
+    // The ARQ row also carries the waves and retries of that call, which
+    // pin the repair wave's choices.
+    wsn::AdaptiveArqReport arq;
     add_gilbert_row("adaptive_arq/gilbert",
                     [&](wsn::GilbertElliottModel& model) {
                       wsn::SimOptions options;
                       options.faults = &model;
-                      (void)wsn::run_adaptive_arq(*mesh, mesh_plan, options);
+                      (void)wsn::run_adaptive_arq(*mesh, mesh_plan, options,
+                                                  {}, &arq);
                     });
+    results.back().metrics.emplace_back("arq_rounds_count",
+                                        static_cast<double>(arq.rounds));
+    results.back().metrics.emplace_back("arq_retries_count",
+                                        static_cast<double>(arq.retries));
 
     wsn::PlannerComparisonConfig cmp_config;
     cmp_config.loss_rates = {0.2};

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "protocol/resolver.h"
+#include "protocol/repair_wave.h"
 
 namespace wsn {
 
@@ -62,91 +62,43 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
     const Slot gap = static_cast<Slot>(
         std::min<std::uint64_t>(raw, config.max_backoff));
 
-    std::vector<char> is_unreached(n, 0);
-    for (NodeId u : unreached) is_unreached[u] = 1;
-
     // One helper transmission covers all of its stranded neighbors at
     // once.  Prefer the holder with the best delivery probability toward
-    // the stranded node (ride the good links); tie-break by earliest
-    // reception, then lowest id -- the resolver's deterministic order.
-    std::vector<NodeId> helpers;
-    std::vector<char> covered(n, 0);
-    for (NodeId u : unreached) {
-      if (covered[u]) continue;
-      NodeId helper = kInvalidNode;
-      double helper_p = -1.0;
-      Slot helper_rx = kNeverSlot;
-      for (NodeId h : topo.neighbors(u)) {
-        if (outcome.first_rx[h] == kNeverSlot) continue;  // no message
-        const double p = delivery(h, u);
-        const bool better =
-            p > helper_p ||
-            (p == helper_p && (outcome.first_rx[h] < helper_rx ||
-                               (outcome.first_rx[h] == helper_rx &&
-                                h < helper)));
-        if (better) {
-          helper = h;
-          helper_p = p;
-          helper_rx = outcome.first_rx[h];
-        }
-      }
-      if (helper == kInvalidNode) continue;  // deeper in the void
-      helpers.push_back(helper);
-      for (NodeId w : topo.neighbors(helper)) {
-        if (is_unreached[w]) covered[w] = 1;
-      }
-    }
+    // the stranded node (ride the good links); ties go to the resolver's
+    // order, earliest reception then lowest id.
+    std::vector<NodeId> helpers = repair_wave::pick_helpers(
+        topo, unreached, outcome.first_rx,
+        [&](NodeId h, NodeId u) { return -delivery(h, u); });
     if (helpers.empty()) break;  // remainder disconnected or crashed
+    if (helpers.size() > budget) {
+      local.budget_exhausted = true;
+      helpers.resize(budget);
+    }
+    budget -= helpers.size();
+    local.retries += helpers.size();
 
     // Pack the wave into fresh slots after the backoff gap, serializing
     // helpers within 2 hops of each other so retries never collide.
-    std::vector<std::vector<NodeId>> slots;
-    std::vector<std::pair<NodeId, Slot>> wave;  // helper, slot in the wave
-    for (NodeId h : helpers) {
-      if (budget == 0) {
-        local.budget_exhausted = true;
-        break;
-      }
-      std::size_t s = 0;
-      for (;; ++s) {
-        if (s == slots.size()) {
-          slots.emplace_back();
-          break;
-        }
-        const bool clash = std::any_of(
-            slots[s].begin(), slots[s].end(),
-            [&](NodeId other) { return within_two_hops(topo, h, other); });
-        if (!clash) break;
-      }
-      slots[s].push_back(h);
-      wave.emplace_back(h, static_cast<Slot>(s));
-      budget -= 1;
-      local.retries += 1;
-    }
-    if (wave.empty()) break;
+    // First-fit is online, so the budget's prefix packs as it would have
+    // inside the whole wave.
+    const std::vector<Slot> slots = repair_wave::pack_two_hop(topo, helpers);
 
     // t_end counts transmissions that fired.  A helper whose own last
     // scheduled transmission fell in a crash outage never fired, and that
     // slot can lie at or past the wave; start the wave after it so every
     // node's offsets stay strictly increasing.
     Slot wave_start = t_end + gap;
-    for (const auto& [h, s] : wave) {
+    for (std::size_t i = 0; i < helpers.size(); ++i) {
+      const NodeId h = helpers[i];
       const auto& offsets = plan.tx_offsets[h];
       if (offsets.empty()) continue;
       const Slot last_scheduled = outcome.first_rx[h] + offsets.back();
-      if (last_scheduled >= wave_start + s) {
-        wave_start = last_scheduled - s + 1;
+      if (last_scheduled >= wave_start + slots[i]) {
+        wave_start = last_scheduled - slots[i] + 1;
       }
     }
-    for (const auto& [h, s] : wave) {
-      const Slot tx_slot = wave_start + s;
-      const Slot rx_slot = outcome.first_rx[h];
-      WSN_ASSERT(tx_slot > rx_slot);
-      auto& offsets = plan.tx_offsets[h];
-      const Slot offset = tx_slot - rx_slot;
-      WSN_ASSERT(offsets.empty() || offset > offsets.back());
-      offsets.push_back(offset);
-    }
+    repair_wave::append_wave(plan, helpers, slots, outcome.first_rx,
+                             wave_start);
     probed_plan = false;
     local.rounds += 1;
   }

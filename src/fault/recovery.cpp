@@ -1,11 +1,11 @@
 #include "fault/recovery.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/assert.h"
 #include "obs/event_sink.h"
 #include "obs/observer.h"
-#include "protocol/resolver.h"
+#include "protocol/repair_wave.h"
 
 namespace wsn {
 
@@ -23,13 +23,13 @@ std::string_view to_string(RecoveryPolicy policy) noexcept {
   return "?";
 }
 
-RecoveryPolicy parse_recovery_policy(std::string_view name) {
-  if (name == "none") return RecoveryPolicy::kNone;
-  if (name == "repeat-k") return RecoveryPolicy::kRepeatK;
-  if (name == "echo-repair") return RecoveryPolicy::kEchoRepair;
-  if (name == "adaptive") return RecoveryPolicy::kAdaptive;
-  WSN_EXPECTS(false && "unknown recovery policy");
-  return RecoveryPolicy::kNone;
+std::optional<RecoveryPolicy> parse_recovery_policy(std::string_view name) {
+  for (const RecoveryPolicy policy :
+       {RecoveryPolicy::kNone, RecoveryPolicy::kRepeatK,
+        RecoveryPolicy::kEchoRepair, RecoveryPolicy::kAdaptive}) {
+    if (name == to_string(policy)) return policy;
+  }
+  return std::nullopt;
 }
 
 RelayPlan repeat_k(RelayPlan plan, unsigned k) {
@@ -81,75 +81,27 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
     }
   }
 
-  const Slot t_end = outcome.timeline_end();
-
   // Fragile: reached with a single successful decode -- one lost packet
   // away from being stranded.  (Unreached nodes are the resolver's
   // problem, not a recovery policy's.)
-  std::vector<char> fragile(n, 0);
+  std::vector<NodeId> fragile;
   for (NodeId u = 0; u < n; ++u) {
     if (u != plan.source && outcome.first_rx[u] != kNeverSlot &&
         decodes[u] == 1) {
-      fragile[u] = 1;
+      fragile.push_back(u);
     }
   }
 
   // One echo covers every fragile neighbor of its helper at once; prefer a
   // helper other than the node's sole deliverer so the two deliveries ride
-  // independent links.
-  std::vector<NodeId> helpers;
-  std::vector<char> covered(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    if (!fragile[u] || covered[u]) continue;
-    NodeId helper = kInvalidNode;
-    Slot helper_rx = kNeverSlot;
-    bool helper_is_deliverer = true;
-    for (NodeId h : topo.neighbors(u)) {
-      if (outcome.first_rx[h] == kNeverSlot) continue;
-      const bool is_deliverer = h == deliverer[u];
-      const bool better =
-          helper == kInvalidNode ||
-          (helper_is_deliverer && !is_deliverer) ||
-          (helper_is_deliverer == is_deliverer &&
-           (outcome.first_rx[h] < helper_rx ||
-            (outcome.first_rx[h] == helper_rx && h < helper)));
-      if (better) {
-        helper = h;
-        helper_rx = outcome.first_rx[h];
-        helper_is_deliverer = is_deliverer;
-      }
-    }
-    if (helper == kInvalidNode) continue;
-    helpers.push_back(helper);
-    for (NodeId w : topo.neighbors(helper)) {
-      if (fragile[w]) covered[w] = 1;
-    }
-  }
-
-  // Pack echoes into fresh slots after the timeline, 2-hop-separated (the
-  // resolver's rule), so concurrent echoes cannot collide at any receiver.
-  std::vector<std::vector<NodeId>> slots;
-  for (NodeId h : helpers) {
-    std::size_t s = 0;
-    for (;; ++s) {
-      if (s == slots.size()) {
-        slots.emplace_back();
-        break;
-      }
-      const bool clash = std::any_of(
-          slots[s].begin(), slots[s].end(),
-          [&](NodeId other) { return within_two_hops(topo, h, other); });
-      if (!clash) break;
-    }
-    slots[s].push_back(h);
-
-    const Slot tx_slot = t_end + 1 + static_cast<Slot>(s);
-    const Slot rx_slot = outcome.first_rx[h];
-    auto& offsets = plan.tx_offsets[h];
-    const Slot offset = tx_slot - rx_slot;
-    WSN_ASSERT(offsets.empty() || offset > offsets.back());
-    offsets.push_back(offset);
-  }
+  // independent links.  Echoes go into fresh slots after the timeline,
+  // 2-hop-separated, so concurrent echoes cannot collide at any receiver.
+  const std::vector<NodeId> helpers = repair_wave::pick_helpers(
+      topo, fragile, outcome.first_rx,
+      [&](NodeId h, NodeId u) { return h == deliverer[u]; });
+  const std::vector<Slot> slots = repair_wave::pack_two_hop(topo, helpers);
+  repair_wave::append_wave(plan, helpers, slots, outcome.first_rx,
+                           outcome.timeline_end() + 1);
   plan.validate();
   return plan;
 }

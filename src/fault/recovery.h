@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string_view>
 
 #include "sim/plan.h"
@@ -25,9 +26,9 @@
 ///     the *fragile* nodes -- those with exactly one successful reception,
 ///     for whom any single loss is fatal -- and schedules one extra "echo"
 ///     from a neighboring holder of the message after the plan's timeline,
-///     packed into slots under the resolver's 2-hop separation rule so
-///     echoes never collide.  Cost scales with the number of fragile
-///     nodes, not with the plan size.
+///     packed into slots by the resolver's repair wave
+///     (protocol/repair_wave.h) so echoes never collide.  Cost scales with
+///     the number of fragile nodes, not with the plan size.
 namespace wsn {
 
 enum class RecoveryPolicy {
@@ -41,8 +42,9 @@ enum class RecoveryPolicy {
 /// "echo-repair", "adaptive".
 [[nodiscard]] std::string_view to_string(RecoveryPolicy policy) noexcept;
 
-/// Parses the tags accepted by `to_string`; aborts on anything else.
-[[nodiscard]] RecoveryPolicy parse_recovery_policy(std::string_view name);
+/// Parses the tags `to_string` writes; nullopt for anything else.
+[[nodiscard]] std::optional<RecoveryPolicy> parse_recovery_policy(
+    std::string_view name);
 
 /// Repeat-k: each relay's offsets {o_1..o_m} become k concatenated copies,
 /// copy r shifted by r * o_m.  `k` >= 1; k == 1 returns the plan

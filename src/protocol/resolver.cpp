@@ -4,10 +4,6 @@
 
 namespace wsn {
 
-bool within_two_hops(const Topology& topo, NodeId a, NodeId b) {
-  return resolver_core::within_two_hops(topo, a, b);
-}
-
 RelayPlan resolve_full_reachability(const Topology& topo, RelayPlan plan,
                                     const SimOptions& caller_options,
                                     ResolveReport* report,

@@ -20,15 +20,16 @@
 ///
 /// Algorithm: an optimistic phase first gives stranded nodes' helpers an
 /// immediate retransmission, iterating while that helps and keeping the
-/// best plan seen.  Then, while nodes remain unreached, walk them in BFS
-/// order from the reached region and give each one a *helper* -- a
-/// neighbor that already holds the message -- an extra transmission in a
-/// fresh slot after the plan's activity has quieted.  Repairs are packed
-/// greedily into slots subject to a 2-hop separation between helpers, so
-/// concurrent repairs can never collide at anyone's receiver.  Because
-/// every repair lands after the previous timeline ended, the simulation
-/// prefix is unchanged and each round strictly grows the reached set;
-/// termination in ≤ eccentricity rounds is guaranteed.
+/// best plan seen.  Then, while nodes remain unreached, walk them in id
+/// order and give each one not yet covered a *helper* -- a neighbor that
+/// already holds the message -- an extra transmission in a fresh slot
+/// after the plan's activity has quieted.  Repairs are packed first-fit
+/// into slots subject to a 2-hop separation between helpers, so
+/// concurrent repairs can never collide at anyone's receiver (one repair
+/// wave, protocol/repair_wave.h).  Because every repair lands after the
+/// previous timeline ended, the simulation prefix is unchanged and each
+/// round strictly grows the reached set; termination in ≤ eccentricity
+/// rounds is guaranteed.
 ///
 /// Every distinct plan the resolver builds is simulated exactly once, in
 /// full or as a re-probe: on an engine with a differential re-probe
@@ -67,12 +68,5 @@ struct ResolveReport {
 [[nodiscard]] RelayPlan resolve_full_reachability(
     const Topology& topo, RelayPlan plan, const SimOptions& options = {},
     ResolveReport* report = nullptr, BroadcastOutcome* outcome = nullptr);
-
-/// True if `a` and `b` are within 2 hops: adjacent, or sharing a neighbor.
-/// Two transmitters this close must not share a slot -- a common neighbor
-/// would see both and decode nothing.  Exposed for the echo-repair
-/// recovery policy (fault/recovery.h), which packs redundant helpers into
-/// slots under the same separation rule as the resolver's repairs.
-[[nodiscard]] bool within_two_hops(const Topology& topo, NodeId a, NodeId b);
 
 }  // namespace wsn

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "protocol/repair_wave.h"
 #include "protocol/resolver.h"
 #include "sim/plan.h"
 #include "sim/simulator.h"
@@ -40,32 +41,12 @@
 /// unreached node) and per edited offset list, never per node.
 ///
 /// Every decision the resolver makes (helper choice by min first_rx then
-/// min id, quiet-slot probing, 2-hop slot packing) consumes only neighbor
-/// sets and simulation outcomes; byte-identical neighbor iteration plus
-/// bit-identical outcomes therefore force identical resolved plans, which
-/// tests/test_implicit_plan.cpp asserts per family.
+/// min id, quiet-slot probing, 2-hop slot packing; protocol/repair_wave.h)
+/// consumes only neighbor sets and simulation outcomes; byte-identical
+/// neighbor iteration plus bit-identical outcomes therefore force
+/// identical resolved plans, which tests/test_implicit_plan.cpp asserts
+/// per family.
 namespace wsn::resolver_core {
-
-template <typename Net>
-[[nodiscard]] bool within_two_hops(const Net& net, NodeId a, NodeId b) {
-  if (net.adjacent(a, b)) return true;
-  // Bind both sets to locals: neighbors() may return a value type, and
-  // begin()/end() drawn from two separate temporaries would be UB.
-  const auto na = net.neighbors(a);
-  const auto nb = net.neighbors(b);
-  // Merge-walk two sorted ranges looking for a common element.
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < na.size() && ib < nb.size()) {
-    if (na[ia] == nb[ib]) return true;
-    if (na[ia] < nb[ib]) {
-      ++ia;
-    } else {
-      ++ib;
-    }
-  }
-  return false;
-}
 
 /// Position of `v` in `victims`, a probe's unreached nodes (ascending) that
 /// must contain it.  Everything the resolver tracks per victim lives at
@@ -77,6 +58,10 @@ template <typename Net>
   WSN_ASSERT(it != victims.end() && *it == v);
   return static_cast<std::size_t>(it - victims.begin());
 }
+
+/// The resolver's helper rank (repair_wave.h): every holder ranks alike,
+/// so the earliest to receive, then the lowest id, helps.
+inline constexpr auto kAnyHelper = [](NodeId, NodeId) { return 0; };
 
 /// Engines with a differential re-probe (BulkSimulator::rerun).
 template <typename SimT, typename Net>
@@ -245,18 +230,10 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
     std::size_t added = 0;
     for (std::size_t i = 0; i < victims.size(); ++i) {
       if (covered[i]) continue;
-      const NodeId u = victims[i];
-      NodeId helper = kInvalidNode;
-      Slot helper_rx = kNeverSlot;
-      for (NodeId h : net.neighbors(u)) {
-        if (first_rx[h] == kNeverSlot) continue;
-        if (first_rx[h] < helper_rx ||
-            (first_rx[h] == helper_rx && h < helper)) {
-          helper = h;
-          helper_rx = first_rx[h];
-        }
-      }
+      const NodeId helper =
+          repair_wave::best_helper(net, victims[i], first_rx, kAnyHelper);
       if (helper == kInvalidNode) continue;
+      const Slot helper_rx = first_rx[helper];
 
       // Place the retransmission in the earliest slot after the helper's
       // last transmission that (a) is quiet at each of its unreached
@@ -369,12 +346,10 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
     if (report != nullptr) *report = local;
     if (outcome != nullptr) *outcome = std::move(current);
   };
-  std::vector<NodeId> victims;
-  std::vector<char> covered;
   // Each round strictly grows the reached set by the whole boundary of the
   // unreached region, so n rounds is a safe upper bound.
   for (std::size_t round = 0; round < n; ++round) {
-    victims = current.unreached();
+    const std::vector<NodeId> victims = current.unreached();
     if (victims.empty()) {
       finish();
       return plan;
@@ -382,34 +357,8 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
     local.rounds += 1;
     const std::vector<Slot>& first_rx = current.first_rx;
 
-    const Slot t_end = current.timeline_end();
-
-    // Pick helpers: walk the unreached boundary; one helper transmission
-    // covers all of its unreached neighbors at once.
-    std::vector<NodeId> helpers;
-    covered.assign(victims.size(), 0);
-    for (std::size_t i = 0; i < victims.size(); ++i) {
-      if (covered[i]) continue;
-      const NodeId u = victims[i];
-      NodeId helper = kInvalidNode;
-      Slot helper_rx = kNeverSlot;
-      for (NodeId h : net.neighbors(u)) {
-        if (first_rx[h] == kNeverSlot) continue;  // no message
-        if (first_rx[h] < helper_rx ||
-            (first_rx[h] == helper_rx && h < helper)) {
-          helper = h;
-          helper_rx = first_rx[h];
-        }
-      }
-      if (helper == kInvalidNode) continue;  // deeper in the void; next round
-      helpers.push_back(helper);
-      for (NodeId covered_now : net.neighbors(helper)) {
-        if (first_rx[covered_now] == kNeverSlot) {
-          covered[victim_index(victims, covered_now)] = 1;
-        }
-      }
-    }
-
+    const std::vector<NodeId> helpers =
+        repair_wave::pick_helpers(net, victims, first_rx, kAnyHelper);
     if (helpers.empty()) {
       // Nothing adjacent to the reached region: the rest is disconnected.
       local.unreachable = victims.size();
@@ -418,34 +367,13 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
       return plan;
     }
 
-    // Pack repairs into fresh slots after the old timeline; helpers within
-    // 2 hops of each other are serialized so no repair can collide.
-    std::vector<std::vector<NodeId>> slots;  // slots[s] = helpers at t_end+1+s
-    for (NodeId h : helpers) {
-      std::size_t s = 0;
-      for (;; ++s) {
-        if (s == slots.size()) {
-          slots.emplace_back();
-          break;
-        }
-        const bool clash = std::any_of(
-            slots[s].begin(), slots[s].end(), [&](NodeId other) {
-              return resolver_core::within_two_hops(net, h, other);
-            });
-        if (!clash) break;
-      }
-      slots[s].push_back(h);
-
-      const Slot tx_slot = t_end + 1 + static_cast<Slot>(s);
-      const Slot rx_slot = first_rx[h];
-      WSN_ASSERT(tx_slot > rx_slot);
-      probe.will_edit(h);
-      auto& offsets = plan.tx_offsets[h];
-      const Slot offset = tx_slot - rx_slot;
-      WSN_ASSERT(offsets.empty() || offset > offsets.back());
-      offsets.push_back(offset);
-      local.repairs += 1;
-    }
+    // Repairs go into fresh slots after the old timeline, so the prefix
+    // the last probe ran stays as it was.
+    const std::vector<Slot> slots = repair_wave::pack_two_hop(net, helpers);
+    for (const NodeId h : helpers) probe.will_edit(h);
+    repair_wave::append_wave(plan, helpers, slots, first_rx,
+                             current.timeline_end() + 1);
+    local.repairs += helpers.size();
     current = probe.next(plan, current);
   }
 

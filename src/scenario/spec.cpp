@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/assert.h"
@@ -17,11 +18,6 @@ const std::vector<std::string>& known_protocols() {
   static const std::vector<std::string> kProtocols = {
       "paper", "cds", "etx", "flooding", "gossip", "ideal"};
   return kProtocols;
-}
-
-bool known_recovery(std::string_view name) {
-  return name == "none" || name == "repeat-k" || name == "echo-repair" ||
-         name == "adaptive";
 }
 
 /// FNV-1a, the classic order-sensitive stream hash; collision resistance
@@ -216,11 +212,14 @@ bool parse_entry(const JsonValue& doc, std::size_t position,
       }
       out.recovery.clear();
       for (const JsonValue& r : value.as_array()) {
-        if (!r.is_string() || !known_recovery(r.as_string())) {
+        const std::optional<RecoveryPolicy> policy =
+            r.is_string() ? parse_recovery_policy(r.as_string())
+                          : std::nullopt;
+        if (!policy) {
           return fail(error, where + ": unknown recovery policy "
                              "(none|repeat-k|echo-repair|adaptive)");
         }
-        out.recovery.push_back(parse_recovery_policy(r.as_string()));
+        out.recovery.push_back(*policy);
       }
     } else if (key == "repeat_k") {
       std::uint64_t v = 0;

@@ -13,9 +13,11 @@ namespace {
 TEST(Recovery, PolicyNamesRoundTrip) {
   for (const RecoveryPolicy policy :
        {RecoveryPolicy::kNone, RecoveryPolicy::kRepeatK,
-        RecoveryPolicy::kEchoRepair}) {
+        RecoveryPolicy::kEchoRepair, RecoveryPolicy::kAdaptive}) {
     EXPECT_EQ(parse_recovery_policy(to_string(policy)), policy);
   }
+  EXPECT_EQ(parse_recovery_policy("echo"), std::nullopt);
+  EXPECT_EQ(parse_recovery_policy(""), std::nullopt);
 }
 
 TEST(RepeatK, MultipliesPlannedTxExactly) {
