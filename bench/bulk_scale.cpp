@@ -17,8 +17,9 @@
 // EXPERIMENTS.md) with bulk_plan/, bulk_sim/ and bulk_sim/.../workers=1
 // entries per mesh; nodes/s follows from runs_per_sec times the node
 // count in the name.  Each bulk_plan/ row also carries the exact work of
-// one compile, full_runs_count and reprobes_count, and its resolver's
-// repairs_count and resolver_rounds_count, which bench_diff gates at
+// one compile, full_runs_count and reprobes_count, its resolver's
+// repairs_count and resolver_rounds_count, and plan_bytes_count, the
+// returned plan's array bytes by size; bench_diff gates all five at
 // tolerance 0.
 
 #include <cstdio>
@@ -72,17 +73,20 @@ int main(int argc, char** argv) {
 
     results.push_back(wsn::bench::measure(
         "bulk_plan/" + key,
-        [&] { sink += wsn::implicit_paper_plan(lat, src).tx_offsets.size(); },
+        [&] { sink += wsn::implicit_paper_plan(lat, src).num_nodes(); },
         s.min_iters, /*min_seconds=*/0.0, /*max_iterations=*/64));
     // The work one compile does, exact on any host: its full broadcasts
     // (a re-probe that falls back counts as one) and its re-probes, read
     // off the engine's spans over one more, untimed compile, and the
-    // repairs and rounds its resolver reports.
+    // repairs and rounds its resolver reports, and the bytes of the plan
+    // it returns.
     wsn::ResolveReport resolve;
     profiler.reset();
     profiler.set_enabled(true);
-    sink += wsn::implicit_paper_plan(lat, src, {}, &resolve).tx_offsets.size();
+    const wsn::RelayPlan compiled =
+        wsn::implicit_paper_plan(lat, src, {}, &resolve);
     profiler.set_enabled(false);
+    sink += compiled.num_nodes();
     results.back().metrics.emplace_back("full_runs_count",
                                         span_count("sim.bulk_simulate"));
     results.back().metrics.emplace_back("reprobes_count",
@@ -91,8 +95,10 @@ int main(int argc, char** argv) {
                                         static_cast<double>(resolve.repairs));
     results.back().metrics.emplace_back("resolver_rounds_count",
                                         static_cast<double>(resolve.rounds));
+    results.back().metrics.emplace_back(
+        "plan_bytes_count", static_cast<double>(compiled.array_bytes()));
 
-    const wsn::FlatRelayPlan plan = wsn::implicit_paper_plan(lat, src);
+    const wsn::RelayPlan plan = wsn::implicit_paper_plan(lat, src);
     results.push_back(wsn::bench::measure(
         "bulk_sim/" + key,
         [&] { sink += wsn::bulk_simulate(lat, plan).stats.reached; },

@@ -20,7 +20,7 @@ double handoff_etr(const wsn::Mesh2D8& topo, wsn::Vec2 from,
   const wsn::Grid2D& g = topo.grid();
   wsn::RelayPlan plan = wsn::RelayPlan::empty(topo.num_nodes(),
                                               g.to_id(from));
-  plan.tx_offsets[g.to_id(relay)] = {1};
+  plan.set_offsets(g.to_id(relay), {1});
   const auto out = wsn::simulate_broadcast(topo, plan);
   for (const wsn::TxRecord& rec : out.transmissions) {
     if (rec.node == g.to_id(relay)) {

@@ -30,7 +30,7 @@ namespace {
 
 void add_row(wsn::AsciiTable& table, const wsn::Topology& topo,
              const std::string& family, const char* where, wsn::NodeId src) {
-  const wsn::FlatRelayPlan plan = wsn::paper_plan(topo, src);
+  const wsn::RelayPlan plan = wsn::paper_plan(topo, src);
   const auto single = wsn::simulate_broadcast(topo, plan);
   const wsn::Slot period =
       wsn::min_pipeline_interval(topo, plan, /*packets=*/3, /*limit=*/256);
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     add_row(table, *topo, family, "center", center);
     add_row(table, *topo, family, "corner", 0);
     if (!json_path.empty()) {
-      const wsn::FlatRelayPlan plan = wsn::paper_plan(*topo, center);
+      const wsn::RelayPlan plan = wsn::paper_plan(*topo, center);
       results.push_back(wsn::bench::measure(
           "pipeline_period/" + family,
           [&] {

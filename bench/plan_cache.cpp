@@ -65,9 +65,7 @@ int main(int argc, char** argv) {
 
   // --- per-operation costs -------------------------------------------------
   wsn::ResolveReport report;
-  const wsn::StoredPlan sample{
-      wsn::FlatRelayPlan::from(wsn::paper_plan(*topo, 0, {}, &report)),
-      report};
+  const wsn::StoredPlan sample{wsn::paper_plan(*topo, 0, {}, &report), report};
   results.push_back(wsn::bench::measure("serialize/" + label, [&] {
     const std::string bytes = wsn::serialize_plan(sample);
     if (bytes.empty()) std::abort();

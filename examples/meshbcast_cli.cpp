@@ -63,10 +63,8 @@ namespace {
 /// A plan plus where it came from: freshly compiled, a plan-store tier,
 /// or a --plan-in artifact.  `has_report` is true for the resolver-backed
 /// protocols (paper, cds) and for artifacts, which store their report.
-/// The plan is held in the engines' flat form, so a stored or loaded plan
-/// is simulated and written back without expanding it.
 struct PlanOutcome {
-  wsn::FlatRelayPlan plan;
+  wsn::RelayPlan plan;
   wsn::ResolveReport report;
   bool has_report = false;
   std::string origin = "compiled";
@@ -514,7 +512,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n%s\n", out.stats.summary().c_str(),
                 plan_line(outcome).c_str());
     std::fputs(
-        wsn::render_roles(*grid, outcome.plan.to_relay_plan(), &out).c_str(),
+        wsn::render_roles(*grid, outcome.plan, &out).c_str(),
         stdout);
     if (frames != 0) {
       wsn::Slot last = 1;
@@ -536,7 +534,7 @@ int main(int argc, char** argv) {
   }
   if (command == "pipeline") {
     const PlanOutcome outcome = obtain_plan(cli.get("protocol"));
-    const wsn::FlatRelayPlan& plan = outcome.plan;
+    const wsn::RelayPlan& plan = outcome.plan;
     const auto packets = static_cast<std::size_t>(cli.get_u64("packets"));
     if (packets == 0) {
       std::fprintf(stderr, "--packets must be at least 1\n");

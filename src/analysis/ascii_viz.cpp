@@ -11,11 +11,11 @@ namespace {
 char role_glyph(const RelayPlan& plan, const RelayPlan* base, NodeId id,
                 bool reached) {
   if (!reached) return '!';
-  if (id == plan.source) return 'S';
-  const std::size_t txs = plan.tx_offsets[id].size();
+  if (id == plan.source()) return 'S';
+  const std::size_t txs = plan.offsets(id).size();
   if (txs == 0) return '.';
   if (base != nullptr) {
-    const std::size_t base_txs = base->tx_offsets[id].size();
+    const std::size_t base_txs = base->offsets(id).size();
     if (base_txs == 0) return '+';        // relay invented by the resolver
     if (txs > base_txs) return 'r';       // retransmission added by it
   }

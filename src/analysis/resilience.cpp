@@ -71,9 +71,9 @@ ResilienceSweep run_resilience_sweep(const Topology& topo,
   ResilienceSweep sweep;
   sweep.topology = topo.name();
 
-  // Each policy's augmented plan is deterministic; build and flatten it
-  // once for all of its trials.
-  std::vector<FlatRelayPlan> plans;
+  // Each policy's augmented plan is deterministic; build it once for all
+  // of its trials.
+  std::vector<RelayPlan> plans;
   plans.reserve(config.policies.size());
   for (RecoveryPolicy policy : config.policies) {
     plans.emplace_back(apply_recovery(topo, plan, policy, config.repeat_k));
@@ -82,7 +82,7 @@ ResilienceSweep run_resilience_sweep(const Topology& topo,
   std::size_t cell_index = 0;
   for (double loss_rate : config.loss_rates) {
     for (std::size_t p = 0; p < config.policies.size(); ++p) {
-      const FlatRelayPlan& recovered = plans[p];
+      const RelayPlan& recovered = plans[p];
 
       const std::vector<TrialResult> results =
           parallel_map<TrialResult>(
@@ -192,11 +192,9 @@ PlannerComparison run_planner_comparison(
   PlannerComparison comparison;
   comparison.topology = topo.name();
 
-  // The geometric arm runs one unedited plan in every trial: flatten it
-  // once.
-  const FlatRelayPlan geo_recovered =
+  const RelayPlan geo_recovered =
       repeat_k(geometric_plan, config.repeat_k);
-  const NodeId source = geometric_plan.source;
+  const NodeId source = geometric_plan.source();
 
   for (std::size_t li = 0; li < config.loss_rates.size(); ++li) {
     const double loss_rate = config.loss_rates[li];

@@ -55,10 +55,8 @@ struct SweepResult {
                                             PlanStore* store = nullptr);
 
 /// Same sweep for an arbitrary plan factory (used for baselines and
-/// ablations).  The factory must be safe to call concurrently.  It yields
-/// the engines' flat form, so a stored plan goes through unexpanded; a
-/// factory that builds a RelayPlan has it flattened on return.
-using PlanFactory = std::function<FlatRelayPlan(const Topology&, NodeId)>;
+/// ablations).  The factory must be safe to call concurrently.
+using PlanFactory = std::function<RelayPlan(const Topology&, NodeId)>;
 [[nodiscard]] SweepResult sweep_all_sources_with(const Topology& topo,
                                                  const PlanFactory& factory,
                                                  const SimOptions& options = {},

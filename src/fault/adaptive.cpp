@@ -90,7 +90,7 @@ BroadcastOutcome run_adaptive_arq(const Topology& topo,
     Slot wave_start = t_end + gap;
     for (std::size_t i = 0; i < helpers.size(); ++i) {
       const NodeId h = helpers[i];
-      const auto& offsets = plan.tx_offsets[h];
+      const std::span<const Slot> offsets = plan.offsets(h);
       if (offsets.empty()) continue;
       const Slot last_scheduled = outcome.first_rx[h] + offsets.back();
       if (last_scheduled >= wave_start + slots[i]) {

@@ -35,21 +35,25 @@ std::optional<RecoveryPolicy> parse_recovery_policy(std::string_view name) {
 RelayPlan repeat_k(RelayPlan plan, unsigned k) {
   WSN_EXPECTS(k >= 1);
   if (k == 1) return plan;
-  for (auto& offsets : plan.tx_offsets) {
-    if (offsets.empty()) continue;
-    const std::size_t base = offsets.size();
-    const Slot period = offsets.back();
-    offsets.reserve(base * k);
-    for (unsigned r = 1; r < k; ++r) {
-      for (std::size_t i = 0; i < base; ++i) {
+  // Every relay's list changes, so the repeated plan is written afresh
+  // rather than edited list by list.
+  RelayPlan::Writer repeated(plan.num_nodes(), plan.source());
+  std::vector<Slot> offsets;
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) {
+    if (!plan.is_relay(v)) continue;
+    const std::span<const Slot> once = plan.offsets(v);
+    const Slot period = once.back();
+    offsets.clear();
+    for (unsigned r = 0; r < k; ++r) {
+      for (const Slot offset : once) {
         // Strictly increasing: copy r starts at o_1 + r*o_m > r*o_m, the
         // previous copy's last offset.
-        offsets.push_back(offsets[i] + static_cast<Slot>(r) * period);
+        offsets.push_back(offset + static_cast<Slot>(r) * period);
       }
     }
+    repeated.set(v, offsets);
   }
-  plan.validate();
-  return plan;
+  return std::move(repeated).finish();
 }
 
 RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
@@ -63,7 +67,7 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
   // per neighbor, and a node arms its relay schedule at most once.
   std::size_t max_events = n;
   for (NodeId v = 0; v < n; ++v) {
-    max_events += plan.tx_offsets[v].size() * (1 + topo.degree(v));
+    max_events += plan.offsets(v).size() * (1 + topo.degree(v));
   }
   EventSink sink(max_events);
   Observer observer(&sink);
@@ -86,7 +90,7 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
   // problem, not a recovery policy's.)
   std::vector<NodeId> fragile;
   for (NodeId u = 0; u < n; ++u) {
-    if (u != plan.source && outcome.first_rx[u] != kNeverSlot &&
+    if (u != plan.source() && outcome.first_rx[u] != kNeverSlot &&
         decodes[u] == 1) {
       fragile.push_back(u);
     }
@@ -102,7 +106,6 @@ RelayPlan echo_repair(const Topology& topo, RelayPlan plan,
   const std::vector<Slot> slots = repair_wave::pack_two_hop(topo, helpers);
   repair_wave::append_wave(plan, helpers, slots, outcome.first_rx,
                            outcome.timeline_end() + 1);
-  plan.validate();
   return plan;
 }
 

@@ -61,15 +61,15 @@ RelayPlan CdsBroadcast::plan(const Topology& topo, NodeId source) const {
 
   // Deterministic per-node stagger decouples the rings' lock-step
   // transmissions; the resolver cleans up whatever still collides.
-  RelayPlan plan = RelayPlan::empty(n, source);
+  RelayPlan::Writer plan(n, source);
   Xoshiro256 rng(seed_ ^ (0x9e3779b97f4a7c15ull * (source + 1)));
   for (NodeId v = 0; v < n; ++v) {
     const Slot stagger =
         window_ == 0 ? 0 : static_cast<Slot>(rng.below(window_ + 1));
     if (v == source) continue;  // keep the stream aligned per node
-    if (relay[v]) plan.tx_offsets[v] = {1 + stagger};
+    if (relay[v]) plan.set(v, {1 + stagger});
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 std::string CdsBroadcast::name() const {

@@ -111,7 +111,7 @@ RelayPlan EtxRelayPlanner::plan_with_quality(
 
   // Deterministic per-node stagger decouples the rings' lock-step
   // transmissions; the resolver cleans up whatever still collides.
-  RelayPlan plan = RelayPlan::empty(n, source);
+  RelayPlan::Writer plan(n, source);
   Xoshiro256 rng(kEtxStaggerSeed ^ (0x9e3779b97f4a7c15ull * (source + 1)));
   for (NodeId v = 0; v < n; ++v) {
     const Slot stagger =
@@ -119,9 +119,9 @@ RelayPlan EtxRelayPlanner::plan_with_quality(
             ? 0
             : static_cast<Slot>(rng.below(config_.stagger_window + 1));
     if (v == source) continue;  // keep the stream aligned per node
-    if (relay[v]) plan.tx_offsets[v] = {1 + stagger};
+    if (relay[v]) plan.set(v, {1 + stagger});
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 std::string EtxRelayPlanner::name() const {

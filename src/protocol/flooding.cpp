@@ -5,16 +5,15 @@
 namespace wsn {
 
 RelayPlan Flooding::plan(const Topology& topo, NodeId source) const {
-  RelayPlan plan = RelayPlan::empty(topo.num_nodes(), source);
+  RelayPlan::Writer plan(topo.num_nodes(), source);
   Xoshiro256 rng(seed_ ^ (0x9e3779b97f4a7c15ull * (source + 1)));
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
     const Slot jitter =
         window_ == 0 ? 0 : static_cast<Slot>(rng.below(window_ + 1));
-    plan.tx_offsets[v] = {1 + jitter};
+    // The source ignores jitter: it initiates at slot 1 by definition.
+    if (v != source) plan.set(v, {1 + jitter});
   }
-  // The source ignores jitter: it initiates at slot 1 by definition.
-  plan.tx_offsets[source] = {1};
-  return plan;
+  return std::move(plan).finish();
 }
 
 std::string Flooding::name() const {

@@ -135,9 +135,9 @@ RelayPlan Mesh2d3Broadcast::plan_on_grid(const Grid2D& grid, NodeId source) {
     walk_branch(c2, -d, -1, -1, b2_serves);
   }
 
-  RelayPlan plan = RelayPlan::empty(grid.num_nodes(), source);
+  RelayPlan::Writer plan(grid.num_nodes(), source);
   for (NodeId id = 0; id < grid.num_nodes(); ++id) {
-    if (!relay[id]) continue;
+    if (!relay[id] || id == source) continue;  // the source sends at slot 1
     const Vec2 v = grid.to_coord(id);
     // B1 staircases start one slot late: their first step off the row
     // otherwise advances in lockstep with the row wavefront and the B2
@@ -147,13 +147,12 @@ RelayPlan Mesh2d3Broadcast::plan_on_grid(const Grid2D& grid, NodeId source) {
     const bool staircase_start =
         v.y == src.y + 1 || v.y == src.y - 1;
     if (staircase_start && in_b1_family(v, src)) {
-      plan.tx_offsets[id] = {2};
+      plan.set(id, {2});
     } else {
-      plan.tx_offsets[id] = {1};
+      plan.set(id, {1});
     }
   }
-  plan.tx_offsets[source] = {1};
-  return plan;
+  return std::move(plan).finish();
 }
 
 RelayPlan Mesh2d3Broadcast::plan(const Topology& topo, NodeId source) const {

@@ -102,7 +102,7 @@ RelayPlan Mesh2d4Broadcast::plan_on_grid(const Grid2D& grid, NodeId source,
                                          CollisionPolicy policy) {
   const Vec2 src = grid.to_coord(source);
 
-  RelayPlan plan = RelayPlan::empty(grid.num_nodes(), source);
+  RelayPlan::Writer plan(grid.num_nodes(), source);
   for (NodeId id = 0; id < grid.num_nodes(); ++id) {
     const Vec2 v = grid.to_coord(id);
     if (v.y == src.y) {
@@ -110,9 +110,9 @@ RelayPlan Mesh2d4Broadcast::plan_on_grid(const Grid2D& grid, NodeId source,
       // column collide with its first vertical hop and retransmit.
       if (policy == CollisionPolicy::kRetransmit &&
           is_row_retransmitter(v.x, src.x, grid.m())) {
-        plan.tx_offsets[id] = {1, 2};
+        plan.set(id, {1, 2});
       } else {
-        plan.tx_offsets[id] = {1};
+        plan.set(id, {1});
       }
     } else if (is_relay_column(v.x, src.x, grid.m())) {
       // Y-axis sweeps.  Under the rejected delay-avoidance policy the first
@@ -120,13 +120,13 @@ RelayPlan Mesh2d4Broadcast::plan_on_grid(const Grid2D& grid, NodeId source,
       // wavefront (the paper's §3.1 alternative, kept for the ablation).
       const bool first_hop = std::abs(v.y - src.y) == 1;
       if (policy == CollisionPolicy::kDelayAvoidance && first_hop) {
-        plan.tx_offsets[id] = {2};
+        plan.set(id, {2});
       } else {
-        plan.tx_offsets[id] = {1};
+        plan.set(id, {1});
       }
     }
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 RelayPlan Mesh2d4Broadcast::plan(const Topology& topo, NodeId source) const {

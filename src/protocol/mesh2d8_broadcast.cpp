@@ -79,7 +79,7 @@ RelayPlan Mesh2d8Broadcast::plan_on_grid(const Grid2D& grid, NodeId source) {
     sweep_to_corner(feeder_end_b, {m, n});  // seeds s1 above feeder reach
   }
 
-  RelayPlan plan = RelayPlan::empty(grid.num_nodes(), source);
+  RelayPlan::Writer plan(grid.num_nodes(), source);
   for (NodeId id = 0; id < grid.num_nodes(); ++id) {
     const Vec2 v = grid.to_coord(id);
     const bool on_feeder = s2_family ? on_s1(v, s1_index(src))
@@ -99,14 +99,14 @@ RelayPlan Mesh2d8Broadcast::plan_on_grid(const Grid2D& grid, NodeId source) {
     const bool feeder_endpoint =
         on_feeder && (v == feeder_end_a || v == feeder_end_b) && v != src;
     if (near_source_feeder || feeder_endpoint) {
-      plan.tx_offsets[id] = {1, 2};
+      plan.set(id, {1, 2});
     } else if (on_feeder || on_family) {
-      plan.tx_offsets[id] = {1};
+      plan.set(id, {1});
     } else {
-      plan.tx_offsets[id] = {sweep_offset[id]};
+      plan.set(id, {sweep_offset[id]});
     }
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 RelayPlan Mesh2d8Broadcast::plan(const Topology& topo, NodeId source) const {

@@ -89,24 +89,25 @@ RelayPlan Mesh3d6Broadcast::plan_on_grid(const Grid3D& grid, NodeId source) {
     }
   }
 
-  RelayPlan plan = RelayPlan::empty(grid.num_nodes(), source);
+  RelayPlan::Writer plan(grid.num_nodes(), source);
   for (NodeId id = 0; id < grid.num_nodes(); ++id) {
     const Vec3 v = grid.to_coord(id);
     const std::size_t cell = xy_index(v.xy(), m);
-    auto& offsets = plan.tx_offsets[id];
 
     if (v.z == src.z) {
       // Part 1: the 2D-4 protocol inside the source plane.
       if (v.y == src.y) {
-        offsets = Mesh2d4Broadcast::is_row_retransmitter(v.x, src.x, m)
-                      ? std::vector<Slot>{1, 2}
-                      : std::vector<Slot>{1};
+        if (Mesh2d4Broadcast::is_row_retransmitter(v.x, src.x, m)) {
+          plan.set(id, {1, 2});
+        } else {
+          plan.set(id, {1});
+        }
       } else if (Mesh2d4Broadcast::is_relay_column(v.x, src.x, m)) {
-        offsets = {1};
+        plan.set(id, {1});
       } else if (l > 1 && is_zrelay[cell]) {
         // Pure z-relay in the source plane: forward one slot late to stay
         // clear of the in-plane wavefront (§3.4).
-        offsets = {2};
+        plan.set(id, {2});
       }
     } else {
       if (is_zrelay[cell]) {
@@ -114,15 +115,18 @@ RelayPlan Mesh3d6Broadcast::plan_on_grid(const Grid3D& grid, NodeId source) {
             v.x == src.x && v.y == src.y && std::abs(v.z - src.z) == 1;
         // The Z pair next to the source collided in slot 2 with the other
         // source neighbors; it retransmits two slots later (slot 4).
-        offsets = source_column_neighbor ? std::vector<Slot>{1, 3}
-                                         : std::vector<Slot>{1};
+        if (source_column_neighbor) {
+          plan.set(id, {1, 3});
+        } else {
+          plan.set(id, {1});
+        }
       } else if (is_border[cell]) {
         // Border relay: "wait for two time slots and then forward".
-        offsets = {3};
+        plan.set(id, {3});
       }
     }
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 RelayPlan Mesh3d6Broadcast::plan(const Topology& topo, NodeId source) const {

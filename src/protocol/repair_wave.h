@@ -147,10 +147,7 @@ inline void append_wave(RelayPlan& plan, std::span<const NodeId> helpers,
     const NodeId h = helpers[i];
     const Slot tx_slot = start + slots[i];
     WSN_ASSERT(tx_slot > first_rx[h]);
-    std::vector<Slot>& offsets = plan.tx_offsets[h];
-    const Slot offset = tx_slot - first_rx[h];
-    WSN_ASSERT(offsets.empty() || offset > offsets.back());
-    offsets.push_back(offset);
+    plan.append_offset(h, tx_slot - first_rx[h]);
   }
 }
 

@@ -34,11 +34,13 @@
 /// or as a re-probe: each phase keeps the outcome of the plan it holds
 /// and hands it on, and the last probe, always of the returned plan, can
 /// go back to the caller.  On an engine with a re-probe (Prober below)
-/// the raw plan is flattened once and runs in full once; every later
-/// probe re-simulates only what the lists edited since can change.  On
-/// any other engine each probe runs the whole RelayPlan, flattened at the
-/// engine boundary.  The bookkeeping between probes is per victim (per
-/// unreached node) and per edited offset list, never per node.
+/// the raw plan runs in full once; every later probe re-simulates only
+/// what the lists edited since can change.  On any other engine each
+/// probe runs the whole plan.  Either way the engine runs the plan being
+/// edited as it stands: edits go through its overlay (sim/plan.h), and
+/// nothing is copied or converted between probes.  The bookkeeping
+/// between probes is per victim (per unreached node) and per edited
+/// offset list, never per node.
 ///
 /// Every decision the resolver makes (helper choice by min first_rx then
 /// min id, quiet-slot probing, 2-hop slot packing; protocol/repair_wave.h)
@@ -65,21 +67,21 @@ inline constexpr auto kAnyHelper = [](NodeId, NodeId) { return 0; };
 
 /// Engines with a differential re-probe (BulkSimulator::rerun).
 template <typename SimT, typename Net>
-concept Reprobing = requires(SimT& sim, const Net& net,
-                             const FlatRelayPlan& base,
-                             std::span<const OffsetEdit> overlay,
+concept Reprobing = requires(SimT& sim, const Net& net, const RelayPlan& plan,
+                             std::span<const OffsetEdit> ran,
                              const BroadcastOutcome& prev,
                              const SimOptions& options) {
   {
-    sim.rerun(net, base, overlay, prev, options)
+    sim.rerun(net, plan, ran, prev, options)
   } -> std::same_as<BroadcastOutcome>;
 };
 
 /// The resolver's probes of the plan it edits.  On an engine with a
-/// re-probe the first probe flattens the plan into a base and runs it in
-/// full; the prober then keeps every list edited since, as the last probe
-/// ran it, so each later probe is a rerun over the base with those lists
-/// before and after.  Anywhere else each probe runs the whole plan.
+/// re-probe the first probe runs the plan in full; the prober then keeps
+/// every list edited since, as the last probe ran it, so each later probe
+/// is a rerun of the plan as it stands with those lists as they ran.
+/// Anywhere else each probe runs the whole plan.  Either way the prober
+/// holds no plan of its own, only the lists it was told were edited.
 template <typename Net, typename SimT>
 class Prober {
  public:
@@ -88,18 +90,15 @@ class Prober {
 
   /// The first probe, of the plan as the resolver received it.
   BroadcastOutcome first(const RelayPlan& plan) {
-    if constexpr (kReprobing) {
-      base_ = FlatRelayPlan(plan);
-      return sim_.run(net_, base_, options_);
-    } else {
-      return sim_.run(net_, plan, options_);
-    }
+    return sim_.run(net_, plan, options_);
   }
 
-  /// Called before v's list is edited.
-  void will_edit(NodeId v) {
+  /// Called before `plan`'s list at v is edited.
+  void will_edit(const RelayPlan& plan, NodeId v) {
     if constexpr (kReprobing) {
-      const std::span<const Slot> offsets = base_.offsets(v);
+      // Every edit is announced, so a list not yet recorded is still the
+      // one the first probe ran, and every probe since.
+      const std::span<const Slot> offsets = plan.offsets(v);
       ran_.try_emplace(v, offsets.begin(), offsets.end());
     }
   }
@@ -108,11 +107,9 @@ class Prober {
   /// plan the resolver rolled back to (see ran_as).
   BroadcastOutcome next(const RelayPlan& plan, const BroadcastOutcome& prev) {
     if constexpr (kReprobing) {
-      overlay_.clear();
-      for (const auto& [v, ran] : ran_) {
-        overlay_.push_back({v, ran, plan.tx_offsets[v]});
-      }
-      BroadcastOutcome out = sim_.rerun(net_, base_, overlay_, prev, options_);
+      ran_spans_.clear();
+      for (const auto& [v, ran] : ran_) ran_spans_.push_back({v, ran});
+      BroadcastOutcome out = sim_.rerun(net_, plan, ran_spans_, prev, options_);
       ran_as(plan);
       return out;
     } else {
@@ -124,7 +121,10 @@ class Prober {
   /// from ran: after each probe, and after a roll-back to an earlier plan.
   void ran_as(const RelayPlan& plan) {
     if constexpr (kReprobing) {
-      for (auto& [v, ran] : ran_) ran = plan.tx_offsets[v];
+      for (auto& [v, ran] : ran_) {
+        const std::span<const Slot> offsets = plan.offsets(v);
+        ran.assign(offsets.begin(), offsets.end());
+      }
     }
   }
 
@@ -134,9 +134,8 @@ class Prober {
   const Net& net_;
   SimT& sim_;
   const SimOptions& options_;
-  FlatRelayPlan base_;
-  std::map<NodeId, std::vector<Slot>> ran_;  // edited since base_, as ran
-  std::vector<OffsetEdit> overlay_;
+  std::map<NodeId, std::vector<Slot>> ran_;  // edited lists, as last ran
+  std::vector<OffsetEdit> ran_spans_;
 };
 
 /// Clears `lists` and sizes it to `count` empty lists, keeping the
@@ -157,9 +156,9 @@ inline void reset_lists(std::vector<std::vector<Slot>>& lists,
 /// Each distinct plan is simulated once.  `best` receives the outcome of
 /// the returned plan, and `report.repairs` the offsets it gained over the
 /// input, if any.  The working plan is the best plan plus the offset
-/// lists edited since; an undo log of those lists' old contents takes it
-/// back to the best plan on a stall or exit, so no whole plan is copied
-/// or counted.
+/// lists edited since, in its overlay; an undo log of those lists' old
+/// contents takes it back to the best plan on a stall or exit, so no
+/// whole plan is copied or counted.
 template <typename Net, typename SimT>
 RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
                              ResolveReport& report, Prober<Net, SimT>& probe,
@@ -173,10 +172,10 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
   std::size_t best_unreached = victims.size();
   BroadcastOutcome trial;  // outcome of `plan` while it differs from best
   std::vector<std::pair<NodeId, std::vector<Slot>>> undo;
-  const auto edit = [&](NodeId v) -> std::vector<Slot>& {
-    probe.will_edit(v);
-    undo.emplace_back(v, plan.tx_offsets[v]);
-    return plan.tx_offsets[v];
+  const auto will_edit = [&](NodeId v) {
+    probe.will_edit(plan, v);
+    const std::span<const Slot> offsets = plan.offsets(v);
+    undo.emplace_back(v, std::vector<Slot>(offsets.begin(), offsets.end()));
   };
   // Offsets the working plan and the best plan hold over the input: the
   // optimistic phase also *prunes* stranded relays, so either can be
@@ -240,7 +239,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       // neighbors, so the repair actually lands, and (b) is not the slot in
       // which any already-reached neighbor got its *first* reception, which
       // the new transmission would knock out.
-      const std::vector<Slot>& offsets = plan.tx_offsets[helper];
+      const std::span<const Slot> offsets = plan.offsets(helper);
       const Slot last_tx =
           offsets.empty() ? helper_rx : helper_rx + offsets.back();
       Slot chosen = 0;
@@ -268,7 +267,8 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
       }
       if (chosen == 0) continue;  // quiet-slot phase will handle this one
 
-      edit(helper).push_back(chosen - helper_rx);
+      will_edit(helper);
+      plan.append_offset(helper, chosen - helper_rx);
       gained += 1;
       added += 1;
       for (NodeId w : net.neighbors(helper)) {
@@ -283,11 +283,11 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
         const auto nw = net.neighbors(w);
         const bool all_neighbors_reached =
             std::none_of(nw.begin(), nw.end(), unreached);
-        if (all_neighbors_reached && w != plan.source &&
-            !plan.tx_offsets[w].empty()) {
-          std::vector<Slot>& pruned = edit(w);
-          gained -= static_cast<std::int64_t>(pruned.size());
-          pruned.clear();
+        if (all_neighbors_reached && w != plan.source() &&
+            plan.is_relay(w)) {
+          will_edit(w);
+          gained -= static_cast<std::int64_t>(plan.offsets(w).size());
+          plan.clear_offsets(w);
         }
       }
     }
@@ -308,7 +308,7 @@ RelayPlan optimistic_repairs(const Net& net, RelayPlan plan,
   }
   // Newest first, so a list edited twice ends up with its oldest contents.
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-    plan.tx_offsets[it->first] = std::move(it->second);
+    plan.set_offsets(it->first, std::move(it->second));
   }
   if (!undo.empty()) probe.ran_as(plan);  // the best plan's lists
   if (best_gained > 0) report.repairs += static_cast<std::size_t>(best_gained);
@@ -370,7 +370,7 @@ RelayPlan resolve_full_reachability(const Net& net, RelayPlan plan,
     // Repairs go into fresh slots after the old timeline, so the prefix
     // the last probe ran stays as it was.
     const std::vector<Slot> slots = repair_wave::pack_two_hop(net, helpers);
-    for (const NodeId h : helpers) probe.will_edit(h);
+    for (const NodeId h : helpers) probe.will_edit(plan, h);
     repair_wave::append_wave(plan, helpers, slots, first_rx,
                              current.timeline_end() + 1);
     local.repairs += helpers.size();

@@ -290,8 +290,8 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
   } else {
     // --- plan ---------------------------------------------------------
     enter("plan");
-    // A plan built or edited here is a RelayPlan; a stored plan that no
-    // policy edits runs as served, straight off the store's flat form.
+    // A plan built or rewritten here lives in `plan`; a stored plan that
+    // no policy rewrites runs as served, straight off the store.
     RelayPlan plan;
     std::shared_ptr<const StoredPlan> stored;
     std::vector<double> learned;       // store-less etx: the estimate
@@ -313,9 +313,6 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
                                          plan_options, compile);
         plan_report = stored->report;
         quality = stored->quality;
-        if (job.recovery != RecoveryPolicy::kNone) {
-          plan = stored->plan.to_relay_plan();
-        }
       } else {
         plan = compile(plan_report, learned);
         quality = learned;
@@ -323,15 +320,16 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
     }
     // Adaptive recovery does not rewrite the plan -- it reacts at run
     // time (fault/adaptive.h), so only the static policies rewrite here.
-    if (job.recovery != RecoveryPolicy::kNone &&
-        job.recovery != RecoveryPolicy::kAdaptive) {
-      plan = apply_recovery(topo, std::move(plan), job.recovery,
-                            entry.repeat_k);
+    const bool rewrites = job.recovery != RecoveryPolicy::kNone &&
+                          job.recovery != RecoveryPolicy::kAdaptive;
+    if (rewrites) {
+      plan = apply_recovery(
+          topo, stored != nullptr ? stored->plan : std::move(plan),
+          job.recovery, entry.repeat_k);
     }
-    const bool served = stored != nullptr &&
-                        job.recovery == RecoveryPolicy::kNone;
-    planned_tx =
-        served ? stored->plan.total_offsets() : plan.planned_tx();
+    const RelayPlan& run_plan =
+        stored != nullptr && !rewrites ? stored->plan : plan;
+    planned_tx = run_plan.planned_tx();
 
     // --- faults -------------------------------------------------------
     // One model instance per job (they are stateful); sub-seeds are
@@ -383,12 +381,11 @@ ExecResult execute_job(const JobMatrix& matrix, const ScenarioJob& job,
       AdaptiveArqConfig arq_config;
       arq_config.retry_budget = entry.arq_budget;
       arq_config.max_rounds = entry.arq_rounds;
-      outcome = run_adaptive_arq(topo, plan, run_options, arq_config,
+      outcome = run_adaptive_arq(topo, run_plan, run_options, arq_config,
                                  &arq_report, quality);
       arq_ran = true;
     } else {
-      outcome = served ? sim.run(topo, stored->plan, run_options)
-                       : sim.run(topo, plan, run_options);
+      outcome = sim.run(topo, run_plan, run_options);
     }
 
     if (audit) {

@@ -346,26 +346,6 @@ class TxCosts {
   std::bitset<std::size_t{1} << kCostedRules> costed_;
 };
 
-/// The edited plan in full: `base` with every overlay node's `after`
-/// list, for a re-probe that falls back to a run.
-FlatRelayPlan with_after_lists(const FlatRelayPlan& base,
-                               std::span<const OffsetEdit> overlay) {
-  const std::size_t n = base.num_nodes();
-  std::vector<std::uint32_t> starts(n + 1, 0);
-  std::vector<Slot> offsets;
-  offsets.reserve(base.total_offsets() + overlay.size());
-  std::size_t k = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const std::span<const Slot> list =
-        k < overlay.size() && overlay[k].node == v ? overlay[k++].after
-                                                   : base.offsets(v);
-    offsets.insert(offsets.end(), list.begin(), list.end());
-    starts[v + 1] = static_cast<std::uint32_t>(offsets.size());
-  }
-  return FlatRelayPlan::adopt(base.source(), std::move(starts),
-                              std::move(offsets));
-}
-
 }  // namespace
 
 BulkSimulator::BulkSimulator(std::size_t num_nodes, std::size_t workers)
@@ -403,7 +383,7 @@ bool BulkSimulator::options_supported(const SimOptions& options,
 }
 
 BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
-                                    const FlatRelayPlan& plan,
+                                    const RelayPlan& plan,
                                     const SimOptions& options) {
   WSN_SPAN("sim.bulk_simulate");
   const std::size_t n = lat.num_nodes();
@@ -776,25 +756,18 @@ BroadcastOutcome BulkSimulator::run(const ImplicitLattice& lat,
 }
 
 BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
-                                      const FlatRelayPlan& base,
-                                      std::span<const OffsetEdit> overlay,
+                                      const RelayPlan& plan,
+                                      std::span<const OffsetEdit> ran,
                                       const BroadcastOutcome& prev,
                                       const SimOptions& options) {
   WSN_SPAN("sim.bulk_rerun");
   const std::size_t n = lat.num_nodes();
-  WSN_EXPECTS(base.num_nodes() == n && prev.first_rx.size() == n);
+  WSN_EXPECTS(plan.num_nodes() == n && prev.first_rx.size() == n);
   WSN_EXPECTS(options_supported(options));
   WSN_EXPECTS(!options.record_node_energy || prev.node_energy.size() == n);
-  base.validate();
-  for (std::size_t i = 0; i < overlay.size(); ++i) {
-    const OffsetEdit& edit = overlay[i];
-    WSN_EXPECTS(edit.node < n && (i == 0 || edit.node > overlay[i - 1].node));
-    WSN_EXPECTS(edit.node != base.source() || !edit.after.empty());
-    Slot last = 0;
-    for (const Slot offset : edit.after) {
-      WSN_EXPECTS(offset > last);  // >= 1 and strictly increasing
-      last = offset;
-    }
+  plan.validate();
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    WSN_EXPECTS(ran[i].node < n && (i == 0 || ran[i].node > ran[i - 1].node));
   }
 
   words_ = word_count(n);
@@ -808,30 +781,30 @@ BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
   out.first_rx = prev.first_rx;
   std::vector<Slot>& new_rx = out.first_rx;
 
-  // A node's list on either side: the overlay's where it names the node,
-  // else the base's.
+  // A node's list on either side: the plan's after the edit, and before
+  // it the one `ran` names, else the plan's.
   edited_.assign(words_, 0);
-  for (const OffsetEdit& edit : overlay) {
+  for (const OffsetEdit& edit : ran) {
     edited_[edit.node / kWordBits] |= std::uint64_t{1}
                                       << (edit.node % kWordBits);
   }
-  const auto edit_of = [&](NodeId v) -> const OffsetEdit& {
-    return *std::lower_bound(
-        overlay.begin(), overlay.end(), v,
-        [](const OffsetEdit& edit, NodeId id) { return edit.node < id; });
+  const auto ran_before = [&](NodeId v) {
+    return std::lower_bound(
+               ran.begin(), ran.end(), v,
+               [](const OffsetEdit& edit, NodeId id) { return edit.node < id; })
+        ->before;
   };
   const auto offsets_of = [&](NodeId v, bool after) {
-    if ((edited_[v / kWordBits] >> (v % kWordBits) & 1u) == 0) {
-      return base.offsets(v);
+    if (after || (edited_[v / kWordBits] >> (v % kWordBits) & 1u) == 0) {
+      return plan.offsets(v);
     }
-    const OffsetEdit& edit = edit_of(v);
-    return after ? edit.after : edit.before;
+    return ran_before(v);
   };
   // Whether v transmits in slot t: bit 0 before the edit, bit 1 after.
   // An unedited node's relay bits answer without its offsets, except for
   // the few other relays; an edited one is looked up once for both sides.
-  const std::span<const std::uint64_t> plain_relays = base.plain_relays();
-  const std::span<const std::uint64_t> other_relays = base.other_relays();
+  const std::span<const std::uint64_t> plain_relays = plan.plain_relays();
+  const std::span<const std::uint64_t> other_relays = plan.other_relays();
   const auto sends = [&](NodeId v, Slot t) -> unsigned {
     if (t > max_slots) return 0;
     const Slot rx_before = old_rx[v];
@@ -856,11 +829,10 @@ BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
                unsigned{may_after && t - rx_after == 1} << 1;
       }
       if ((other_relays[w] & bit) == 0) return 0;
-      before = after = base.offsets(v);
+      before = after = plan.offsets(v);
     } else {
-      const OffsetEdit& edit = edit_of(v);
-      before = edit.before;
-      after = edit.after;
+      before = ran_before(v);
+      after = plan.offsets(v);
     }
     return unsigned{may_before && holds(before, t - rx_before)} |
            unsigned{may_after && holds(after, t - rx_after)} << 1;
@@ -898,8 +870,8 @@ BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
       work += 1 + num_rules;
     }
   };
-  for (const OffsetEdit& edit : overlay) {
-    if (std::ranges::equal(edit.before, edit.after)) continue;
+  for (const OffsetEdit& edit : ran) {
+    if (std::ranges::equal(edit.before, plan.offsets(edit.node))) continue;
     mark_schedule(edit.node, old_rx[edit.node], false);
     mark_schedule(edit.node, old_rx[edit.node], true);
   }
@@ -929,7 +901,7 @@ BroadcastOutcome BulkSimulator::rerun(const ImplicitLattice& lat,
   while (!dirty.empty()) {
     if (work > budget) {
       dirty.clear();
-      return run(lat, with_after_lists(base, overlay), options);
+      return run(lat, plan, options);
     }
     const auto first = dirty.begin();
     now = first->first;
@@ -1175,7 +1147,7 @@ void BulkSimulator::set_progress(BulkProgressFn fn,
 }
 
 BroadcastOutcome bulk_simulate(const ImplicitLattice& lat,
-                               const FlatRelayPlan& plan,
+                               const RelayPlan& plan,
                                const SimOptions& options) {
   BulkSimulator sim(lat.num_nodes());
   return sim.run(lat, plan, options);

@@ -28,7 +28,7 @@
 ///     SWAR adds of shift(T & rule_mask, delta) one shift rule at a time
 ///
 /// next to the lattice's rule masks (ImplicitLattice::rule_masks) and the
-/// plan's relay bitsets (FlatRelayPlan::plain_relays/other_relays).  The
+/// plan's relay bitsets (RelayPlan::plain_relays/other_relays).  The
 /// schedule is kept in words too: a plain relay -- offsets exactly {1},
 /// nearly every relay of a paper plan -- forwards in the slot after its
 /// first reception, so each word's fresh & plain bits go straight into
@@ -105,7 +105,7 @@
 /// Nothing n-sized besides the bit vectors and the outcome itself, and no
 /// per-node map, sort or set/clear-bit loop.
 ///
-/// Semantics contract: `run` takes the same FlatRelayPlan as
+/// Semantics contract: `run` takes the same RelayPlan as
 /// `Simulator::run` and returns a BroadcastOutcome *bit-identical* to it
 /// on the materialized topology of the same family/dims --
 /// every stats counter, every TxRecord, every first_rx slot, and the energy
@@ -167,19 +167,18 @@ class BulkSimulator {
   [[nodiscard]] static bool options_supported(const SimOptions& options,
                                               std::string* why = nullptr);
 
-  /// Runs one broadcast off the CSR plan, the only form an engine takes
-  /// (a RelayPlan is flattened at the call).  `options` must be
-  /// options_supported().
+  /// Runs one broadcast off the plan's CSR arrays and edit overlay, as
+  /// they stand.  `options` must be options_supported().
   [[nodiscard]] BroadcastOutcome run(const ImplicitLattice& lat,
-                                     const FlatRelayPlan& plan,
+                                     const RelayPlan& plan,
                                      const SimOptions& options = {});
 
-  /// A differential re-probe: the outcome `run` returns for `base` with
-  /// `overlay`'s `after` lists, bit-identical field for field, given
-  /// `prev`, the outcome of `base` with its `before` lists under the same
-  /// `options` (node_energy included when they record it).  `overlay` is
-  /// sorted by node, one entry per node, and names every node whose list
-  /// differs from the base's on either side.
+  /// A differential re-probe: the outcome `run` returns for `plan`,
+  /// bit-identical field for field, given `prev`, the outcome under the
+  /// same `options` (node_energy included when they record it) of the
+  /// plan as it was: `plan` with `ran`'s `before` lists.  `ran` is sorted
+  /// by node, one entry per node, and names every node whose list has
+  /// changed since `prev` ran (it may name unchanged ones too).
   ///
   /// Dirty rule.  A reception at node u in slot t can change only where
   /// the set of u's transmitting neighbours at t changed, or whether u
@@ -200,13 +199,12 @@ class BulkSimulator {
   ///
   /// Fallback.  Past a share of a full run's work -- dirty pairs against
   /// prev's transmissions, kReprobeWorkShare below -- a re-probe costs
-  /// more than a broadcast, so it stops and runs the edited plan in full
-  /// instead.
+  /// more than a broadcast, so it stops and runs `plan` in full instead.
   /// Same `options` surface as `run`; no progress is reported, except by
   /// a fallback run.
   [[nodiscard]] BroadcastOutcome rerun(const ImplicitLattice& lat,
-                                       const FlatRelayPlan& base,
-                                       std::span<const OffsetEdit> overlay,
+                                       const RelayPlan& plan,
+                                       std::span<const OffsetEdit> ran,
                                        const BroadcastOutcome& prev,
                                        const SimOptions& options = {});
 
@@ -247,7 +245,7 @@ class BulkSimulator {
   std::vector<Band> bands_;
   std::map<Slot, std::vector<NodeId>> schedule_;  // every other relay
   std::map<Slot, std::vector<NodeId>> dirty_;     // a re-probe's pairs
-  std::vector<std::uint64_t> edited_;  // bit v: v is in the re-probe overlay
+  std::vector<std::uint64_t> edited_;  // bit v: v is named by a re-probe's ran
   std::size_t workers_ = 0;
   BulkProgressFn progress_;
   std::uint64_t progress_every_ = 64;
@@ -256,7 +254,7 @@ class BulkSimulator {
 /// Stateless convenience over a fresh BulkSimulator (mirrors
 /// simulate_broadcast); hot loops keep a BulkSimulator for its scratch.
 [[nodiscard]] BroadcastOutcome bulk_simulate(const ImplicitLattice& lat,
-                                             const FlatRelayPlan& plan,
+                                             const RelayPlan& plan,
                                              const SimOptions& options = {});
 
 }  // namespace wsn

@@ -64,15 +64,15 @@ struct PipelineOutcome {
 /// Runs the pipelined broadcast to completion.  Deterministic.  Stateless
 /// convenience over a fresh Simulator (`Simulator::run_pipeline`).
 [[nodiscard]] PipelineOutcome simulate_pipeline(const Topology& topo,
-                                                const FlatRelayPlan& plan,
+                                                const RelayPlan& plan,
                                                 const PipelineOptions& options);
 
 /// The smallest interval in [1, `limit`] at which every packet of a
 /// `packets`-deep pipeline reaches every node, or 0 if none does.  Linear
 /// scan: interference is not monotone in the interval, so each value is
-/// tested directly (on one reused Simulator, off one flat plan).
+/// tested directly (on one reused Simulator).
 [[nodiscard]] Slot min_pipeline_interval(const Topology& topo,
-                                         const FlatRelayPlan& plan,
+                                         const RelayPlan& plan,
                                          std::size_t packets, Slot limit);
 
 }  // namespace wsn

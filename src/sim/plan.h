@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,156 +33,40 @@
 /// offsets and re-simulate without touching protocol code.
 namespace wsn {
 
-struct RelayPlan {
-  NodeId source = kInvalidNode;
-  /// tx_offsets[v] = slots after v's first reception at which v transmits.
-  /// Offsets must be ≥ 1 and strictly increasing.
-  std::vector<std::vector<Slot>> tx_offsets;
+/// A relay plan in CSR form with a sparse edit overlay: the one plan type
+/// every protocol writes, every editor edits, the store serializes and
+/// both engines run.
+///
+/// A plan is born flat.  A protocol writes its lists in node order through
+/// a Writer into one starts array and one offsets array (the base), plus
+/// two relay bitsets; nothing is allocated per node, so a 10⁶-node plan
+/// costs four allocations whatever its relay count.  Editors -- the
+/// resolver's repairs and undo, echo-repair, adaptive ARQ -- then change a
+/// few lists at a time: an edited node's list moves into the overlay (an
+/// `edited` bitset plus the edited lists), and offsets(v) reads through
+/// it.  Every edit keeps the relay bitsets and the offset total current,
+/// so an engine runs an edited plan as it stands.  Edits and the Writer
+/// check the contract (offsets ≥ 1 and strictly increasing, the source a
+/// relay) as they go; only parts adopted from outside are walked by
+/// validate().
+class RelayPlan {
+ public:
+  class Writer;
+
+  RelayPlan() = default;
 
   /// An empty plan for `count` nodes with the source transmitting at slot 1.
-  static RelayPlan empty(std::size_t count, NodeId source) {
-    WSN_EXPECTS(source < count);
-    RelayPlan plan;
-    plan.source = source;
-    plan.tx_offsets.assign(count, {});
-    plan.tx_offsets[source] = {1};
-    return plan;
-  }
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return tx_offsets.size();
-  }
-
-  [[nodiscard]] bool is_relay(NodeId v) const noexcept {
-    return !tx_offsets[v].empty();
-  }
-
-  /// Number of relays (nodes with at least one scheduled transmission).
-  [[nodiscard]] std::size_t relay_count() const noexcept {
-    std::size_t count = 0;
-    for (const auto& offsets : tx_offsets) {
-      if (!offsets.empty()) ++count;
-    }
-    return count;
-  }
-
-  /// Nodes scheduled to transmit more than once (the paper's gray nodes).
-  [[nodiscard]] std::vector<NodeId> retransmitters() const {
-    std::vector<NodeId> out;
-    for (NodeId v = 0; v < tx_offsets.size(); ++v) {
-      if (tx_offsets[v].size() > 1) out.push_back(v);
-    }
-    return out;
-  }
-
-  /// Planned transmission count assuming every relay gets the message
-  /// (= Σ offsets sizes).  The simulator's actual Tx equals this whenever
-  /// reachability is 100%.
-  [[nodiscard]] std::size_t planned_tx() const noexcept {
-    std::size_t count = 0;
-    for (const auto& offsets : tx_offsets) count += offsets.size();
-    return count;
-  }
-
-  /// Contract check used by tests and the simulator: offsets ≥ 1, strictly
-  /// increasing, source is a relay.
-  void validate() const {
-    WSN_EXPECTS(source < num_nodes());
-    WSN_EXPECTS(is_relay(source));
-    for (const auto& offsets : tx_offsets) {
-      for (std::size_t i = 0; i < offsets.size(); ++i) {
-        WSN_EXPECTS(offsets[i] >= 1);
-        WSN_EXPECTS(i == 0 || offsets[i] > offsets[i - 1]);
-      }
-    }
-  }
-};
-
-/// The same plan in CSR form: one starts array, one offsets array and two
-/// relay bitsets: four allocations, regardless of relay count.
-///
-/// RelayPlan's vector-of-vectors is the right shape for *construction* --
-/// protocols push offsets node by node, the resolver appends repairs --
-/// but a terrible shape for a cache: rebuilding it from a disk artifact
-/// costs one heap allocation per relay, which dominates a warm plan-store
-/// load.  FlatRelayPlan is the at-rest/simulation form and the only one
-/// the engines accept: the plan store deserializes straight into it, and
-/// `Simulator` and `BulkSimulator` run straight off it.  The two forms
-/// convert losslessly; a RelayPlan handed to an engine is flattened at
-/// the call (the conversion is implicit), so code that simulates one
-/// unedited plan many times flattens it once before its loop.
-class FlatRelayPlan {
- public:
-  FlatRelayPlan() = default;
-
-  /// Flattens a RelayPlan, checking its contract (RelayPlan::validate)
-  /// on the way.  Implicit on purpose: it is the one way a plan under
-  /// construction reaches an engine.
-  FlatRelayPlan(const RelayPlan& plan) : source_(plan.source) {
-    WSN_EXPECTS(source_ < plan.num_nodes());
-    WSN_EXPECTS(plan.is_relay(source_));
-    // One pass, checks included, and a plain store per node: at 10⁶
-    // nodes this loop is most of what handing a RelayPlan to an engine
-    // costs, and any second walk over the per-node vectors doubles it.
-    const std::size_t n = plan.num_nodes();
-    starts_.resize(n + 1);
-    size_relay_sets(n);
-    std::uint32_t* const start = starts_.data();
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::vector<Slot>& offsets = plan.tx_offsets[v];
-      if (!offsets.empty()) {  // most nodes of a large plan are not relays
-        Slot last = 0;
-        for (const Slot offset : offsets) {
-          WSN_EXPECTS(offset > last);  // >= 1 and strictly increasing
-          last = offset;
-        }
-        offsets_.insert(offsets_.end(), offsets.begin(), offsets.end());
-        file_relay(v, offsets);
-      }
-      start[v + 1] = static_cast<std::uint32_t>(offsets_.size());
-    }
-    checked_ = true;
-  }
-
-  /// The converting constructor, spelled out.
-  static FlatRelayPlan from(const RelayPlan& plan) { return plan; }
+  static RelayPlan empty(std::size_t count, NodeId source);
 
   /// Wraps already-flattened parts.  `starts` has num_nodes + 1 entries
-  /// with starts[0] == 0; the parts must satisfy the RelayPlan contract
-  /// (validate() aborts otherwise -- pre-validate untrusted input).
-  static FlatRelayPlan adopt(NodeId source,
-                             std::vector<std::uint32_t> starts,
-                             std::vector<Slot> offsets) {
-    FlatRelayPlan flat;
-    flat.source_ = source;
-    flat.starts_ = std::move(starts);
-    flat.offsets_ = std::move(offsets);
-    // Files each relay whose parts are in bounds; validate() rejects the
-    // rest before any engine reads the sets.
-    const std::size_t n = flat.num_nodes();
-    flat.size_relay_sets(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::uint32_t lo = flat.starts_[v];
-      const std::uint32_t hi = flat.starts_[v + 1];
-      if (lo < hi && hi <= flat.offsets_.size()) {
-        flat.file_relay(v, std::span<const Slot>(flat.offsets_.data() + lo,
-                                                 hi - lo));
-      }
-    }
-    return flat;
-  }
+  /// with starts[0] == 0; the parts must satisfy the contract (validate()
+  /// aborts otherwise -- pre-validate untrusted input).
+  static RelayPlan adopt(NodeId source, std::vector<std::uint32_t> starts,
+                         std::vector<Slot> offsets);
 
-  /// Expands back into the construction-friendly form.
-  [[nodiscard]] RelayPlan to_relay_plan() const {
-    RelayPlan plan;
-    plan.source = source_;
-    plan.tx_offsets.resize(num_nodes());
-    for (NodeId v = 0; v < num_nodes(); ++v) {
-      const std::span<const Slot> span = offsets(v);
-      plan.tx_offsets[v].assign(span.begin(), span.end());
-    }
-    return plan;
-  }
+  /// A copy of the plan, under the name the repository benchmark
+  /// (perfbench) calls.
+  [[nodiscard]] RelayPlan to_relay_plan() const { return *this; }
 
   [[nodiscard]] NodeId source() const noexcept { return source_; }
 
@@ -188,17 +74,29 @@ class FlatRelayPlan {
     return starts_.empty() ? 0 : starts_.size() - 1;
   }
 
-  [[nodiscard]] std::span<const Slot> offsets(NodeId v) const noexcept {
+  /// v's offsets, through the overlay.  The span stays valid until v's
+  /// list is next edited.
+  [[nodiscard]] std::span<const Slot> offsets(NodeId v) const {
+    if (is_edited(v)) return edits_.find(v)->second;
     return {offsets_.data() + starts_[v], starts_[v + 1] - starts_[v]};
   }
 
   [[nodiscard]] bool is_relay(NodeId v) const noexcept {
-    return starts_[v + 1] > starts_[v];
+    return ((plain_relays_[v / 64] | other_relays_[v / 64]) >> (v % 64) &
+            1u) != 0;
   }
 
-  [[nodiscard]] std::size_t total_offsets() const noexcept {
-    return offsets_.size();
-  }
+  /// Number of relays (nodes with at least one scheduled transmission).
+  [[nodiscard]] std::size_t relay_count() const noexcept;
+
+  /// Nodes scheduled to transmit more than once (the paper's gray nodes).
+  [[nodiscard]] std::vector<NodeId> retransmitters() const;
+
+  /// Planned transmission count assuming every relay gets the message
+  /// (= Σ offsets sizes).  The simulator's actual Tx equals this whenever
+  /// reachability is 100%.
+  [[nodiscard]] std::size_t planned_tx() const noexcept { return total_; }
+  [[nodiscard]] std::size_t total_offsets() const noexcept { return total_; }
 
   /// The relays as bitsets over node ids (bit v % 64 of word v / 64).  A
   /// plain relay's offsets are exactly {1}: it forwards once, one slot
@@ -213,54 +111,83 @@ class FlatRelayPlan {
     return other_relays_;
   }
 
-  /// Same contract as RelayPlan::validate(), plus CSR well-formedness.
-  /// A plan flattened from a RelayPlan was checked as it was built and
-  /// cannot change since, so the walk below runs for adopted parts only.
-  void validate() const {
-    WSN_EXPECTS(!starts_.empty() && starts_.front() == 0);
-    if (checked_) return;
-    WSN_EXPECTS(starts_.back() == offsets_.size());
-    WSN_EXPECTS(source_ < num_nodes());
-    WSN_EXPECTS(is_relay(source_));
-    for (NodeId v = 0; v < num_nodes(); ++v) {
-      WSN_EXPECTS(starts_[v] <= starts_[v + 1]);
-      const std::span<const Slot> span = offsets(v);
-      for (std::size_t i = 0; i < span.size(); ++i) {
-        WSN_EXPECTS(span[i] >= 1);
-        WSN_EXPECTS(i == 0 || span[i] > span[i - 1]);
-      }
-    }
+  /// The contract: offsets ≥ 1 and strictly increasing, the source a
+  /// relay, and well-formed CSR parts.  A written or edited plan was
+  /// checked as it was built, so the walk runs for adopted parts only.
+  void validate() const;
+
+  // --- edits, through the overlay ------------------------------------
+
+  /// Replaces v's list.
+  void set_offsets(NodeId v, std::vector<Slot> offsets);
+  /// Appends one offset to v's list; it must exceed the list's last.
+  void append_offset(NodeId v, Slot offset);
+  /// Empties v's list; the source's may not be emptied.
+  void clear_offsets(NodeId v) { set_offsets(v, {}); }
+
+  /// Nodes whose list lives in the overlay.
+  [[nodiscard]] std::size_t edited_count() const noexcept {
+    return edits_.size();
   }
 
+  /// Bytes of the plan's arrays by their sizes: the CSR parts, the three
+  /// bitsets and the overlay's lists (not its bookkeeping).
+  [[nodiscard]] std::size_t array_bytes() const noexcept;
+
+  /// Same source and the same list at every node, however each is stored.
+  friend bool operator==(const RelayPlan& a, const RelayPlan& b);
+
  private:
-  void size_relay_sets(std::size_t n) {
-    plain_relays_.assign((n + 63) / 64, 0);
-    other_relays_.assign((n + 63) / 64, 0);
+  [[nodiscard]] bool is_edited(NodeId v) const noexcept {
+    return !edited_.empty() && (edited_[v / 64] >> (v % 64) & 1u) != 0;
   }
-  void file_relay(std::size_t v, std::span<const Slot> offsets) noexcept {
-    const bool plain = offsets.size() == 1 && offsets[0] == 1;
-    std::vector<std::uint64_t>& set = plain ? plain_relays_ : other_relays_;
-    set[v / 64] |= std::uint64_t{1} << (v % 64);
-  }
+  void size_relay_sets(std::size_t n);
+  void file_relay(NodeId v, std::span<const Slot> offsets) noexcept;
+  /// v's overlay list, moved there from the base on v's first edit.
+  std::vector<Slot>& edit_of(NodeId v);
 
   NodeId source_ = kInvalidNode;
   std::vector<std::uint32_t> starts_;
   std::vector<Slot> offsets_;
   std::vector<std::uint64_t> plain_relays_;
   std::vector<std::uint64_t> other_relays_;
-  bool checked_ = false;  // built from a RelayPlan, contract checked
+  std::vector<std::uint64_t> edited_;  // bit v: v's list is in edits_
+  std::unordered_map<NodeId, std::vector<Slot>> edits_;
+  std::size_t total_ = 0;  // Σ list sizes, overlay included
+  bool checked_ = false;   // written or edited under the contract checks
 };
 
-/// One node's offset list on both sides of a plan edit: `before` as an
-/// earlier run ran it, `after` as the next run runs it.  A sorted span of
-/// these over a FlatRelayPlan base is the sparse overlay a differential
-/// re-probe takes (BulkSimulator::rerun): every node it does not name
-/// runs the base's list on both sides.  The spans borrow the caller's
-/// storage.
+/// Writes a plan's lists in ascending node order, straight into CSR.
+/// Each node is written at most once; a node not written has no list,
+/// except the source, which transmits at slot 1 unless written otherwise.
+class RelayPlan::Writer {
+ public:
+  Writer(std::size_t count, NodeId source);
+
+  void set(NodeId v, std::span<const Slot> offsets);
+  void set(NodeId v, std::initializer_list<Slot> offsets) {
+    set(v, std::span<const Slot>(offsets.begin(), offsets.size()));
+  }
+
+  /// Closes every list not written and hands the plan over.
+  [[nodiscard]] RelayPlan finish() &&;
+
+ private:
+  /// Closes the lists of nodes [next_, v) as empty, the source's as {1}.
+  void skip_to(NodeId v);
+  void append(NodeId v, std::span<const Slot> offsets);
+
+  RelayPlan plan_;
+  NodeId next_ = 0;  // the lowest node still open
+};
+
+/// One node's offset list as an earlier run ran it.  A sorted span of
+/// these over the plan a re-probe runs (BulkSimulator::rerun) names every
+/// node whose list has changed since that run; every other node ran the
+/// plan's current list.  The spans borrow the caller's storage.
 struct OffsetEdit {
   NodeId node = kInvalidNode;
   std::span<const Slot> before;
-  std::span<const Slot> after;
 };
 
 }  // namespace wsn

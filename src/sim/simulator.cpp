@@ -74,7 +74,7 @@ Simulator::Simulator(std::size_t num_nodes) {
 /// once.
 template <bool kObserved>
 BroadcastOutcome Simulator::run_impl(const Topology& topo,
-                                     const FlatRelayPlan& plan,
+                                     const RelayPlan& plan,
                                      const SimOptions& options,
                                      std::span<BroadcastStats> per_packet,
                                      Slot interval) {
@@ -358,7 +358,7 @@ std::vector<Simulator::Pending>& Simulator::slot_entries(Slot slot) {
 }
 
 BroadcastOutcome Simulator::run(const Topology& topo,
-                                const FlatRelayPlan& plan,
+                                const RelayPlan& plan,
                                 const SimOptions& options) {
   WSN_SPAN("sim.simulate");
   if (options.observer != nullptr) {
@@ -368,7 +368,7 @@ BroadcastOutcome Simulator::run(const Topology& topo,
 }
 
 PipelineOutcome Simulator::run_pipeline(const Topology& topo,
-                                        const FlatRelayPlan& plan,
+                                        const RelayPlan& plan,
                                         const PipelineOptions& options) {
   WSN_SPAN("sim.pipeline");
   WSN_EXPECTS(options.packets >= 1);
@@ -397,7 +397,7 @@ PipelineOutcome Simulator::run_pipeline(const Topology& topo,
 }
 
 BroadcastOutcome simulate_broadcast(const Topology& topo,
-                                    const FlatRelayPlan& plan,
+                                    const RelayPlan& plan,
                                     const SimOptions& options) {
   Simulator simulator(topo.num_nodes());
   return simulator.run(topo, plan, options);

@@ -143,17 +143,16 @@ class Simulator {
   explicit Simulator(std::size_t num_nodes);
 
   /// Runs one broadcast to completion; semantics of simulate_broadcast.
-  /// The plan is the CSR form (sim/plan.h), the only one an engine
-  /// takes: a stored plan runs as served, and a RelayPlan is flattened
-  /// at the call.
+  /// The plan runs as it stands (sim/plan.h): CSR arrays plus any edits
+  /// in its overlay, nothing converted.
   [[nodiscard]] BroadcastOutcome run(const Topology& topo,
-                                     const FlatRelayPlan& plan,
+                                     const RelayPlan& plan,
                                      const SimOptions& options = {});
 
   /// Runs a pipelined broadcast to completion; semantics of
   /// simulate_pipeline (sim/pipeline.h).
   [[nodiscard]] PipelineOutcome run_pipeline(const Topology& topo,
-                                             const FlatRelayPlan& plan,
+                                             const RelayPlan& plan,
                                              const PipelineOptions& options);
 
  private:
@@ -180,7 +179,7 @@ class Simulator {
   /// stats accumulate in its entry, and the outcome's stats gather the
   /// collisions and, at the end, the totals.
   template <bool kObserved>
-  BroadcastOutcome run_impl(const Topology& topo, const FlatRelayPlan& plan,
+  BroadcastOutcome run_impl(const Topology& topo, const RelayPlan& plan,
                             const SimOptions& options,
                             std::span<BroadcastStats> per_packet = {},
                             Slot interval = 0);
@@ -212,7 +211,7 @@ class Simulator {
 /// Stateless convenience over a fresh Simulator; hot loops that run many
 /// broadcasts keep a Simulator and call `run` to reuse its scratch.
 [[nodiscard]] BroadcastOutcome simulate_broadcast(const Topology& topo,
-                                                  const FlatRelayPlan& plan,
+                                                  const RelayPlan& plan,
                                                   const SimOptions& options = {});
 
 }  // namespace wsn

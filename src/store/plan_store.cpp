@@ -29,7 +29,7 @@ std::shared_ptr<const StoredPlan> PlanStore::fetch(
     const SimOptions& options, const Compile& compile, Origin* origin) {
   const auto compiled = [&] {
     auto value = std::make_shared<StoredPlan>();
-    value->plan = FlatRelayPlan::from(compile(*value));
+    value->plan = compile(*value);
     WSN_ENSURES(value->plan.num_nodes() == topo.num_nodes());
     WSN_ENSURES(value->quality.empty() ||
                 value->quality.size() == topo.num_directed_links());
@@ -169,7 +169,7 @@ RelayPlan paper_plan_cached(const Topology& topo, NodeId source,
       },
       origin);
   if (report != nullptr) *report = stored->report;
-  return stored->plan.to_relay_plan();
+  return stored->plan;
 }
 
 }  // namespace wsn

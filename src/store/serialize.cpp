@@ -141,7 +141,7 @@ std::uint64_t plan_checksum(std::string_view bytes) noexcept {
 }
 
 std::string serialize_plan(const StoredPlan& value) {
-  const FlatRelayPlan& plan = value.plan;
+  const RelayPlan& plan = value.plan;
   const std::size_t node_count = plan.num_nodes();
   const std::uint64_t total_offsets = plan.total_offsets();
 
@@ -275,7 +275,7 @@ PlanSerdeStatus deserialize_plan(std::string_view bytes, StoredPlan& out) {
 
   StoredPlan result;
   result.plan =
-      FlatRelayPlan::adopt(source, std::move(starts), std::move(flat_offsets));
+      RelayPlan::adopt(source, std::move(starts), std::move(flat_offsets));
   result.report.repairs = repairs;
   result.report.rounds = rounds;
   result.report.unreachable = unreachable;

@@ -48,12 +48,10 @@
 /// unvalidated.
 namespace wsn {
 
-/// A compiled plan plus the resolver's account of building it.  The plan
-/// is kept in CSR form (FlatRelayPlan): it deserializes in O(1)
-/// allocations and simulates directly; call `plan.to_relay_plan()` when a
-/// construction-form copy is needed.
+/// A compiled plan plus the resolver's account of building it.  A plan
+/// deserializes in O(1) allocations and simulates directly.
 struct StoredPlan {
-  FlatRelayPlan plan;
+  RelayPlan plan;
   ResolveReport report;
   /// The learned per-link delivery probabilities the plan was built from,
   /// in CSR link order (ETX plans on a lossy channel); empty otherwise.

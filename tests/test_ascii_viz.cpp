@@ -59,9 +59,9 @@ TEST(AsciiViz, UnreachedGlyphWithOutcome) {
 TEST(AsciiViz, ResolverAdditionsMarked) {
   const Mesh2D4 line(6, 1);
   RelayPlan base = RelayPlan::empty(6, 0);
-  base.tx_offsets[1] = {1};
-  base.tx_offsets[2] = {1};
-  base.tx_offsets[4] = {1};  // gap at node 3
+  base.set_offsets(1, {1});
+  base.set_offsets(2, {1});
+  base.set_offsets(4, {1});  // gap at node 3
   const RelayPlan resolved = resolve_full_reachability(line, base);
   const std::string viz = render_roles(line.grid(), resolved, nullptr, &base);
   // The resolver had to touch the gap region: either invent a relay ('+')
@@ -74,7 +74,7 @@ TEST(AsciiViz, ResolverAdditionsMarked) {
 TEST(AsciiViz, SlotsRenderFirstTransmissions) {
   const Mesh2D4 topo(5, 1);
   RelayPlan plan = RelayPlan::empty(5, 0);
-  for (NodeId v = 1; v < 5; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 5; ++v) plan.set_offsets(v, {1});
   const auto out = simulate_broadcast(topo, plan);
   const std::string viz = render_slots(topo.grid(), out);
   // Path: slots 1 2 3 4 5 left to right.
@@ -95,8 +95,8 @@ TEST(AsciiViz, WavefrontFramesShowTransmittersCollisionsAndHolders) {
   // source, which hear both; 5 and 7 already hold the message.
   const Mesh2D4 topo(3, 3);
   RelayPlan plan = RelayPlan::empty(9, 4);
-  plan.tx_offsets[1] = {1};
-  plan.tx_offsets[3] = {1};
+  plan.set_offsets(1, {1});
+  plan.set_offsets(3, {1});
   SimOptions options;
   options.record_collisions = true;
   const auto out = simulate_broadcast(topo, plan, options);

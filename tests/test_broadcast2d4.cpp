@@ -51,8 +51,8 @@ TEST(Broadcast2D4, PlanMarksRowAndColumns) {
     EXPECT_TRUE(plan.is_relay(g.to_id({x, 8}))) << x;
   }
   // Retransmitters carry two scheduled transmissions.
-  EXPECT_EQ(plan.tx_offsets[g.to_id({7, 8})].size(), 2u);
-  EXPECT_EQ(plan.tx_offsets[g.to_id({6, 8})].size(), 1u);
+  EXPECT_EQ(plan.offsets(g.to_id({7, 8})).size(), 2u);
+  EXPECT_EQ(plan.offsets(g.to_id({6, 8})).size(), 1u);
   // Column cells of relay columns relay; others off the row do not.
   EXPECT_TRUE(plan.is_relay(g.to_id({9, 3})));
   EXPECT_FALSE(plan.is_relay(g.to_id({8, 3})));

@@ -47,11 +47,11 @@ TEST(Broadcast2D8, NearSourceFeederNodesRetransmit) {
   const Grid2D& g = topo.grid();
   const Mesh2d8Broadcast proto;
   const RelayPlan plan = proto.plan(topo, g.to_id({5, 9}));
-  EXPECT_EQ(plan.tx_offsets[g.to_id({6, 8})].size(), 2u);
-  EXPECT_EQ(plan.tx_offsets[g.to_id({4, 10})].size(), 2u);
+  EXPECT_EQ(plan.offsets(g.to_id({6, 8})).size(), 2u);
+  EXPECT_EQ(plan.offsets(g.to_id({4, 10})).size(), 2u);
   // Family diagonal neighbors transmit once.
-  EXPECT_EQ(plan.tx_offsets[g.to_id({6, 10})].size(), 1u);
-  EXPECT_EQ(plan.tx_offsets[g.to_id({4, 8})].size(), 1u);
+  EXPECT_EQ(plan.offsets(g.to_id({6, 10})).size(), 1u);
+  EXPECT_EQ(plan.offsets(g.to_id({4, 8})).size(), 1u);
 }
 
 class Broadcast2D8AllSources

@@ -48,8 +48,8 @@ TEST(Broadcast3D6, SourcePlaneRunsThe2D4Protocol) {
     EXPECT_TRUE(plan.is_relay(g.to_id({x, 8, 4}))) << x;
   }
   // The X pair next to the source retransmits (row retransmitter rule).
-  EXPECT_EQ(plan.tx_offsets[g.to_id({5, 8, 4})].size(), 2u);
-  EXPECT_EQ(plan.tx_offsets[g.to_id({7, 8, 4})].size(), 2u);
+  EXPECT_EQ(plan.offsets(g.to_id({5, 8, 4})).size(), 2u);
+  EXPECT_EQ(plan.offsets(g.to_id({7, 8, 4})).size(), 2u);
 }
 
 TEST(Broadcast3D6, SourceZNeighborsRetransmitTwoSlotsLater) {
@@ -60,7 +60,7 @@ TEST(Broadcast3D6, SourceZNeighborsRetransmitTwoSlotsLater) {
   // §3.4: (i, j, k±1) retransmit two slots after the collided slot-2
   // transmission, i.e. offsets {1, 3}.
   for (int z : {3, 5}) {
-    const auto& offsets = plan.tx_offsets[g.to_id({6, 8, z})];
+    const auto& offsets = plan.offsets(g.to_id({6, 8, z}));
     ASSERT_EQ(offsets.size(), 2u) << z;
     EXPECT_EQ(offsets[0], 1u);
     EXPECT_EQ(offsets[1], 3u);
@@ -91,10 +91,10 @@ TEST(Broadcast3D6, PureZRelaysInSourcePlaneAreDelayed) {
   // x ∈ {3, 6} lattice): x=4 is no relay column, y=7 is off-row -> pure
   // z-relay, delayed one slot (offset 2) in the source plane only.
   ASSERT_FALSE(Mesh2d4Broadcast::is_relay_column(4, 6, 8));
-  EXPECT_EQ(plan.tx_offsets[g.to_id({4, 7, 2})],
-            (std::vector<Slot>{2}));
-  EXPECT_EQ(plan.tx_offsets[g.to_id({4, 7, 3})],
-            (std::vector<Slot>{1}));
+  EXPECT_TRUE(std::ranges::equal(plan.offsets(g.to_id({4, 7, 2})),
+                                 std::vector<Slot>{2}));
+  EXPECT_TRUE(std::ranges::equal(plan.offsets(g.to_id({4, 7, 3})),
+                                 std::vector<Slot>{1}));
 }
 
 TEST(Broadcast3D6, DegeneratesToPlaneProtocolForSingleLayer) {

@@ -80,27 +80,26 @@ class Counting {
   Counting& operator=(const Counting&) = delete;
 };
 
-/// One rerun checked against a full run: `before` ran as `prev` over
-/// `base`; the overlay names every node whose list differs from the
-/// base's in `before` or `after`, plus a few unchanged ones.
+/// One rerun checked against a full run: `before` ran as `prev`, and
+/// `after` reruns naming `before`'s list at every node where it differs
+/// from `base`'s in `before` or `after` -- so also at some where the two
+/// agree -- plus a few more.
 BroadcastOutcome check_rerun(BulkSimulator& sim, const ImplicitLattice& lat,
-                             const FlatRelayPlan& base,
+                             const RelayPlan& base,
                              const RelayPlan& before, const RelayPlan& after,
                              const BroadcastOutcome& prev,
                              const SimOptions& options, std::mt19937_64& rng,
                              Coverage& coverage) {
-  std::vector<OffsetEdit> overlay;
+  std::vector<OffsetEdit> ran;
   for (NodeId v = 0; v < lat.num_nodes(); ++v) {
     const std::span<const Slot> b = base.offsets(v);
     const bool differs =
-        !std::ranges::equal(b, before.tx_offsets[v]) ||
-        !std::ranges::equal(b, after.tx_offsets[v]);
-    if (differs || rng() % 97 == 0) {
-      overlay.push_back({v, before.tx_offsets[v], after.tx_offsets[v]});
-    }
+        !std::ranges::equal(b, before.offsets(v)) ||
+        !std::ranges::equal(b, after.offsets(v));
+    if (differs || rng() % 97 == 0) ran.push_back({v, before.offsets(v)});
   }
   const std::uint64_t runs = span_count("sim.bulk_simulate");
-  BroadcastOutcome got = sim.rerun(lat, base, overlay, prev, options);
+  BroadcastOutcome got = sim.rerun(lat, after, ran, prev, options);
   if (span_count("sim.bulk_simulate") == runs) {
     coverage.reprobes += 1;
   } else {
@@ -130,11 +129,11 @@ BroadcastOutcome check_rerun(BulkSimulator& sim, const ImplicitLattice& lat,
 /// one to three increasing offsets up to 5; the source always sends.
 RelayPlan random_plan(const ImplicitLattice& lat, NodeId source,
                       double relay_share, std::mt19937_64& rng) {
-  RelayPlan plan = RelayPlan::empty(lat.num_nodes(), source);
+  RelayPlan::Writer plan(lat.num_nodes(), source);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<Slot> offsets;
   for (NodeId v = 0; v < lat.num_nodes(); ++v) {
     if (v != source && coin(rng) >= relay_share) continue;
-    std::vector<Slot>& offsets = plan.tx_offsets[v];
     offsets.clear();
     Slot last = 0;
     const std::size_t count = 1 + rng() % 3;
@@ -142,8 +141,9 @@ RelayPlan random_plan(const ImplicitLattice& lat, NodeId source,
       last += static_cast<Slot>(1 + (i == 0 && rng() % 2 == 0 ? 0 : rng() % 2));
       offsets.push_back(last);
     }
+    plan.set(v, offsets);
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 /// `edits` random list edits of every kind the resolver makes and more:
@@ -155,7 +155,8 @@ void edit_plan(RelayPlan& plan, const BroadcastOutcome& outcome,
   const std::size_t n = plan.num_nodes();
   for (std::size_t e = 0; e < edits; ++e) {
     const auto v = static_cast<NodeId>(rng() % n);
-    std::vector<Slot>& offsets = plan.tx_offsets[v];
+    const std::span<const Slot> listed = plan.offsets(v);
+    std::vector<Slot> offsets(listed.begin(), listed.end());
     switch (rng() % 5) {
       case 0:  // a repair: one more transmission after the last
         offsets.push_back((offsets.empty() ? 0 : offsets.back()) +
@@ -167,7 +168,7 @@ void edit_plan(RelayPlan& plan, const BroadcastOutcome& outcome,
         }
         break;
       case 2:  // pruned
-        if (v != plan.source) offsets.clear();
+        if (v != plan.source()) offsets.clear();
         break;
       case 3: {  // replaced
         const Slot first = static_cast<Slot>(1 + rng() % 3);
@@ -176,11 +177,13 @@ void edit_plan(RelayPlan& plan, const BroadcastOutcome& outcome,
         break;
       }
       default: {  // the source sends once more
-        std::vector<Slot>& source = plan.tx_offsets[plan.source];
-        source.push_back(source.back() + static_cast<Slot>(1 + rng() % 3));
-        break;
+        const Slot last = plan.offsets(plan.source()).back();
+        plan.append_offset(plan.source(),
+                           last + static_cast<Slot>(1 + rng() % 3));
+        continue;
       }
     }
+    plan.set_offsets(v, std::move(offsets));
   }
 }
 
@@ -217,7 +220,7 @@ std::vector<SimOptions> option_sets() {
 
 /// Plans of every shape on every lattice, with edit sets from one list to
 /// a fifth of the nodes: one rerun from the unedited plan, then a second
-/// from the first, whose `before` lists are themselves an overlay.
+/// from the first, whose `before` lists are themselves edited ones.
 TEST(BulkReprobe, MatchesFullRunsOnRandomLatticesPlansAndEdits) {
   const Counting counting;
   std::mt19937_64 rng(1302'4059);
@@ -234,7 +237,7 @@ TEST(BulkReprobe, MatchesFullRunsOnRandomLatticesPlansAndEdits) {
         const RelayPlan raw =
             paper ? implicit_protocol_plan(lat, source)
                   : random_plan(lat, source, trial % 3 == 1 ? 0.9 : 0.5, rng);
-        const FlatRelayPlan base(raw);
+        const RelayPlan& base = raw;
         const BroadcastOutcome first = sim.run(lat, base, options);
 
         const std::size_t edits =
@@ -268,9 +271,9 @@ TEST(BulkReprobe, DestroyedAndEarlierFirstReceptions) {
   const NodeId source = 20;
   RelayPlan raw = RelayPlan::empty(lat.num_nodes(), source);
   for (NodeId v = 0; v < lat.num_nodes(); ++v) {
-    if (v != source) raw.tx_offsets[v] = {2};
+    if (v != source) raw.set_offsets(v, {2});
   }
-  const FlatRelayPlan base(raw);
+  const RelayPlan& base = raw;
   BulkSimulator sim(lat.num_nodes());
   SimOptions energy;
   energy.record_node_energy = true;
@@ -278,8 +281,8 @@ TEST(BulkReprobe, DestroyedAndEarlierFirstReceptions) {
   ASSERT_EQ(first.stats.reached, lat.num_nodes());
 
   RelayPlan pruned = raw;
-  pruned.tx_offsets[19].clear();
-  pruned.tx_offsets[source].push_back(4);
+  pruned.clear_offsets(19);
+  pruned.append_offset(source, 4);
   std::mt19937_64 rng(7);
   Coverage coverage;
   const BroadcastOutcome second = check_rerun(
@@ -288,7 +291,7 @@ TEST(BulkReprobe, DestroyedAndEarlierFirstReceptions) {
   EXPECT_GT(coverage.lost, 0u);
 
   RelayPlan sooner = pruned;
-  for (NodeId v = 21; v < 30; ++v) sooner.tx_offsets[v] = {1};
+  for (NodeId v = 21; v < 30; ++v) sooner.set_offsets(v, {1});
   coverage = {};
   (void)check_rerun(sim, lat, base, pruned, sooner, second, energy, rng,
                     coverage);
@@ -299,12 +302,11 @@ TEST(BulkReprobe, DestroyedAndEarlierFirstReceptions) {
 TEST(BulkReprobe, EmptyEditReturnsThePreviousOutcome) {
   const ImplicitLattice lat = ImplicitLattice::mesh2d8(33, 21);
   const RelayPlan raw = implicit_protocol_plan(lat, lat.central_node());
-  const FlatRelayPlan base(raw);
+  const RelayPlan& base = raw;
   BulkSimulator sim(lat.num_nodes());
   const BroadcastOutcome first = sim.run(lat, base);
   expect_identical(first, sim.rerun(lat, base, {}, first));
-  const std::vector<OffsetEdit> same = {
-      {5, raw.tx_offsets[5], raw.tx_offsets[5]}};
+  const std::vector<OffsetEdit> same = {{5, raw.offsets(5)}};
   expect_identical(first, sim.rerun(lat, base, same, first));
 }
 

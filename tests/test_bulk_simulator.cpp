@@ -51,23 +51,32 @@ void expect_identical(const BroadcastOutcome& ref,
   EXPECT_EQ(ref.node_energy, bulk.node_energy);
 }
 
+/// `plan`'s lists written afresh, with no edit overlay.
+RelayPlan written(const RelayPlan& plan) {
+  RelayPlan::Writer out(plan.num_nodes(), plan.source());
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) out.set(v, plan.offsets(v));
+  return std::move(out).finish();
+}
+
+/// Both engines agree on `plan` as given (edited lists included) and on
+/// the same lists written afresh.
 void cross_check(const Topology& topo, const ImplicitLattice& lat,
                  const RelayPlan& plan, const SimOptions& options = {}) {
   Simulator ref_sim(topo.num_nodes());
   BulkSimulator bulk_sim(lat.num_nodes());
-  const FlatRelayPlan flat = FlatRelayPlan::from(plan);
+  const RelayPlan fresh = written(plan);
   expect_identical(ref_sim.run(topo, plan, options),
                    bulk_sim.run(lat, plan, options));
-  expect_identical(ref_sim.run(topo, flat, options),
-                   bulk_sim.run(lat, flat, options));
+  expect_identical(ref_sim.run(topo, fresh, options),
+                   bulk_sim.run(lat, fresh, options));
 }
 
 /// Everybody forwards once: maximally collision-heavy, a stress test for
 /// the SWAR counter and the wrap rules.
 RelayPlan flooding_plan(std::size_t count, NodeId source) {
-  RelayPlan plan = RelayPlan::empty(count, source);
-  for (auto& offsets : plan.tx_offsets) offsets = {1};
-  return plan;
+  RelayPlan::Writer plan(count, source);
+  for (NodeId v = 0; v < count; ++v) plan.set(v, {1});
+  return std::move(plan).finish();
 }
 
 // The tentpole acceptance check: the paper's own protocol (resolved to
@@ -143,18 +152,19 @@ TEST(TimelineEnd, RecordsAreInSlotOrderOnBothEngines) {
     expect_slot_order(ref.run(*topo, plan, faulted));
 
     BulkSimulator bulk(n);
-    const FlatRelayPlan flat = FlatRelayPlan::from(plan);
-    const BroadcastOutcome prev = bulk.run(lat, flat);
+    const BroadcastOutcome prev = bulk.run(lat, plan);
     expect_slot_order(prev);
     // A re-probe merges a late extra send of the first relay back in.
     const TxRecord& first = prev.transmissions.front();
-    const std::vector<Slot>& before = plan.tx_offsets[first.node];
-    ASSERT_FALSE(before.empty());
-    std::vector<Slot> after = before;
-    after.push_back(before.back() + 3 * (prev.timeline_end() + 1));
-    const OffsetEdit edit{first.node, before, after};
+    const std::span<const Slot> ran = plan.offsets(first.node);
+    ASSERT_FALSE(ran.empty());
+    const std::vector<Slot> before(ran.begin(), ran.end());
+    RelayPlan after = plan;
+    after.append_offset(first.node,
+                        before.back() + 3 * (prev.timeline_end() + 1));
+    const OffsetEdit edit{first.node, before};
     const BroadcastOutcome edited =
-        bulk.rerun(lat, flat, std::span<const OffsetEdit>(&edit, 1), prev);
+        bulk.rerun(lat, after, std::span<const OffsetEdit>(&edit, 1), prev);
     expect_slot_order(edited);
     EXPECT_GT(edited.timeline_end(), prev.timeline_end());
   }
@@ -215,7 +225,7 @@ TEST(BulkSimulator, MatchesReferenceOnSeededRandomPlans) {
     for (int trial = 0; trial < 4; ++trial) {
       RelayPlan plan = RelayPlan::empty(count, pick_src(rng));
       for (NodeId v = 0; v < count; ++v) {
-        if (v != plan.source && relay_die(rng) == 0) continue;
+        if (v != plan.source() && relay_die(rng) == 0) continue;
         Slot offset = 0;
         std::vector<Slot> offsets;
         const int hops = 1 + relay_die(rng) % 2;
@@ -223,7 +233,7 @@ TEST(BulkSimulator, MatchesReferenceOnSeededRandomPlans) {
           offset += gap(rng);
           offsets.push_back(offset);
         }
-        plan.tx_offsets[v] = offsets;
+        plan.set_offsets(v, offsets);
       }
       cross_check(*topo, lat, plan);
     }
@@ -257,15 +267,15 @@ TEST(BulkSimulator, MatchesReferenceOnPlansMixingPlainAndOtherRelays) {
       for (NodeId v = 0; v < count; ++v) {
         const int r = role(rng);
         if (r < 5) {
-          plan.tx_offsets[v] = {1};
+          plan.set_offsets(v, {1});
         } else if (r < 8) {
           std::vector<Slot> offsets{first(rng)};
           for (int k = role(rng) % 3; k > 0; --k) {
             offsets.push_back(offsets.back() + gap(rng));
           }
-          plan.tx_offsets[v] = offsets;
-        } else if (v != plan.source) {
-          plan.tx_offsets[v].clear();
+          plan.set_offsets(v, offsets);
+        } else if (v != plan.source()) {
+          plan.clear_offsets(v);
         }
       }
       cross_check(*topo, lat, plan);
@@ -297,7 +307,7 @@ TEST(BulkSimulator, MaxSlotsBetweenPlainReceptionAndForwardMatches) {
   const std::unique_ptr<Topology> topo = make_mesh("2D-8", 9, 8);
   const ImplicitLattice lat = ImplicitLattice::mesh2d8(9, 8);
   RelayPlan plan = flooding_plan(topo->num_nodes(), 40);
-  plan.tx_offsets[13] = {2, 5};  // one calendar relay among the plain ones
+  plan.set_offsets(13, {2, 5});  // one calendar relay among the plain ones
   const BroadcastOutcome full = simulate_broadcast(*topo, plan);
   ASSERT_GT(full.stats.delay, 2u);
   for (Slot cap = 0; cap <= full.stats.delay + 1; ++cap) {
@@ -359,7 +369,7 @@ TEST(BulkSimulator, AttributionAndNodeEnergyMatchOnEveryLattice) {
       // Flooding collides almost everywhere; a lone source delivers to
       // every neighbor, twice.
       RelayPlan lone = RelayPlan::empty(9, src);
-      lone.tx_offsets[src] = {1, 2};
+      lone.set_offsets(src, {1, 2});
       for (const RelayPlan& plan : {flooding_plan(9, src), lone}) {
         cross_check(torus4, ImplicitLattice::torus2d4(3, 3), plan, options);
         cross_check(torus8, ImplicitLattice::torus2d8(3, 3), plan, options);
@@ -543,7 +553,7 @@ TEST(BulkSimulator, ProgressFrontierCountsMatchReference) {
   const std::unique_ptr<Topology> topo = make_mesh("3D-6", 6, 5, 4);
   const ImplicitLattice lat = ImplicitLattice::mesh3d6(6, 5, 4);
   RelayPlan plan = paper_plan(*topo, 37);
-  plan.tx_offsets[80] = {4, 9};  // a calendar relay transmitting late
+  plan.set_offsets(80, {4, 9});  // a calendar relay transmitting late
   const BroadcastOutcome ref = simulate_broadcast(*topo, plan);
 
   std::map<Slot, std::size_t> per_slot;
@@ -603,14 +613,13 @@ constexpr std::size_t kWidths[] = {2, 3, 4, 64};
 /// a lattice too narrow to band fails instead of passing vacuously.
 void expect_width_invariant(const ImplicitLattice& lat, const RelayPlan& plan,
                             const SimOptions& options, std::size_t bands) {
-  const FlatRelayPlan flat = FlatRelayPlan::from(plan);
   BulkSimulator one(lat.num_nodes(), 1);
-  const BroadcastOutcome ref = one.run(lat, flat, options);
+  const BroadcastOutcome ref = one.run(lat, plan, options);
   ASSERT_GE(widest_slot_words(ref), bands * BulkSimulator::kMinBandWords);
   for (const std::size_t workers : kWidths) {
     SCOPED_TRACE(workers);
     BulkSimulator sim(lat.num_nodes(), workers);
-    expect_identical(ref, sim.run(lat, flat, options));
+    expect_identical(ref, sim.run(lat, plan, options));
   }
 }
 
@@ -620,20 +629,18 @@ RelayPlan mixed_plan(std::size_t count, NodeId source, unsigned seed) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> role(0, 9);
   std::uniform_int_distribution<Slot> gap(1, 3);
-  RelayPlan plan = RelayPlan::empty(count, source);
+  RelayPlan::Writer plan(count, source);
   for (NodeId v = 0; v < count; ++v) {
     const int r = role(rng);
     if (r < 7) {
-      plan.tx_offsets[v] = {1};
+      plan.set(v, {1});
     } else if (r < 9) {
       std::vector<Slot> offsets{gap(rng)};
       if (r == 8) offsets.push_back(offsets.back() + gap(rng));
-      plan.tx_offsets[v] = offsets;
-    } else if (v != source) {
-      plan.tx_offsets[v].clear();
-    }
+      plan.set(v, offsets);
+    }  // else silent; a silent source still sends at slot 1
   }
-  return plan;
+  return std::move(plan).finish();
 }
 
 // The ±plane rules of 3D-6 reach 64 words past a band's edge, so every
@@ -680,8 +687,7 @@ TEST(BulkBands, ChargedCollisionsAndNodeEnergyMatchOneWorker) {
 // loaded for a slot that never runs; the next run must not see them.
 TEST(BulkBands, SlotCapInABandedSlotMatchesOneWorker) {
   const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
-  const FlatRelayPlan plan = FlatRelayPlan::from(
-      mixed_plan(lat.num_nodes(), lat.central_node(), 9u));
+  const RelayPlan plan = mixed_plan(lat.num_nodes(), lat.central_node(), 9u);
   BulkSimulator one(lat.num_nodes(), 1);
   const BroadcastOutcome full = one.run(lat, plan);
   Slot banded = 0;  // the first slot that splits
@@ -709,8 +715,8 @@ TEST(BulkBands, SlotCapInABandedSlotMatchesOneWorker) {
 
 TEST(BulkBands, ProgressTicksMatchOneWorker) {
   const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
-  const FlatRelayPlan plan =
-      FlatRelayPlan::from(flooding_plan(lat.num_nodes(), lat.central_node()));
+  const RelayPlan plan =
+      flooding_plan(lat.num_nodes(), lat.central_node());
   std::vector<std::vector<BulkProgress>> ticks;
   std::vector<BroadcastOutcome> outcomes;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
@@ -749,8 +755,8 @@ TEST(BulkBands, TransmitterWordNobodyHearsIsCleared) {
 // band, and both replay the one-worker outcome.
 TEST(BulkBands, ConcurrentRunsMatchOneWorker) {
   const ImplicitLattice lat = ImplicitLattice::mesh3d6(48, 48, 48);
-  const FlatRelayPlan plan =
-      FlatRelayPlan::from(flooding_plan(lat.num_nodes(), lat.central_node()));
+  const RelayPlan plan =
+      flooding_plan(lat.num_nodes(), lat.central_node());
   const BroadcastOutcome ref = BulkSimulator(lat.num_nodes(), 1).run(lat, plan);
   ASSERT_GE(widest_slot_words(ref), 2 * BulkSimulator::kMinBandWords);
   std::vector<BroadcastOutcome> outcomes(4);

@@ -82,7 +82,7 @@ TEST(CdsBroadcast, DeterministicPerSeed) {
   const RelayPlan pa = a.plan(topo, 5);
   const RelayPlan pb = b.plan(topo, 5);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(pa.tx_offsets[v], pb.tx_offsets[v]);
+    EXPECT_TRUE(std::ranges::equal(pa.offsets(v), pb.offsets(v)));
   }
 }
 

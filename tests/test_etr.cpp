@@ -11,7 +11,7 @@ namespace {
 TEST(Etr, SamplesMirrorTheTrace) {
   const Mesh2D4 topo(6, 1);
   RelayPlan plan = RelayPlan::empty(6, 0);
-  for (NodeId v = 1; v < 6; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 6; ++v) plan.set_offsets(v, {1});
   const auto out = simulate_broadcast(topo, plan);
   const auto samples = etr_samples(topo, out);
   ASSERT_EQ(samples.size(), out.transmissions.size());
@@ -28,7 +28,7 @@ TEST(Etr, PathValuesAreHalfExceptEnds) {
   // neighbors (ETR 1/2); the end node delivers 0.
   const Mesh2D4 topo(5, 1);
   RelayPlan plan = RelayPlan::empty(5, 0);
-  for (NodeId v = 1; v < 5; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 5; ++v) plan.set_offsets(v, {1});
   const auto out = simulate_broadcast(topo, plan);
   for (const EtrSample& s : etr_samples(topo, out)) {
     if (s.node == 0) {
@@ -44,7 +44,7 @@ TEST(Etr, PathValuesAreHalfExceptEnds) {
 TEST(Etr, SummaryAggregates) {
   const Mesh2D4 topo(5, 1);
   RelayPlan plan = RelayPlan::empty(5, 0);
-  for (NodeId v = 1; v < 5; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 5; ++v) plan.set_offsets(v, {1});
   const auto out = simulate_broadcast(topo, plan);
   const EtrSummary summary = summarize_etr(topo, out, /*fresh_opt=*/1, 0);
   EXPECT_EQ(summary.transmissions, 5u);
@@ -58,7 +58,7 @@ TEST(Etr, SummaryAggregates) {
 TEST(Etr, IncludeSourceOption) {
   const Mesh2D4 topo(3, 1);
   RelayPlan plan = RelayPlan::empty(3, 0);
-  plan.tx_offsets[1] = {1};
+  plan.set_offsets(1, {1});
   const auto out = simulate_broadcast(topo, plan);
   const EtrSummary with_source =
       summarize_etr(topo, out, 1, 0, /*exclude_source=*/false);

@@ -13,7 +13,7 @@ Mesh2D4 path(int n) { return Mesh2D4(n, 1); }
 RelayPlan all_relay_path(int n) {
   RelayPlan plan = RelayPlan::empty(static_cast<std::size_t>(n), 0);
   for (NodeId v = 1; v < static_cast<NodeId>(n); ++v) {
-    plan.tx_offsets[v] = {1};
+    plan.set_offsets(v, {1});
   }
   return plan;
 }
@@ -56,7 +56,7 @@ void expect_same_outcome(const BroadcastOutcome& a,
 TEST(FaultSim, ZeroLossModelMatchesPerfectMedium) {
   const Mesh2D4 topo(8, 8);
   RelayPlan plan = RelayPlan::empty(64, 10);
-  for (NodeId v = 0; v < 64; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 64; ++v) plan.set_offsets(v, {1});
   const auto perfect = simulate_broadcast(topo, plan);
   IidLossModel none(0.0, 123);
   SimOptions options;
@@ -89,8 +89,8 @@ TEST(FaultSim, FadedPacketDoesNotInterfere) {
   // below the interference threshold too.
   const auto topo5 = path(5);
   RelayPlan plan5 = RelayPlan::empty(5, 2);  // source in the middle
-  plan5.tx_offsets[1] = {1};
-  plan5.tx_offsets[3] = {1};
+  plan5.set_offsets(1, {1});
+  plan5.set_offsets(3, {1});
   // Slot 1: source 2 transmits, 1 and 3 decode.  Slot 2: 1 and 3 both
   // transmit; node 2 (their shared neighbor) sees a collision.
   const auto perfect = simulate_broadcast(topo5, plan5);
@@ -137,7 +137,7 @@ TEST(FaultSim, CrashedReceiverMissesThePacket) {
 TEST(FaultSim, RecoveredNodeRejoinsViaRetransmission) {
   const auto topo = path(3);
   RelayPlan plan = all_relay_path(3);
-  plan.tx_offsets[0] = {1, 3};  // source retransmits at slot 3
+  plan.set_offsets(0, {1, 3});  // source retransmits at slot 3
   CrashScheduleModel crash(3, {CrashEvent{1, 1, 2}});
   SimOptions options;
   options.faults = &crash;
@@ -153,7 +153,7 @@ TEST(FaultSim, SameSeedSameOutcome) {
   // identical broadcast, transmission for transmission.
   const Mesh2D4 topo(8, 8);
   RelayPlan plan = RelayPlan::empty(64, 27);
-  for (NodeId v = 0; v < 64; ++v) plan.tx_offsets[v] = {1, 2};
+  for (NodeId v = 0; v < 64; ++v) plan.set_offsets(v, {1, 2});
   for (const std::uint64_t seed : {1ull, 42ull, 0xdeadull}) {
     IidLossModel a(0.3, seed);
     IidLossModel b(0.3, seed);
@@ -169,7 +169,7 @@ TEST(FaultSim, SameSeedSameOutcome) {
 TEST(FaultSim, DifferentSeedsDiffer) {
   const Mesh2D4 topo(8, 8);
   RelayPlan plan = RelayPlan::empty(64, 27);
-  for (NodeId v = 0; v < 64; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 64; ++v) plan.set_offsets(v, {1});
   IidLossModel a(0.3, 1);
   IidLossModel b(0.3, 2);
   SimOptions oa;
@@ -187,7 +187,7 @@ TEST(FaultSim, SameModelInstanceReplaysAcrossRuns) {
   // Gilbert-Elliott chains.
   const Mesh2D4 topo(6, 6);
   RelayPlan plan = RelayPlan::empty(36, 0);
-  for (NodeId v = 0; v < 36; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 36; ++v) plan.set_offsets(v, {1});
   GilbertElliottModel model = GilbertElliottModel::from_mean_loss(0.2, 4, 9);
   SimOptions options;
   options.faults = &model;
@@ -199,7 +199,7 @@ TEST(FaultSim, SameModelInstanceReplaysAcrossRuns) {
 TEST(FaultPipeline, ZeroLossMatchesPerfectMedium) {
   const Mesh2D4 topo(8, 4);
   RelayPlan plan = RelayPlan::empty(32, 0);
-  for (NodeId v = 0; v < 32; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 32; ++v) plan.set_offsets(v, {1});
   PipelineOptions options;
   options.packets = 3;
   options.interval = 10;
@@ -238,7 +238,7 @@ TEST(FaultPipeline, LossIsCountedPerPacketAndAggregated) {
 TEST(FaultPipeline, DeterministicUnderSeededLoss) {
   const Mesh2D4 topo(6, 6);
   RelayPlan plan = RelayPlan::empty(36, 0);
-  for (NodeId v = 0; v < 36; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 36; ++v) plan.set_offsets(v, {1});
   PipelineOptions options;
   options.packets = 3;
   options.interval = 6;

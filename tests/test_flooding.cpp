@@ -14,7 +14,7 @@ TEST(Flooding, EveryNodeIsARelay) {
   const RelayPlan plan = proto.plan(topo, 5);
   EXPECT_EQ(plan.relay_count(), topo.num_nodes());
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    ASSERT_EQ(plan.tx_offsets[v].size(), 1u);
+    ASSERT_EQ(plan.offsets(v).size(), 1u);
   }
 }
 
@@ -23,7 +23,7 @@ TEST(Flooding, NoJitterMeansNextSlot) {
   const Flooding proto(0);
   const RelayPlan plan = proto.plan(topo, 0);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(plan.tx_offsets[v][0], 1u);
+    EXPECT_EQ(plan.offsets(v)[0], 1u);
   }
 }
 
@@ -32,10 +32,10 @@ TEST(Flooding, JitterStaysInsideWindow) {
   const Flooding proto(5, 123);
   const RelayPlan plan = proto.plan(topo, 3);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_GE(plan.tx_offsets[v][0], 1u);
-    EXPECT_LE(plan.tx_offsets[v][0], 6u);
+    EXPECT_GE(plan.offsets(v)[0], 1u);
+    EXPECT_LE(plan.offsets(v)[0], 6u);
   }
-  EXPECT_EQ(plan.tx_offsets[3][0], 1u);  // the source never jitters
+  EXPECT_EQ(plan.offsets(3)[0], 1u);  // the source never jitters
 }
 
 TEST(Flooding, DeterministicPerSeedAndSource) {
@@ -44,13 +44,13 @@ TEST(Flooding, DeterministicPerSeedAndSource) {
   const RelayPlan a = proto.plan(topo, 9);
   const RelayPlan b = proto.plan(topo, 9);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(a.tx_offsets[v], b.tx_offsets[v]);
+    EXPECT_TRUE(std::ranges::equal(a.offsets(v), b.offsets(v)));
   }
   // A different source re-rolls the jitter.
   const RelayPlan c = proto.plan(topo, 10);
   bool differs = false;
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    if (a.tx_offsets[v] != c.tx_offsets[v]) differs = true;
+    if (!std::ranges::equal(a.offsets(v), c.offsets(v))) differs = true;
   }
   EXPECT_TRUE(differs);
 }

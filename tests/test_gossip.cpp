@@ -40,7 +40,7 @@ TEST(Gossip, DeterministicPerSeed) {
   const RelayPlan pa = a.plan(topo, 7);
   const RelayPlan pb = b.plan(topo, 7);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(pa.tx_offsets[v], pb.tx_offsets[v]);
+    EXPECT_TRUE(std::ranges::equal(pa.offsets(v), pb.offsets(v)));
   }
 }
 
@@ -50,7 +50,7 @@ TEST(Gossip, SeedsChangeTheDraw) {
   const RelayPlan pb = Gossip(0.5, 0, 2).plan(topo, 7);
   bool differs = false;
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    if (pa.tx_offsets[v] != pb.tx_offsets[v]) differs = true;
+    if (!std::ranges::equal(pa.offsets(v), pb.offsets(v))) differs = true;
   }
   EXPECT_TRUE(differs);
 }

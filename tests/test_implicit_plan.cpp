@@ -14,10 +14,10 @@ namespace wsn {
 namespace {
 
 void expect_same_plan(const RelayPlan& a, const RelayPlan& b) {
-  EXPECT_EQ(a.source, b.source);
-  ASSERT_EQ(a.tx_offsets.size(), b.tx_offsets.size());
-  for (std::size_t v = 0; v < a.tx_offsets.size(); ++v) {
-    EXPECT_EQ(a.tx_offsets[v], b.tx_offsets[v]) << "node " << v;
+  EXPECT_EQ(a.source(), b.source());
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(a.offsets(v), b.offsets(v))) << "node " << v;
   }
 }
 

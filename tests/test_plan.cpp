@@ -20,10 +20,10 @@ namespace {
 TEST(RelayPlan, EmptyPlanHasSourceAtSlotOne) {
   const RelayPlan plan = RelayPlan::empty(8, 3);
   EXPECT_EQ(plan.num_nodes(), 8u);
-  EXPECT_EQ(plan.source, 3u);
+  EXPECT_EQ(plan.source(), 3u);
   EXPECT_TRUE(plan.is_relay(3));
-  ASSERT_EQ(plan.tx_offsets[3].size(), 1u);
-  EXPECT_EQ(plan.tx_offsets[3][0], 1u);
+  ASSERT_EQ(plan.offsets(3).size(), 1u);
+  EXPECT_EQ(plan.offsets(3)[0], 1u);
   for (NodeId v = 0; v < 8; ++v) {
     if (v != 3) {
       EXPECT_FALSE(plan.is_relay(v));
@@ -33,17 +33,17 @@ TEST(RelayPlan, EmptyPlanHasSourceAtSlotOne) {
 
 TEST(RelayPlan, RelayCountAndPlannedTx) {
   RelayPlan plan = RelayPlan::empty(5, 0);
-  plan.tx_offsets[1] = {1};
-  plan.tx_offsets[2] = {1, 2};
+  plan.set_offsets(1, {1});
+  plan.set_offsets(2, {1, 2});
   EXPECT_EQ(plan.relay_count(), 3u);   // source + 2
   EXPECT_EQ(plan.planned_tx(), 4u);    // 1 + 1 + 2
 }
 
 TEST(RelayPlan, RetransmittersAreMultiTxNodes) {
   RelayPlan plan = RelayPlan::empty(6, 0);
-  plan.tx_offsets[2] = {1, 2};
-  plan.tx_offsets[4] = {1};
-  plan.tx_offsets[5] = {2, 3, 7};
+  plan.set_offsets(2, {1, 2});
+  plan.set_offsets(4, {1});
+  plan.set_offsets(5, {2, 3, 7});
   const auto retx = plan.retransmitters();
   ASSERT_EQ(retx.size(), 2u);
   EXPECT_EQ(retx[0], 2u);
@@ -52,97 +52,114 @@ TEST(RelayPlan, RetransmittersAreMultiTxNodes) {
 
 TEST(RelayPlan, ValidateAcceptsWellFormedPlans) {
   RelayPlan plan = RelayPlan::empty(4, 1);
-  plan.tx_offsets[0] = {1, 2, 5};
-  plan.tx_offsets[2] = {3};
+  plan.set_offsets(0, {1, 2, 5});
+  plan.set_offsets(2, {3});
   plan.validate();  // must not abort
 }
 
 using RelayPlanDeathTest = ::testing::Test;
 
+// The contract is checked as a plan is edited, so a broken list never
+// reaches validate() or an engine.
 TEST(RelayPlanDeathTest, ValidateRejectsZeroOffset) {
   RelayPlan plan = RelayPlan::empty(4, 0);
-  plan.tx_offsets[2] = {0};
-  EXPECT_DEATH(plan.validate(), "precondition");
+  EXPECT_DEATH(plan.set_offsets(2, {0}), "precondition");
+  EXPECT_DEATH(plan.append_offset(2, 0), "precondition");
+  EXPECT_DEATH(RelayPlan::adopt(0, {0, 1, 2, 2, 2}, {1, 0}).validate(),
+               "precondition");
 }
 
 TEST(RelayPlanDeathTest, ValidateRejectsNonIncreasingOffsets) {
   RelayPlan plan = RelayPlan::empty(4, 0);
-  plan.tx_offsets[2] = {2, 2};
-  EXPECT_DEATH(plan.validate(), "precondition");
+  EXPECT_DEATH(plan.set_offsets(2, {2, 2}), "precondition");
+  plan.set_offsets(2, {3});
+  EXPECT_DEATH(plan.append_offset(2, 3), "precondition");
+  EXPECT_DEATH(RelayPlan::adopt(0, {0, 1, 1, 3, 3}, {1, 2, 2}).validate(),
+               "precondition");
 }
 
 TEST(RelayPlanDeathTest, ValidateRejectsNonRelaySource) {
   RelayPlan plan = RelayPlan::empty(4, 0);
-  plan.tx_offsets[0].clear();
-  EXPECT_DEATH(plan.validate(), "precondition");
+  EXPECT_DEATH(plan.clear_offsets(0), "precondition");
+  EXPECT_DEATH((void)RelayPlan::Writer(4, 1).finish().set_offsets(1, {}),
+               "precondition");
+  EXPECT_DEATH(RelayPlan::adopt(0, {0, 0, 1, 1, 1}, {1}).validate(),
+               "precondition");
 }
 
-// Every engine entry has exactly one signature, taking the flat form.
-// Naming an overloaded function's address is ill-formed, so a second
-// overload (say, a RelayPlan one) fails this file's compilation.
+// Every engine entry has exactly one signature, taking the one plan
+// type.  Naming an overloaded function's address is ill-formed, so a
+// second overload fails this file's compilation.
 static_assert(std::is_same_v<
               decltype(&Simulator::run),
               BroadcastOutcome (Simulator::*)(const Topology&,
-                                              const FlatRelayPlan&,
+                                              const RelayPlan&,
                                               const SimOptions&)>);
 static_assert(std::is_same_v<
               decltype(&Simulator::run_pipeline),
               PipelineOutcome (Simulator::*)(const Topology&,
-                                             const FlatRelayPlan&,
+                                             const RelayPlan&,
                                              const PipelineOptions&)>);
 static_assert(std::is_same_v<
               decltype(&BulkSimulator::run),
               BroadcastOutcome (BulkSimulator::*)(const ImplicitLattice&,
-                                                  const FlatRelayPlan&,
+                                                  const RelayPlan&,
                                                   const SimOptions&)>);
 static_assert(std::is_same_v<decltype(&simulate_broadcast),
                              BroadcastOutcome (*)(const Topology&,
-                                                  const FlatRelayPlan&,
+                                                  const RelayPlan&,
                                                   const SimOptions&)>);
 static_assert(std::is_same_v<decltype(&simulate_pipeline),
                              PipelineOutcome (*)(const Topology&,
-                                                 const FlatRelayPlan&,
+                                                 const RelayPlan&,
                                                  const PipelineOptions&)>);
 static_assert(std::is_same_v<decltype(&min_pipeline_interval),
-                             Slot (*)(const Topology&, const FlatRelayPlan&,
+                             Slot (*)(const Topology&, const RelayPlan&,
                                       std::size_t, Slot)>);
 static_assert(std::is_same_v<decltype(&bulk_simulate),
                              BroadcastOutcome (*)(const ImplicitLattice&,
-                                                  const FlatRelayPlan&,
+                                                  const RelayPlan&,
                                                   const SimOptions&)>);
-// The conversion a plan under construction takes to reach an engine.
-static_assert(std::is_convertible_v<const RelayPlan&, FlatRelayPlan>);
 
-void expect_same_flat(const FlatRelayPlan& a, const FlatRelayPlan& b) {
+void expect_same_plan(const RelayPlan& a, const RelayPlan& b) {
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   EXPECT_EQ(a.source(), b.source());
   EXPECT_EQ(a.total_offsets(), b.total_offsets());
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const auto x = a.offsets(v);
-    const auto y = b.offsets(v);
-    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+    EXPECT_TRUE(std::ranges::equal(a.offsets(v), b.offsets(v)))
         << "node " << v;
   }
-  const auto eq = [](std::span<const std::uint64_t> x,
-                     std::span<const std::uint64_t> y) {
-    return std::equal(x.begin(), x.end(), y.begin(), y.end());
-  };
-  EXPECT_TRUE(eq(a.plain_relays(), b.plain_relays()));
-  EXPECT_TRUE(eq(a.other_relays(), b.other_relays()));
+  EXPECT_TRUE(std::ranges::equal(a.plain_relays(), b.plain_relays()));
+  EXPECT_TRUE(std::ranges::equal(a.other_relays(), b.other_relays()));
+  EXPECT_EQ(a, b);
 }
 
-/// RelayPlan -> FlatRelayPlan -> RelayPlan is the identity, and the
-/// converting constructor and `from` build the same flat plan.
-void expect_round_trip(const RelayPlan& plan) {
-  const FlatRelayPlan flat(plan);
-  const FlatRelayPlan named = FlatRelayPlan::from(plan);
-  expect_same_flat(flat, named);
-  EXPECT_EQ(flat.total_offsets(), plan.planned_tx());
-  flat.validate();
+/// The canonical CSR parts of `plan`'s lists, as the store writes them.
+std::pair<std::vector<std::uint32_t>, std::vector<Slot>> csr_parts(
+    const RelayPlan& plan) {
+  std::vector<std::uint32_t> starts{0};
+  std::vector<Slot> offsets;
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) {
+    const auto span = plan.offsets(v);
+    offsets.insert(offsets.end(), span.begin(), span.end());
+    starts.push_back(static_cast<std::uint32_t>(offsets.size()));
+  }
+  return {std::move(starts), std::move(offsets)};
+}
 
-  const RelayPlan back = flat.to_relay_plan();
-  EXPECT_EQ(back.source, plan.source);
-  EXPECT_EQ(back.tx_offsets, plan.tx_offsets);
+/// A plan, its copy, and the plan adopted from its canonical CSR parts
+/// hold the same lists and relay sets, edit overlay or not.
+void expect_round_trip(const RelayPlan& plan) {
+  const RelayPlan copy = plan.to_relay_plan();
+  expect_same_plan(plan, copy);
+  plan.validate();
+
+  auto [starts, offsets] = csr_parts(plan);
+  const RelayPlan adopted =
+      RelayPlan::adopt(plan.source(), std::move(starts), std::move(offsets));
+  adopted.validate();
+  expect_same_plan(plan, adopted);
+  EXPECT_EQ(adopted.total_offsets(), plan.planned_tx());
 }
 
 TEST(FlatRelayPlan, ResolvedPaperPlansRoundTrip) {
@@ -165,64 +182,78 @@ TEST(FlatRelayPlan, PipelinedPlanWithRetransmittersRoundTrips) {
 
 // The kernel's relay bitsets: exactly-{1} relays are plain, every other
 // relay (retransmitting, delayed, repaired) is other, silent nodes are in
-// neither -- across a word boundary, and the same whether the plan was
-// flattened or adopted from its parts.
+// neither -- across a word boundary, and the same whether the lists were
+// written, edited or adopted from CSR parts.
 TEST(FlatRelayPlan, RelaySetsSplitPlainFromOtherRelays) {
-  RelayPlan plan = RelayPlan::empty(130, 3);
-  plan.tx_offsets[0] = {1};
-  plan.tx_offsets[1] = {1, 2};
-  plan.tx_offsets[2] = {2};
-  plan.tx_offsets[63] = {1};
-  plan.tx_offsets[64] = {3, 40};
-  plan.tx_offsets[129] = {1};
-  const FlatRelayPlan flat(plan);
+  RelayPlan::Writer writer(130, 3);
+  writer.set(0, {1});
+  writer.set(1, {1, 2});
+  writer.set(2, {2});
+  writer.set(63, {1});
+  writer.set(64, {3, 40});
+  writer.set(129, {1});
+  const RelayPlan plan = std::move(writer).finish();
   const auto bit = [](std::span<const std::uint64_t> set, NodeId v) {
     return ((set[v / 64] >> (v % 64)) & 1u) != 0;
   };
-  ASSERT_EQ(flat.plain_relays().size(), 3u);
-  ASSERT_EQ(flat.other_relays().size(), 3u);
+  ASSERT_EQ(plan.plain_relays().size(), 3u);
+  ASSERT_EQ(plan.other_relays().size(), 3u);
   for (NodeId v = 0; v < plan.num_nodes(); ++v) {
-    const std::vector<Slot>& offsets = plan.tx_offsets[v];
-    const bool plain = offsets == std::vector<Slot>{1};
-    EXPECT_EQ(bit(flat.plain_relays(), v), plain) << "node " << v;
-    EXPECT_EQ(bit(flat.other_relays(), v), !plain && !offsets.empty())
+    const auto offsets = plan.offsets(v);
+    const bool plain = offsets.size() == 1 && offsets[0] == 1;
+    EXPECT_EQ(bit(plan.plain_relays(), v), plain) << "node " << v;
+    EXPECT_EQ(bit(plan.other_relays(), v), !plain && !offsets.empty())
         << "node " << v;
   }
 
-  std::vector<std::uint32_t> starts{0};
-  std::vector<Slot> offsets;
-  for (NodeId v = 0; v < flat.num_nodes(); ++v) {
-    const auto span = flat.offsets(v);
-    offsets.insert(offsets.end(), span.begin(), span.end());
-    starts.push_back(static_cast<std::uint32_t>(offsets.size()));
-  }
-  expect_same_flat(flat, FlatRelayPlan::adopt(flat.source(), std::move(starts),
-                                              std::move(offsets)));
+  RelayPlan edited = RelayPlan::empty(130, 3);
+  edited.set_offsets(129, {1});
+  edited.set_offsets(64, {3});
+  edited.append_offset(64, 40);
+  edited.set_offsets(63, {1});
+  edited.set_offsets(2, {2});
+  edited.set_offsets(1, {1, 2});
+  edited.set_offsets(0, {4});
+  edited.set_offsets(0, {1});
+  edited.set_offsets(100, {1, 5});
+  edited.clear_offsets(100);
+  expect_same_plan(plan, edited);
+
+  auto [starts, offsets] = csr_parts(plan);
+  expect_same_plan(plan, RelayPlan::adopt(plan.source(), std::move(starts),
+                                          std::move(offsets)));
   // Parts out of bounds file nothing; validate() is what rejects them.
-  const FlatRelayPlan torn = FlatRelayPlan::adopt(0, {0, 5}, {Slot{1}});
+  const RelayPlan torn = RelayPlan::adopt(0, {0, 5}, {Slot{1}});
   EXPECT_EQ(torn.plain_relays()[0] | torn.other_relays()[0], 0u);
 }
 
 using FlatRelayPlanDeathTest = ::testing::Test;
 
 TEST(FlatRelayPlanDeathTest, ConversionChecksTheRelayPlanContract) {
-  // The engines check a flattened plan once, here, instead of per run.
-  RelayPlan zero = RelayPlan::empty(4, 0);
-  zero.tx_offsets[2] = {0};
-  RelayPlan repeated = RelayPlan::empty(4, 0);
-  repeated.tx_offsets[2] = {2, 2};
-  RelayPlan silent = RelayPlan::empty(4, 0);
-  silent.tx_offsets[0].clear();
-  EXPECT_DEATH(FlatRelayPlan{zero}, "precondition");
-  EXPECT_DEATH(FlatRelayPlan{repeated}, "precondition");
-  EXPECT_DEATH(FlatRelayPlan{silent}, "precondition");
+  // A plan is checked as it is written and edited, never per run.
+  EXPECT_DEATH(RelayPlan::Writer(4, 0).set(2, {0}), "precondition");
+  EXPECT_DEATH(RelayPlan::Writer(4, 0).set(2, {2, 2}), "precondition");
+  EXPECT_DEATH(
+      {
+        RelayPlan::Writer writer(4, 0);
+        writer.set(0, {});
+        (void)std::move(writer).finish();
+      },
+      "precondition");
+  EXPECT_DEATH(
+      {
+        RelayPlan::Writer writer(4, 0);
+        writer.set(2, {1});
+        writer.set(1, {1});  // out of order
+      },
+      "precondition");
 }
 
 TEST(FlatRelayPlanDeathTest, AdoptedPartsAreCheckedByValidate) {
-  EXPECT_DEATH(FlatRelayPlan::adopt(0, {0, 1}, {Slot{0}}).validate(),
+  EXPECT_DEATH(RelayPlan::adopt(0, {0, 1}, {Slot{0}}).validate(),
                "precondition");
-  EXPECT_DEATH(FlatRelayPlan{}.validate(), "precondition");
-  FlatRelayPlan::adopt(0, {0, 1, 1}, {Slot{1}}).validate();  // well formed
+  EXPECT_DEATH(RelayPlan{}.validate(), "precondition");
+  RelayPlan::adopt(0, {0, 1, 1}, {Slot{1}}).validate();  // well formed
 }
 
 }  // namespace

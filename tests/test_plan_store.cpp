@@ -202,7 +202,7 @@ TEST(PlanStore, CacheHitPlansSimulateByteIdentically) {
   const RelayPlan cached =
       paper_plan_cached(*topo, 5, {}, store, &cached_report, &origin);
   EXPECT_EQ(origin, PlanStore::Origin::kMemory);
-  EXPECT_EQ(cached.tx_offsets, fresh.tx_offsets);
+  EXPECT_EQ(cached, fresh);
   EXPECT_EQ(cached_report.unrepaired, fresh_report.unrepaired);
   expect_stats_identical(sim.run(*topo, cached, {}).stats, want);
 }

@@ -32,12 +32,13 @@ TEST(RepeatK, MultipliesPlannedTxExactly) {
 
 TEST(RepeatK, RepetitionsShiftByThePatternSpan) {
   RelayPlan plan = RelayPlan::empty(3, 0);
-  plan.tx_offsets[0] = {1, 3};
-  plan.tx_offsets[1] = {2};
+  plan.set_offsets(0, {1, 3});
+  plan.set_offsets(1, {2});
   const RelayPlan doubled = repeat_k(plan, 2);
-  EXPECT_EQ(doubled.tx_offsets[0], (std::vector<Slot>{1, 3, 4, 6}));
-  EXPECT_EQ(doubled.tx_offsets[1], (std::vector<Slot>{2, 4}));
-  EXPECT_TRUE(doubled.tx_offsets[2].empty());
+  EXPECT_TRUE(std::ranges::equal(doubled.offsets(0),
+                                 std::vector<Slot>{1, 3, 4, 6}));
+  EXPECT_TRUE(std::ranges::equal(doubled.offsets(1), std::vector<Slot>{2, 4}));
+  EXPECT_TRUE(doubled.offsets(2).empty());
 }
 
 TEST(RepeatK, StillFullyReachesOnPerfectMedium) {
@@ -67,7 +68,7 @@ TEST(EchoRepair, SingleFragileNodeGetsExactlyOneEcho) {
   // only fragile node, so the policy adds exactly one echo.
   const Mesh2D4 topo(2, 1);
   RelayPlan plan = RelayPlan::empty(2, 0);
-  plan.tx_offsets[1] = {1};
+  plan.set_offsets(1, {1});
   const RelayPlan repaired = echo_repair(topo, plan);
   EXPECT_EQ(repaired.planned_tx(), plan.planned_tx() + 1);
 }
@@ -78,7 +79,7 @@ TEST(EchoRepair, RecoversFromSingleLinkFade) {
   // (the echo arrives from the same or another neighbor in a later slot).
   const Mesh2D4 topo(4, 1);
   RelayPlan plan = RelayPlan::empty(4, 0);
-  for (NodeId v = 1; v < 4; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 4; ++v) plan.set_offsets(v, {1});
 
   class DropFirstDelivery final : public FaultModel {
    public:
@@ -104,7 +105,7 @@ TEST(ApplyRecovery, NoneIsIdentity) {
   const RelayPlan same =
       apply_recovery(topo, base, RecoveryPolicy::kNone, 3);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(same.tx_offsets[v], base.tx_offsets[v]);
+    EXPECT_TRUE(std::ranges::equal(same.offsets(v), base.offsets(v)));
   }
 }
 
@@ -116,7 +117,7 @@ TEST(ApplyRecovery, PoliciesAreDeterministic) {
     const RelayPlan a = apply_recovery(topo, base, policy, 2);
     const RelayPlan b = apply_recovery(topo, base, policy, 2);
     for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-      EXPECT_EQ(a.tx_offsets[v], b.tx_offsets[v]);
+      EXPECT_TRUE(std::ranges::equal(a.offsets(v), b.offsets(v)));
     }
   }
 }

@@ -185,14 +185,14 @@ TEST(RepairWave, APrefixPacksAsInsideTheWholeWave) {
 
 TEST(RepairWave, AppendWaveSchedulesEachHelperAtItsSlot) {
   RelayPlan plan = RelayPlan::empty(4, 0);
-  plan.tx_offsets[2] = {1};
+  plan.set_offsets(2, {1});
   const std::vector<Slot> first_rx = {0, 3, 2, kNeverSlot};
   const std::vector<NodeId> helpers = {1, 2};
   const std::vector<Slot> slots = {0, 1};
   repair_wave::append_wave(plan, helpers, slots, first_rx, 10);
-  EXPECT_EQ(plan.tx_offsets[1], (std::vector<Slot>{7}));
-  EXPECT_EQ(plan.tx_offsets[2], (std::vector<Slot>{1, 9}));
-  EXPECT_EQ(plan.tx_offsets[0], (std::vector<Slot>{1}));
+  EXPECT_TRUE(std::ranges::equal(plan.offsets(1), std::vector<Slot>{7}));
+  EXPECT_TRUE(std::ranges::equal(plan.offsets(2), std::vector<Slot>{1, 9}));
+  EXPECT_TRUE(std::ranges::equal(plan.offsets(0), std::vector<Slot>{1}));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ TEST(Resolver, CompletePlanNeedsNoRepairs) {
   // An already-complete plan: all-relay on a path.
   const Mesh2D4 line(10, 1);
   RelayPlan line_plan = RelayPlan::empty(10, 0);
-  for (NodeId v = 1; v < 10; ++v) line_plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 10; ++v) line_plan.set_offsets(v, {1});
   ResolveReport report;
   const RelayPlan resolved =
       resolve_full_reachability(line, line_plan, {}, &report);
@@ -30,9 +30,9 @@ TEST(Resolver, RepairsABrokenRelayChain) {
   // Path of 6, but node 3 is not a relay: nodes 4 and 5 start unreached.
   const Mesh2D4 line(6, 1);
   RelayPlan plan = RelayPlan::empty(6, 0);
-  plan.tx_offsets[1] = {1};
-  plan.tx_offsets[2] = {1};
-  plan.tx_offsets[4] = {1};
+  plan.set_offsets(1, {1});
+  plan.set_offsets(2, {1});
+  plan.set_offsets(4, {1});
   ResolveReport report;
   const RelayPlan resolved = resolve_full_reachability(line, plan, {},
                                                        &report);
@@ -49,7 +49,7 @@ TEST(Resolver, RepairsCollisionStrandedNodes) {
   const Grid2D& g = topo.grid();
   RelayPlan plan = RelayPlan::empty(9, g.to_id({2, 2}));
   for (Vec2 v : {Vec2{1, 2}, Vec2{3, 2}, Vec2{2, 1}, Vec2{2, 3}}) {
-    plan.tx_offsets[g.to_id(v)] = {1};
+    plan.set_offsets(g.to_id(v), {1});
   }
   ResolveReport report;
   const RelayPlan resolved = resolve_full_reachability(topo, plan, {},
@@ -66,7 +66,7 @@ TEST(Resolver, ReportsDisconnectedRemainder) {
   const RandomGeometric topo(40, 100.0, 5.0, 11);
   ASSERT_FALSE(is_connected(topo));
   RelayPlan plan = RelayPlan::empty(topo.num_nodes(), 0);
-  for (NodeId v = 0; v < topo.num_nodes(); ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < topo.num_nodes(); ++v) plan.set_offsets(v, {1});
   ResolveReport report;
   const RelayPlan resolved = resolve_full_reachability(topo, plan, {},
                                                        &report);
@@ -82,7 +82,7 @@ TEST(Resolver, UnrepairedPopulatedOnDisconnectedTopology) {
   const RandomGeometric topo(40, 100.0, 5.0, 11);
   ASSERT_FALSE(is_connected(topo));
   RelayPlan plan = RelayPlan::empty(topo.num_nodes(), 0);
-  for (NodeId v = 0; v < topo.num_nodes(); ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < topo.num_nodes(); ++v) plan.set_offsets(v, {1});
   ResolveReport report;
   const RelayPlan resolved = resolve_full_reachability(topo, plan, {},
                                                        &report);
@@ -114,7 +114,7 @@ TEST(Resolver, DeterministicAcrossRuns) {
   const RelayPlan b = resolve_full_reachability(topo, base, {}, &rb);
   EXPECT_EQ(ra.repairs, rb.repairs);
   for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-    EXPECT_EQ(a.tx_offsets[v], b.tx_offsets[v]);
+    EXPECT_TRUE(std::ranges::equal(a.offsets(v), b.offsets(v)));
   }
 }
 

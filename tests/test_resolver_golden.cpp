@@ -85,8 +85,9 @@ std::string resolve_line(const std::string& label, NodeId src,
       digest *= 0x100000001b3ull;
     }
   };
-  add(plan.source);
-  for (const auto& offsets : plan.tx_offsets) {
+  add(plan.source());
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) {
+    const std::span<const Slot> offsets = plan.offsets(v);
     add(offsets.size());
     for (const Slot offset : offsets) add(offset);
   }

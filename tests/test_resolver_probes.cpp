@@ -37,8 +37,9 @@ std::uint64_t fingerprint(const RelayPlan& plan) {
       digest *= 0x100000001b3ull;
     }
   };
-  add(plan.source);
-  for (const auto& offsets : plan.tx_offsets) {
+  add(plan.source());
+  for (NodeId v = 0; v < plan.num_nodes(); ++v) {
+    const std::span<const Slot> offsets = plan.offsets(v);
     add(offsets.size());
     for (const Slot offset : offsets) add(offset);
   }
@@ -211,27 +212,22 @@ TEST(ResolverProbes, PublicEntryPointsReturnTheRunOfTheirPlan) {
 /// re-probes that fell back to a full run, and checking every re-probe
 /// against a fresh full run of the plan it re-probed.
 struct ReprobingSim {
-  BroadcastOutcome run(const ImplicitLattice& lat, const FlatRelayPlan& plan,
+  BroadcastOutcome run(const ImplicitLattice& lat, const RelayPlan& plan,
                        const SimOptions& options) {
     full_runs += 1;
     return engine.run(lat, plan, options);
   }
 
-  BroadcastOutcome rerun(const ImplicitLattice& lat, const FlatRelayPlan& base,
-                         std::span<const OffsetEdit> overlay,
+  BroadcastOutcome rerun(const ImplicitLattice& lat, const RelayPlan& plan,
+                         std::span<const OffsetEdit> ran,
                          const BroadcastOutcome& prev,
                          const SimOptions& options) {
     reprobes += 1;
     const std::uint64_t before = full_spans();
-    BroadcastOutcome out = engine.rerun(lat, base, overlay, prev, options);
+    BroadcastOutcome out = engine.rerun(lat, plan, ran, prev, options);
     fallbacks += full_spans() - before;
-    RelayPlan edited = base.to_relay_plan();
-    for (const OffsetEdit& edit : overlay) {
-      edited.tx_offsets[edit.node].assign(edit.after.begin(),
-                                          edit.after.end());
-    }
     BulkSimulator fresh(lat.num_nodes());
-    expect_same_outcome(fresh.run(lat, edited, options), out);
+    expect_same_outcome(fresh.run(lat, plan, options), out);
     return out;
   }
 

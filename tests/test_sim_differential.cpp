@@ -39,12 +39,12 @@ RefResult reference_simulate(const Topology& topo, const RelayPlan& plan,
   const std::size_t n = topo.num_nodes();
   RefResult ref;
   ref.first_rx.assign(n, kNeverSlot);
-  ref.first_rx[plan.source] = 0;
+  ref.first_rx[plan.source()] = 0;
 
   // tx_at[v] = absolute slots at which v transmits (filled on reception).
   std::vector<std::vector<Slot>> tx_at(n);
-  for (Slot offset : plan.tx_offsets[plan.source]) {
-    tx_at[plan.source].push_back(offset);
+  for (Slot offset : plan.offsets(plan.source())) {
+    tx_at[plan.source()].push_back(offset);
   }
 
   for (Slot slot = 1; slot <= max_slots; ++slot) {
@@ -74,7 +74,7 @@ RefResult reference_simulate(const Topology& topo, const RelayPlan& plan,
         if (ref.first_rx[u] == kNeverSlot) {
           ref.first_rx[u] = slot;
           ref.delay = std::max(ref.delay, slot);
-          for (Slot offset : plan.tx_offsets[u]) {
+          for (Slot offset : plan.offsets(u)) {
             tx_at[u].push_back(slot + offset);
           }
         } else {
@@ -109,11 +109,10 @@ RelayPlan random_plan(const Topology& topo, Xoshiro256& rng) {
     if (v == source) continue;
     const std::uint64_t roll = rng.below(10);
     if (roll < 5) {
-      plan.tx_offsets[v] = {static_cast<Slot>(1 + rng.below(3))};
+      plan.set_offsets(v, {static_cast<Slot>(1 + rng.below(3))});
     } else if (roll < 7) {
       const Slot first = static_cast<Slot>(1 + rng.below(3));
-      plan.tx_offsets[v] = {first,
-                            first + static_cast<Slot>(1 + rng.below(3))};
+      plan.set_offsets(v, {first, first + static_cast<Slot>(1 + rng.below(3))});
     }
   }
   return plan;
@@ -159,9 +158,9 @@ TEST(SimDifferential, FloodingStressOnDenseGraph) {
     const auto source = static_cast<NodeId>(rng.below(topo.num_nodes()));
     RelayPlan plan = RelayPlan::empty(topo.num_nodes(), source);
     for (NodeId v = 0; v < topo.num_nodes(); ++v) {
-      plan.tx_offsets[v] = {static_cast<Slot>(1 + rng.below(2))};
+      plan.set_offsets(v, {static_cast<Slot>(1 + rng.below(2))});
     }
-    plan.tx_offsets[source] = {1};
+    plan.set_offsets(source, {1});
     expect_equivalent(topo, plan);
   }
 }
@@ -196,14 +195,14 @@ RefPipeline reference_pipeline(const Topology& topo, const RelayPlan& plan,
   // owed[v] = the (slot, packet) transmissions v still has to make.
   std::vector<std::set<std::pair<Slot, std::size_t>>> owed(n);
   const auto arm = [&](NodeId v, std::size_t packet, Slot at) {
-    for (Slot offset : plan.tx_offsets[v]) {
+    for (Slot offset : plan.offsets(v)) {
       owed[v].insert({at + offset, packet});
     }
   };
   for (std::size_t p = 0; p < packets; ++p) {
     const Slot base = static_cast<Slot>(p) * interval;
-    ref.first_rx[p][plan.source] = base;
-    arm(plan.source, p, base);
+    ref.first_rx[p][plan.source()] = base;
+    arm(plan.source(), p, base);
   }
 
   constexpr std::size_t kSilent = ~std::size_t{0};
@@ -278,7 +277,7 @@ std::size_t expect_pipeline_equivalent(const Topology& topo,
   std::vector<std::vector<Slot>> first_rx(
       packets, std::vector<Slot>(topo.num_nodes(), kNeverSlot));
   for (std::size_t p = 0; p < packets; ++p) {
-    first_rx[p][plan.source] = static_cast<Slot>(p) * interval;
+    first_rx[p][plan.source()] = static_cast<Slot>(p) * interval;
   }
   for (const Event& event : sink.events()) {
     if (event.kind == EventKind::kRx) {
@@ -345,7 +344,7 @@ TEST(SimDifferential, PipelinedFloodingOnRandomTopology) {
     RelayPlan plan = RelayPlan::empty(topo.num_nodes(), source);
     for (NodeId v = 0; v < topo.num_nodes(); ++v) {
       const Slot first = static_cast<Slot>(1 + rng.below(2));
-      plan.tx_offsets[v] = {first, first + static_cast<Slot>(1 + rng.below(3))};
+      plan.set_offsets(v, {first, first + static_cast<Slot>(1 + rng.below(3))});
     }
     const std::size_t packets = 2 + rng.below(3);
     const auto interval = static_cast<Slot>(1 + rng.below(3));

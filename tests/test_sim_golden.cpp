@@ -207,8 +207,8 @@ TEST(EchoRepairGolden, PlansMatchTheCommittedBytes) {
       const RelayPlan plan = echo_repair(*topo, paper_plan(*topo, src));
       Fnv1a offsets;
       for (NodeId v = 0; v < plan.num_nodes(); ++v) {
-        offsets.add(plan.tx_offsets[v].size());
-        for (Slot offset : plan.tx_offsets[v]) offsets.add(offset);
+        offsets.add(plan.offsets(v).size());
+        for (Slot offset : plan.offsets(v)) offsets.add(offset);
       }
       char line[128];
       std::snprintf(line, sizeof(line),

@@ -25,7 +25,7 @@ TEST(Simulator, SourceTransmitsAtSlotOne) {
 TEST(Simulator, WavefrontAdvancesOneHopPerSlot) {
   const auto topo = path(6);
   RelayPlan plan = RelayPlan::empty(6, 0);
-  for (NodeId v = 1; v < 6; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 6; ++v) plan.set_offsets(v, {1});
   const auto out = simulate_broadcast(topo, plan);
   for (NodeId v = 1; v < 6; ++v) {
     EXPECT_EQ(out.first_rx[v], static_cast<Slot>(v));
@@ -44,7 +44,7 @@ TEST(Simulator, CollisionsAtCrossfire) {
   const Grid2D& g = topo.grid();
   RelayPlan plan = RelayPlan::empty(9, g.to_id({2, 2}));
   for (Vec2 v : {Vec2{1, 2}, Vec2{3, 2}, Vec2{2, 1}, Vec2{2, 3}}) {
-    plan.tx_offsets[g.to_id(v)] = {1};
+    plan.set_offsets(g.to_id(v), {1});
   }
   SimOptions options;
   options.record_collisions = true;
@@ -71,8 +71,8 @@ TEST(Simulator, HalfDuplexTransmitterIsDeaf) {
   // Nodes 0 and 1 adjacent; both transmit in slot 2 (0 retransmits).
   const auto topo = path(2);
   RelayPlan plan = RelayPlan::empty(2, 0);
-  plan.tx_offsets[0] = {1, 2};
-  plan.tx_offsets[1] = {1};
+  plan.set_offsets(0, {1, 2});
+  plan.set_offsets(1, {1});
   const auto out = simulate_broadcast(topo, plan);
   // Slot 1: 1 hears 0.  Slot 2: both transmit, neither hears anything.
   EXPECT_EQ(out.stats.rx, 1u);
@@ -84,8 +84,8 @@ TEST(Simulator, HalfDuplexTransmitterIsDeaf) {
 TEST(Simulator, DuplicateReceptionsAreCounted) {
   const auto topo = path(3);
   RelayPlan plan = RelayPlan::empty(3, 0);
-  plan.tx_offsets[1] = {1};
-  plan.tx_offsets[2] = {1};
+  plan.set_offsets(1, {1});
+  plan.set_offsets(2, {1});
   const auto out = simulate_broadcast(topo, plan);
   // 1 hears 0 (fresh); 0 and 2 hear 1 (dup for 0, fresh for 2); 1 hears 2
   // (dup).
@@ -97,7 +97,7 @@ TEST(Simulator, DuplicateReceptionsAreCounted) {
 TEST(Simulator, EnergyAccountingMatchesClosedForm) {
   const auto topo = path(4);
   RelayPlan plan = RelayPlan::empty(4, 0);
-  for (NodeId v = 1; v < 4; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 1; v < 4; ++v) plan.set_offsets(v, {1});
   SimOptions options;
   options.packet_bits = 512;
   const auto out = simulate_broadcast(topo, plan, options);
@@ -118,7 +118,7 @@ TEST(Simulator, CollisionEnergyOffByDefault) {
   const Grid2D& g = topo.grid();
   RelayPlan plan = RelayPlan::empty(9, g.to_id({2, 2}));
   for (Vec2 v : {Vec2{1, 2}, Vec2{3, 2}, Vec2{2, 1}, Vec2{2, 3}}) {
-    plan.tx_offsets[g.to_id(v)] = {1};
+    plan.set_offsets(g.to_id(v), {1});
   }
   const auto base = simulate_broadcast(topo, plan);
   SimOptions charged;
@@ -131,7 +131,7 @@ TEST(Simulator, CollisionEnergyOffByDefault) {
 TEST(Simulator, DeadNodesDropOutOfTheMedium) {
   const auto topo = path(3);
   RelayPlan plan = RelayPlan::empty(3, 0);
-  plan.tx_offsets[1] = {1};
+  plan.set_offsets(1, {1});
   BatteryBank bank(3, 1.0);
   bank.drain(1, 1.0);  // kill the middle relay
   SimOptions options;
@@ -159,7 +159,7 @@ TEST(Simulator, BatteryDrainsByActivity) {
 TEST(Simulator, MaxSlotsStopsRunawaySchedules) {
   const auto topo = path(2);
   RelayPlan plan = RelayPlan::empty(2, 0);
-  plan.tx_offsets[1] = {500};
+  plan.set_offsets(1, {500});
   SimOptions options;
   options.max_slots = 100;
   const auto out = simulate_broadcast(topo, plan, options);
@@ -169,7 +169,7 @@ TEST(Simulator, MaxSlotsStopsRunawaySchedules) {
 TEST(Simulator, FirstTxLookup) {
   const auto topo = path(3);
   RelayPlan plan = RelayPlan::empty(3, 0);
-  plan.tx_offsets[1] = {2};
+  plan.set_offsets(1, {2});
   const auto out = simulate_broadcast(topo, plan);
   EXPECT_EQ(out.first_tx(0), 1u);
   EXPECT_EQ(out.first_tx(1), 3u);  // received slot 1, offset 2
@@ -179,7 +179,7 @@ TEST(Simulator, FirstTxLookup) {
 TEST(Simulator, DeterministicAcrossRuns) {
   const Mesh2D4 topo(8, 8);
   RelayPlan plan = RelayPlan::empty(64, 10);
-  for (NodeId v = 0; v < 64; ++v) plan.tx_offsets[v] = {1};
+  for (NodeId v = 0; v < 64; ++v) plan.set_offsets(v, {1});
   const auto a = simulate_broadcast(topo, plan);
   const auto b = simulate_broadcast(topo, plan);
   ASSERT_EQ(a.transmissions.size(), b.transmissions.size());

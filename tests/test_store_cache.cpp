@@ -18,7 +18,7 @@ PlanKey key_of(std::uint64_t n) { return PlanKey{n * 0x9e37u, n}; }
 
 std::shared_ptr<const StoredPlan> plan_of(NodeId source) {
   auto value = std::make_shared<StoredPlan>();
-  value->plan = FlatRelayPlan::from(RelayPlan::empty(source + 1, source));
+  value->plan = RelayPlan(RelayPlan::empty(source + 1, source));
   return value;
 }
 

@@ -36,7 +36,7 @@ StoredPlan sample_plan() {
   const auto topo = make_mesh("2D-4", 6, 4);
   StoredPlan stored;
   stored.plan =
-      FlatRelayPlan::from(paper_plan(*topo, 2, {}, &stored.report));
+      RelayPlan(paper_plan(*topo, 2, {}, &stored.report));
   return stored;
 }
 

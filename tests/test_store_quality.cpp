@@ -61,7 +61,7 @@ StoredPlan learned_plan(const Topology& topo, NodeId source, double loss) {
   IidLossModel probe(loss, 0x5eedull);
   StoredPlan stored;
   stored.quality = estimate_link_quality(topo, probe);
-  stored.plan = FlatRelayPlan::from(
+  stored.plan = RelayPlan(
       etx_plan(topo, source, stored.quality, {}, &stored.report));
   return stored;
 }

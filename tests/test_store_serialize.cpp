@@ -35,7 +35,7 @@ StoredPlan make_stored(const Topology& topo, NodeId source) {
     plan = resolve_full_reachability(topo, CdsBroadcast().plan(topo, source),
                                      {}, &stored.report);
   }
-  stored.plan = FlatRelayPlan::from(plan);
+  stored.plan = RelayPlan(plan);
   return stored;
 }
 
@@ -101,7 +101,7 @@ TEST(StoreSerialize, RoundTripDegenerateGrids) {
 TEST(StoreSerialize, RoundTripMinimalPlan) {
   // The smallest valid plan: one node, the source, transmitting once.
   StoredPlan minimal;
-  minimal.plan = FlatRelayPlan::from(RelayPlan::empty(1, 0));
+  minimal.plan = RelayPlan(RelayPlan::empty(1, 0));
   expect_exact_round_trip(minimal, "single-node plan");
 }
 
@@ -179,11 +179,11 @@ TEST(StoreSerialize, StructurallyInvalidPlansAreMalformed) {
   // adopt() skips validation, so these serialize fine -- and must then be
   // caught by the decoder's structural re-verification.
   const StoredPlan zero_offset{
-      FlatRelayPlan::adopt(0, {0, 1}, {Slot{0}}), {}};
+      RelayPlan::adopt(0, {0, 1}, {Slot{0}}), {}};
   const StoredPlan non_increasing{
-      FlatRelayPlan::adopt(0, {0, 2}, {Slot{2}, Slot{2}}), {}};
+      RelayPlan::adopt(0, {0, 2}, {Slot{2}, Slot{2}}), {}};
   const StoredPlan silent_source{
-      FlatRelayPlan::adopt(1, {0, 1, 1}, {Slot{1}}), {}};
+      RelayPlan::adopt(1, {0, 1, 1}, {Slot{1}}), {}};
   for (const StoredPlan* bad :
        {&zero_offset, &non_increasing, &silent_source}) {
     StoredPlan out;
@@ -224,13 +224,12 @@ TEST(StoreSerialize, FlatPlanConvertsLosslessly) {
   const auto topo = make_mesh("2D-8", 5, 4);
   ResolveReport report;
   const RelayPlan plan = paper_plan(*topo, 7, {}, &report);
-  const FlatRelayPlan flat = FlatRelayPlan::from(plan);
-  flat.validate();
-  EXPECT_EQ(flat.num_nodes(), plan.num_nodes());
-  EXPECT_EQ(flat.total_offsets(), plan.planned_tx());
-  const RelayPlan back = flat.to_relay_plan();
-  EXPECT_EQ(back.source, plan.source);
-  EXPECT_EQ(back.tx_offsets, plan.tx_offsets);
+  const RelayPlan copy = plan.to_relay_plan();
+  copy.validate();
+  EXPECT_EQ(copy.num_nodes(), plan.num_nodes());
+  EXPECT_EQ(copy.total_offsets(), plan.planned_tx());
+  EXPECT_EQ(copy.source(), plan.source());
+  EXPECT_EQ(copy, plan);
 }
 
 TEST(StoreSerialize, StatusStringsAreDistinct) {
