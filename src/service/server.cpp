@@ -36,6 +36,12 @@ std::uint64_t wall_micros() {
   return us.count() < 0 ? 0 : static_cast<std::uint64_t>(us.count());
 }
 
+/// Counts one event in a lifetime total and its metrics mirror.
+void bump(std::atomic<std::uint64_t>& total, Counter* mirror) noexcept {
+  total.fetch_add(1, std::memory_order_relaxed);
+  if (mirror != nullptr) mirror->increment();
+}
+
 JournalMethod journal_method_for(RpcType type) noexcept {
   switch (type) {
     case RpcType::kSimulate: return JournalMethod::kSimulate;
@@ -55,9 +61,9 @@ bool MeshbcastService::start(std::string& error) {
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   WSN_EXPECTS(!started_ && !stopped_);
   worker_count_ = config_.workers == 0 ? 2 : config_.workers;
-  const std::size_t capacity = config_.queue_capacity == 0
-                                   ? std::max<std::size_t>(2 * worker_count_, 8)
-                                   : config_.queue_capacity;
+  queue_capacity_ = config_.queue_capacity == 0
+                        ? std::max<std::size_t>(2 * worker_count_, 8)
+                        : config_.queue_capacity;
   if (!config_.unix_path.empty()) {
     if (!Listener::listen_unix(config_.unix_path, listener_, error)) {
       return false;
@@ -99,12 +105,7 @@ bool MeshbcastService::start(std::string& error) {
                        std::memory_order_relaxed);
     update_lifetime_gauges();
   }
-  queue_ = std::make_unique<BoundedQueue<Work>>(capacity);
   started_at_ = std::chrono::steady_clock::now();
-  workers_.reserve(worker_count_);
-  for (std::size_t w = 0; w < worker_count_; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
   accept_thread_ = std::thread([this] { accept_loop(); });
   if (config_.heartbeat_ms > 0) {
     HeartbeatEmitter::Config hb;
@@ -136,17 +137,22 @@ void MeshbcastService::wait(const std::atomic<bool>* external_stop) {
 void MeshbcastService::shutdown() {
   const std::lock_guard<std::mutex> lock(lifecycle_mutex_);
   if (!started_ || stopped_) return;
-  // Order matters.  (1) Stop admitting: the accept loop exits on the
-  // drain flag and the queue closes -- its backlog still drains, so
-  // every admitted request gets its response.  (2) Join the workers;
-  // only THEN (3) half-close the connections, so a worker is never
-  // racing a teardown on the socket it is responding on.
+  // Order matters.  (1) Stop admitting: the drain bit refuses every
+  // later admission, and the accept loop exits on the drain flag.
+  // (2) Wait until every admitted request -- waiters included, they
+  // still get their permits -- has written its response and released
+  // its permit; only THEN (3) half-close the connections, so a handler
+  // is never racing a teardown on the socket it is responding on.
+  admitted_.fetch_or(kDrainBit, std::memory_order_acq_rel);
   draining_.store(true, std::memory_order_release);
   accept_thread_.join();
   listener_.close();
-  queue_->close();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
+  {
+    std::unique_lock<std::mutex> permit_lock(permit_mutex_);
+    permit_cv_.wait(permit_lock, [this] {
+      return admitted_.load(std::memory_order_acquire) == kDrainBit;
+    });
+  }
   {
     const std::lock_guard<std::mutex> conn_lock(connections_mutex_);
     for (const std::shared_ptr<Connection>& conn : connections_) {
@@ -182,17 +188,63 @@ HeartbeatRecord MeshbcastService::sample_heartbeat() {
   beat.emitted = served_.load(std::memory_order_relaxed);
   beat.jobs_total = requests_.load(std::memory_order_relaxed);
   beat.errors = errors_.load(std::memory_order_relaxed);
-  beat.queue_depth = queue_ ? queue_->size() : 0;
-  beat.workers_busy = busy_.load(std::memory_order_relaxed);
+  const std::uint64_t admitted =
+      admitted_.load(std::memory_order_relaxed) & ~kDrainBit;
+  beat.workers_busy = std::min<std::uint64_t>(admitted, worker_count_);
+  beat.queue_depth = admitted - beat.workers_busy;
   return beat;
+}
+
+MeshbcastService::Admission MeshbcastService::admit(std::uint64_t& ticket) {
+  // Fast path: a free permit means nobody waits (a release hands its
+  // permit straight to the oldest waiter), so taking it keeps admission
+  // order.  The drain bit makes `state` too large to pass the test.
+  std::uint64_t state = admitted_.load(std::memory_order_relaxed);
+  while (state < worker_count_) {
+    if (admitted_.compare_exchange_weak(state, state + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+      return Admission::kRunning;
+    }
+  }
+  // Slow path under the permit mutex, so a waiter's ticket order is its
+  // admission order.
+  const std::lock_guard<std::mutex> lock(permit_mutex_);
+  state = admitted_.load(std::memory_order_relaxed);
+  do {
+    if ((state & kDrainBit) != 0) return Admission::kDraining;
+    if (state >= worker_count_ + queue_capacity_) {
+      return Admission::kOverloaded;
+    }
+  } while (!admitted_.compare_exchange_weak(state, state + 1,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_relaxed));
+  if (state < worker_count_) return Admission::kRunning;
+  ticket = tickets_++;
+  return Admission::kWaiting;
+}
+
+void MeshbcastService::release_permit() {
+  const std::uint64_t before =
+      admitted_.fetch_sub(1, std::memory_order_acq_rel);
+  const std::uint64_t count = before & ~kDrainBit;
+  // More admitted than permits: someone waits (or is about to take its
+  // ticket); the freed permit is theirs.  The last release under drain
+  // wakes shutdown().
+  if (count > worker_count_ || before == (kDrainBit | 1)) {
+    {
+      const std::lock_guard<std::mutex> lock(permit_mutex_);
+      if (count > worker_count_) ++grants_;
+    }
+    permit_cv_.notify_all();
+  }
 }
 
 void MeshbcastService::accept_loop() {
   while (!draining_.load(std::memory_order_acquire)) {
     Socket sock;
     if (listener_.accept(sock, 100)) {
-      connections_total_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.connections != nullptr) m_.connections->increment();
+      bump(connections_total_, m_.connections);
       auto conn = std::make_shared<Connection>();
       conn->sock = std::move(sock);
       const std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -219,11 +271,12 @@ void MeshbcastService::reap_finished() {
 
 void MeshbcastService::handle_connection(
     const std::shared_ptr<Connection>& conn) {
-  connections_open_.fetch_add(1, std::memory_order_relaxed);
-  if (m_.connections_open != nullptr) {
-    m_.connections_open->set(
-        static_cast<double>(connections_open_.load(std::memory_order_relaxed)));
-  }
+  const auto publish_open = [this](std::size_t open) {
+    if (m_.connections_open != nullptr) {
+      m_.connections_open->set(static_cast<double>(open));
+    }
+  };
+  publish_open(connections_open_.fetch_add(1, std::memory_order_relaxed) + 1);
   std::string payload;
   bool alive = true;
   while (alive) {
@@ -233,8 +286,7 @@ void MeshbcastService::handle_connection(
     if (status == FrameStatus::kOversized) {
       // The length prefix was read but the payload was not: the stream
       // cannot be resynchronized.  Answer, then drop the connection.
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.bad_frames != nullptr) m_.bad_frames->increment();
+      bump(bad_frames_, m_.bad_frames);
       (void)write_frame(
           conn->sock,
           rpc_error_json(false, 0, rpc_code::kOversized,
@@ -244,20 +296,18 @@ void MeshbcastService::handle_connection(
       break;
     }
     if (status != FrameStatus::kOk) {  // truncated or transport error
-      bad_frames_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.bad_frames != nullptr) m_.bad_frames->increment();
+      bump(bad_frames_, m_.bad_frames);
       break;
     }
     // Admission timing starts when the frame is fully read: everything
-    // from here to the enqueue (or inline reply) is the daemon's doing,
-    // not the client's.
+    // from here to the admission decision (or inline reply) is the
+    // daemon's doing, not the client's.
     const auto frame_received = std::chrono::steady_clock::now();
     RpcRequest req;
     RpcError error;
     if (!parse_rpc_request(payload, req, error)) {
       // No request id: the frame never became a request.
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.errors != nullptr) m_.errors->increment();
+      bump(errors_, m_.errors);
       alive = write_frame(conn->sock, rpc_error_json(req.has_id, req.id,
                                                      error.code,
                                                      error.message));
@@ -267,9 +317,9 @@ void MeshbcastService::handle_connection(
     // Spans the handler finishes from here on (admission, inline
     // replies) carry the request id.
     RequestTagScope tag_scope(req.seq);
-    // Inline lane: liveness probes and the drain trigger never sit
-    // behind the admission queue -- a saturated service must still
-    // answer health checks and accept its own shutdown.
+    // Inline lane: liveness probes and the drain trigger never wait for
+    // a permit -- a saturated service must still answer health checks
+    // and accept its own shutdown.
     if (req.type == RpcType::kHealth) {
       alive = write_frame(conn->sock, health_json(req));
       continue;
@@ -287,163 +337,95 @@ void MeshbcastService::handle_connection(
       shutdown_requested_.store(true, std::memory_order_release);
       continue;
     }
-    // Admission lane.
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.requests != nullptr) m_.requests->increment();
-    const bool has_id = req.has_id;
-    const std::uint64_t id = req.id;
-    const std::uint64_t seq = req.seq;
-    const RpcType req_type = req.type;
-    Pending pending;
-    Work work;
-    work.conn = conn;
-    work.req = std::move(req);
-    work.pending = &pending;
-    work.ts_micros = wall_micros();
-    work.admitted = std::chrono::steady_clock::now();
-    work.admission_ms = std::chrono::duration<double, std::milli>(
-                            work.admitted - frame_received)
-                            .count();
-    const double admission_ms = work.admission_ms;
-    const bool pushed = queue_->try_push(std::move(work));
+    // Admission lane: the request runs right here once it holds a
+    // permit.
+    std::uint64_t ticket = 0;
+    const Admission admission = admit(ticket);
+    const auto decided = std::chrono::steady_clock::now();
+    const Admitted admitted{
+        decided, config_.journal != nullptr ? wall_micros() : 0,
+        std::chrono::duration<double, std::milli>(decided - frame_received)
+            .count()};
+    bump(requests_, m_.requests);
     Timeline& timeline = Timeline::instance();
     if (timeline.enabled()) {
       timeline.record_wait(
           "service.admission",
-          static_cast<std::uint64_t>(ms_since(frame_received) * 1e6), seq);
+          static_cast<std::uint64_t>(admitted.admission_ms * 1e6), req.seq);
     }
-    if (!pushed) {
-      const bool draining = draining_.load(std::memory_order_acquire);
-      if (!draining) {
-        sheds_.fetch_add(1, std::memory_order_relaxed);
-        if (m_.sheds != nullptr) m_.sheds->increment();
-      }
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      if (m_.errors != nullptr) m_.errors->increment();
+    if (admission == Admission::kOverloaded ||
+        admission == Admission::kDraining) {
+      const bool draining = admission == Admission::kDraining;
+      if (!draining) bump(sheds_, m_.sheds);
+      bump(errors_, m_.errors);
       // A refused request still gets a journal record: sheds are part
       // of "what did I serve", and the drain flag marks refusals that
       // were the drain's fault rather than load's.
-      JournalRecord record;
-      record.seq = seq;
-      record.client_id = id;
-      record.ts_micros = wall_micros();
-      record.admission_ms = admission_ms;
-      record.total_ms = admission_ms;
-      record.method = journal_method_for(req_type);
-      record.outcome =
-          draining ? JournalOutcome::kError : JournalOutcome::kShed;
-      record.flags = static_cast<std::uint8_t>(
-          (has_id ? kJournalHasClientId : 0) |
-          (draining ? kJournalDrainRefused : 0));
-      journal_append(record);
-      if (slo_) slo_->record(admission_ms, record.outcome);
+      record_request(req, admitted, 0.0, StageTrace{},
+                     draining ? JournalOutcome::kError : JournalOutcome::kShed,
+                     draining ? kJournalDrainRefused : 0);
       alive = write_frame(
           conn->sock,
-          rpc_error_json(has_id, id,
+          rpc_error_json(req.has_id, req.id,
                          draining ? rpc_code::kShuttingDown
                                   : rpc_code::kOverloaded,
                          draining ? "service is draining"
-                                  : "admission queue is full; retry",
-                         seq));
+                                  : "admission is full; retry",
+                         req.seq));
       continue;
     }
-    if (m_.queue_depth != nullptr) {
-      m_.queue_depth->set(static_cast<double>(queue_->size()));
+    if (admission == Admission::kWaiting) {
+      std::unique_lock<std::mutex> lock(permit_mutex_);
+      permit_cv_.wait(lock, [&] { return grants_ > ticket; });
     }
-    std::unique_lock<std::mutex> wait_lock(pending.mutex);
-    pending.cv.wait(wait_lock, [&] { return pending.done; });
-    alive = pending.write_ok;
+    alive = execute(conn->sock, req, admitted);
+    release_permit();
   }
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
-  if (m_.connections_open != nullptr) {
-    m_.connections_open->set(
-        static_cast<double>(connections_open_.load(std::memory_order_relaxed)));
-  }
+  publish_open(connections_open_.fetch_sub(1, std::memory_order_relaxed) - 1);
   conn->finished.store(true, std::memory_order_release);
 }
 
-void MeshbcastService::worker_loop() {
-  Simulator sim;
-  while (std::optional<Work> work = queue_->pop()) {
-    busy_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.workers_busy != nullptr) {
-      m_.workers_busy->set(
-          static_cast<double>(busy_.load(std::memory_order_relaxed)));
-    }
-    if (m_.queue_depth != nullptr) {
-      m_.queue_depth->set(static_cast<double>(queue_->size()));
-    }
-    if (config_.before_execute) config_.before_execute();
-    execute(*work, sim);
-    busy_.fetch_sub(1, std::memory_order_relaxed);
-    if (m_.workers_busy != nullptr) {
-      m_.workers_busy->set(
-          static_cast<double>(busy_.load(std::memory_order_relaxed)));
-    }
-    // Notify under the lock: once the handler sees `done` it returns and
-    // destroys the stack-held Pending, condition variable included.
-    const std::lock_guard<std::mutex> lock(work->pending->mutex);
-    work->pending->done = true;
-    work->pending->cv.notify_one();
-  }
-}
-
-void MeshbcastService::execute(Work& work, Simulator& sim) {
-  // Everything this worker records for the request -- the queue-wait
-  // span, the stage spans inside respond_*, the emission span -- carries
-  // the request id.
-  RequestTagScope tag_scope(work.req.seq);
-  const double queue_ms = ms_since(work.admitted);
+bool MeshbcastService::execute(Socket& sock, const RpcRequest& req,
+                               const Admitted& admitted) {
+  // Everything recorded here runs under the handler's request tag.
+  const double queue_ms = ms_since(admitted.at);
   Timeline& timeline = Timeline::instance();
   if (timeline.enabled()) {
     timeline.record_wait("service.queue_wait",
-                         static_cast<std::uint64_t>(queue_ms * 1e6),
-                         work.req.seq);
+                         static_cast<std::uint64_t>(queue_ms * 1e6), req.seq);
   }
+  if (config_.before_execute) config_.before_execute();
   WSN_SPAN("service.request");
   const auto start = std::chrono::steady_clock::now();
   bool ok = true;
+  bool wrote = true;
   StageTrace trace;
   Histogram* hist = nullptr;
-  switch (work.req.type) {
-    case RpcType::kPlan: {
-      std::string response;
-      {
-        WSN_SPAN("service.plan");
-        const auto t = std::chrono::steady_clock::now();
-        response = respond_plan(work.req, ok, trace);
-        trace.exec_ms = ms_since(t);
-      }
-      {
-        WSN_SPAN("service.emit");
-        const auto t = std::chrono::steady_clock::now();
-        work.pending->write_ok = write_frame(work.conn->sock, response);
-        trace.emit_ms = ms_since(t);
-      }
-      hist = m_.plan_ms;
-      break;
-    }
+  switch (req.type) {
+    case RpcType::kPlan:
     case RpcType::kSimulate: {
+      const bool plan = req.type == RpcType::kPlan;
       std::string response;
       {
-        WSN_SPAN("service.simulate");
+        WSN_SPAN(plan ? "service.plan" : "service.simulate");
         const auto t = std::chrono::steady_clock::now();
-        response = respond_simulate(work.req, sim, ok, trace);
+        response = plan ? respond_plan(req, ok, trace)
+                        : respond_simulate(req, ok, trace);
         trace.exec_ms = ms_since(t);
       }
       {
         WSN_SPAN("service.emit");
         const auto t = std::chrono::steady_clock::now();
-        work.pending->write_ok = write_frame(work.conn->sock, response);
+        wrote = write_frame(sock, response);
         trace.emit_ms = ms_since(t);
       }
-      hist = m_.simulate_ms;
+      hist = plan ? m_.plan_ms : m_.simulate_ms;
       break;
     }
     case RpcType::kScenario: {
       WSN_SPAN("service.scenario");
       const auto t = std::chrono::steady_clock::now();
-      respond_scenario(work, ok, trace);
+      wrote = respond_scenario(sock, req, ok, trace);
       // The stream interleaves compute and emission; the handler
       // accumulated the emission share, the rest is execution.
       trace.exec_ms = std::max(0.0, ms_since(t) - trace.emit_ms);
@@ -457,43 +439,40 @@ void MeshbcastService::execute(Work& work, Simulator& sim) {
   const double elapsed = ms_since(start);
   if (m_.request_ms != nullptr) m_.request_ms->observe(elapsed);
   if (hist != nullptr) hist->observe(elapsed);
-  if (ok) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.served != nullptr) m_.served->increment();
-  } else {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    if (m_.errors != nullptr) m_.errors->increment();
-  }
+  ok ? bump(served_, m_.served) : bump(errors_, m_.errors);
+  record_request(req, admitted, queue_ms, trace,
+                 ok ? JournalOutcome::kOk : JournalOutcome::kError, 0);
+  return wrote;
+}
+
+void MeshbcastService::record_request(const RpcRequest& req,
+                                      const Admitted& admitted,
+                                      double queue_ms, const StageTrace& trace,
+                                      JournalOutcome outcome,
+                                      std::uint8_t flags) {
   const double total_ms =
-      work.admission_ms + queue_ms + trace.exec_ms + trace.emit_ms;
-  const JournalOutcome outcome =
-      ok ? JournalOutcome::kOk : JournalOutcome::kError;
+      admitted.admission_ms + queue_ms + trace.exec_ms + trace.emit_ms;
   if (config_.journal != nullptr) {
+    // Lifetime gauges refresh lazily: the metrics scrape and health paths
+    // pull them, so the per-request cost stays one buffered append.
     JournalRecord record;
-    record.seq = work.req.seq;
-    record.client_id = work.req.id;
-    record.ts_micros = work.ts_micros;
+    record.seq = req.seq;
+    record.client_id = req.id;
+    record.ts_micros = admitted.ts_micros;
     record.fp_hi = trace.fp_hi;
     record.fp_lo = trace.fp_lo;
-    record.admission_ms = work.admission_ms;
+    record.admission_ms = admitted.admission_ms;
     record.queue_ms = queue_ms;
     record.exec_ms = trace.exec_ms;
     record.emit_ms = trace.emit_ms;
     record.total_ms = total_ms;
-    record.method = journal_method_for(work.req.type);
+    record.method = journal_method_for(req.type);
     record.outcome = outcome;
-    record.flags =
-        static_cast<std::uint8_t>(work.req.has_id ? kJournalHasClientId : 0);
-    journal_append(record);
+    record.flags = static_cast<std::uint8_t>(
+        flags | (req.has_id ? kJournalHasClientId : 0));
+    config_.journal->append(record);
   }
   if (slo_) slo_->record(total_ms, outcome);
-}
-
-void MeshbcastService::journal_append(const JournalRecord& record) {
-  if (config_.journal == nullptr) return;
-  config_.journal->append(record);
-  // Lifetime gauges refresh lazily: the metrics scrape and health paths
-  // pull them, so the per-request cost stays one buffered append.
 }
 
 void MeshbcastService::update_lifetime_gauges() {
@@ -613,72 +592,70 @@ std::string MeshbcastService::respond_plan(const RpcRequest& req, bool& ok,
   return std::move(w).str();
 }
 
-std::string MeshbcastService::respond_simulate(const RpcRequest& req,
-                                               Simulator& sim, bool& ok,
-                                               StageTrace& trace) {
+std::string MeshbcastService::expand_spec(const RpcRequest& req,
+                                          const JsonValue& doc,
+                                          JobMatrix& matrix,
+                                          StageTrace& trace) {
   ScenarioSpec spec;
   std::string error;
-  if (!parse_scenario_spec(req.simulate.spec_doc, spec, error)) {
-    ok = false;
-    return rpc_error_json(req, rpc_code::kInvalidSpec, error);
-  }
-  JobMatrix matrix;
-  if (!expand_jobs(std::move(spec), matrix, error)) {
-    ok = false;
+  if (!parse_scenario_spec(doc, spec, error) ||
+      !expand_jobs(std::move(spec), matrix, error)) {
     return rpc_error_json(req, rpc_code::kInvalidSpec, error);
   }
   trace.fp_lo = matrix.fingerprint;
-  if (matrix.jobs.size() != 1) {
-    ok = false;
-    return rpc_error_json(
-        req, rpc_code::kBadRequest,
-        "simulate expands to " + std::to_string(matrix.jobs.size()) +
-            " jobs; use a scenario request for matrices");
-  }
   for (const std::unique_ptr<Topology>& topo : matrix.topologies) {
     if (topo->num_nodes() > config_.max_nodes) {
-      ok = false;
       return rpc_error_json(req, rpc_code::kBadRequest,
                             "topology exceeds max_nodes");
     }
   }
+  return {};
+}
+
+std::string MeshbcastService::respond_simulate(const RpcRequest& req,
+                                               bool& ok, StageTrace& trace) {
+  JobMatrix matrix;
+  std::string refusal = expand_spec(req, req.simulate.spec_doc, matrix, trace);
+  if (refusal.empty() && matrix.jobs.size() != 1) {
+    refusal = rpc_error_json(
+        req, rpc_code::kBadRequest,
+        "simulate expands to " + std::to_string(matrix.jobs.size()) +
+            " jobs; use a scenario request for matrices");
+  }
+  if (!refusal.empty()) {
+    ok = false;
+    return refusal;
+  }
+  // Borrow a simulator: at most `workers` run at once, so the idle list
+  // never grows past that.
+  std::unique_ptr<Simulator> sim;
+  {
+    const std::lock_guard<std::mutex> lock(simulators_mutex_);
+    if (!idle_simulators_.empty()) {
+      sim = std::move(idle_simulators_.back());
+      idle_simulators_.pop_back();
+    }
+  }
+  if (!sim) sim = std::make_unique<Simulator>();
   const std::string record = run_scenario_job(
-      matrix, matrix.jobs[0], sim, config_.store, req.simulate.audit);
+      matrix, matrix.jobs[0], *sim, config_.store, req.simulate.audit);
+  {
+    const std::lock_guard<std::mutex> lock(simulators_mutex_);
+    idle_simulators_.push_back(std::move(sim));
+  }
   JsonWriter w = rpc_response_begin(req);
   w.key("record").raw(record).end_object();
   return std::move(w).str();
 }
 
-void MeshbcastService::respond_scenario(Work& work, bool& ok,
-                                        StageTrace& trace) {
-  const RpcRequest& req = work.req;
-  ScenarioSpec spec;
-  std::string error;
-  if (!parse_scenario_spec(req.scenario.spec_doc, spec, error)) {
-    ok = false;
-    work.pending->write_ok = write_frame(
-        work.conn->sock,
-        rpc_error_json(req, rpc_code::kInvalidSpec, error));
-    return;
-  }
+bool MeshbcastService::respond_scenario(Socket& sock, const RpcRequest& req,
+                                        bool& ok, StageTrace& trace) {
   JobMatrix matrix;
-  if (!expand_jobs(std::move(spec), matrix, error)) {
+  const std::string refusal =
+      expand_spec(req, req.scenario.spec_doc, matrix, trace);
+  if (!refusal.empty()) {
     ok = false;
-    work.pending->write_ok = write_frame(
-        work.conn->sock,
-        rpc_error_json(req, rpc_code::kInvalidSpec, error));
-    return;
-  }
-  trace.fp_lo = matrix.fingerprint;
-  for (const std::unique_ptr<Topology>& topo : matrix.topologies) {
-    if (topo->num_nodes() > config_.max_nodes) {
-      ok = false;
-      work.pending->write_ok = write_frame(
-          work.conn->sock,
-          rpc_error_json(req, rpc_code::kBadRequest,
-                         "topology exceeds max_nodes"));
-      return;
-    }
+    return write_frame(sock, refusal);
   }
   EngineConfig engine_config;
   const std::size_t requested =
@@ -699,7 +676,7 @@ void MeshbcastService::respond_scenario(Work& work, bool& ok,
   std::atomic<std::uint64_t> emit_ns{0};
   const auto timed_write = [&](const std::string& payload) {
     const auto t = std::chrono::steady_clock::now();
-    const bool wrote = write_frame(work.conn->sock, payload);
+    const bool wrote = write_frame(sock, payload);
     emit_ns.fetch_add(static_cast<std::uint64_t>(ms_since(t) * 1e6),
                       std::memory_order_relaxed);
     return wrote;
@@ -723,8 +700,7 @@ void MeshbcastService::respond_scenario(Work& work, bool& ok,
       .end_object();
   if (!timed_write(std::move(begin).str())) {
     ok = false;
-    work.pending->write_ok = false;
-    return;
+    return false;
   }
   const RunSummary summary = engine.run("");  // stream-only: no file
   ok = summary.ok && !write_failed.load(std::memory_order_relaxed);
@@ -740,27 +716,24 @@ void MeshbcastService::respond_scenario(Work& work, bool& ok,
   if (!summary.ok) done.member("error", summary.error);
   done.end_object();
   const bool wrote = timed_write(std::move(done).str());
-  work.pending->write_ok =
-      wrote && !write_failed.load(std::memory_order_relaxed);
   trace.emit_ms =
       static_cast<double>(emit_ns.load(std::memory_order_relaxed)) / 1e6;
+  return wrote && !write_failed.load(std::memory_order_relaxed);
 }
 
 std::string MeshbcastService::health_json(const RpcRequest& req) {
   JsonWriter w = rpc_response_begin(req);
   const Counters c = counters();
+  const HeartbeatRecord load = sample_heartbeat();
   w.member("status", draining_.load(std::memory_order_acquire)
                          ? "draining"
                          : (shutdown_requested() ? "drain_pending"
                                                  : "serving"))
       .member("uptime_ms", ms_since(started_at_))
       .member("workers", static_cast<std::uint64_t>(worker_count_))
-      .member("workers_busy",
-              static_cast<std::uint64_t>(busy_.load(std::memory_order_relaxed)))
-      .member("queue_depth",
-              static_cast<std::uint64_t>(queue_ ? queue_->size() : 0))
-      .member("queue_capacity",
-              static_cast<std::uint64_t>(queue_ ? queue_->capacity() : 0))
+      .member("workers_busy", std::uint64_t{load.workers_busy})
+      .member("queue_depth", std::uint64_t{load.queue_depth})
+      .member("queue_capacity", std::uint64_t{queue_capacity_})
       .member("connections", static_cast<std::uint64_t>(connections_open_.load(
                                  std::memory_order_relaxed)))
       .member("requests", c.requests)
@@ -786,6 +759,11 @@ std::string MeshbcastService::metrics_json(const RpcRequest& req) {
   // fold past its throttle and refresh the lifetime gauges.
   if (slo_) slo_->refresh(true);
   update_lifetime_gauges();
+  if (m_.workers_busy != nullptr) {
+    const HeartbeatRecord load = sample_heartbeat();
+    m_.workers_busy->set(static_cast<double>(load.workers_busy));
+    m_.queue_depth->set(static_cast<double>(load.queue_depth));
+  }
   JsonWriter w = rpc_response_begin(req);
   if (config_.metrics != nullptr) {
     std::ostringstream doc;

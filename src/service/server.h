@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bounded_queue.h"
 #include "common/socket.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
@@ -28,32 +27,31 @@
 /// `meshbcast.rpc` v1 (service/rpc.h) over loopback TCP or a Unix-domain
 /// socket.
 ///
-/// Concurrency model -- three thread roles and one queue:
+/// Concurrency model -- two thread roles and no queue:
 ///
 ///   * one accept thread, polling the listener with a short timeout so
 ///     the drain flag is observed promptly;
-///   * one handler thread per connection, which reads frames, answers
+///   * one handler thread per connection.  It reads a frame, answers
 ///     `health`/`metrics`/`shutdown` inline (observability and drain
-///     must never sit behind a loaded queue), and admits `plan` /
-///     `simulate` / `scenario` into the bounded queue -- `try_push`, so
-///     a full queue sheds the request with a structured `overloaded`
-///     error instead of queueing unboundedly or blocking the socket;
-///   * `workers` executor threads popping the queue, running the request
-///     and writing the response frames directly to the connection.
+///     never wait for a permit), runs `plan` / `simulate` / `scenario`
+///     itself once admission grants it a permit, writes the response,
+///     and only then reads the next frame -- so socket writes need no
+///     lock and clients get strictly ordered responses.
 ///
-/// One request is in flight per connection: the handler blocks on the
-/// request's completion latch before reading the next frame, which is
-/// what makes "workers write to the socket" race-free without a write
-/// lock, and gives clients pipelining-free, strictly ordered responses.
+/// Admission is a permit count: at most `workers` requests execute at
+/// once, at most `queue_capacity` more wait for a permit, served in
+/// admission order, and past that a request is shed with a structured
+/// `overloaded` error.  An uncontended permit is one compare-and-swap on
+/// a word that also holds the drain bit.
 ///
 /// Graceful drain (`shutdown()`, triggered by SIGINT/SIGTERM via
-/// obs/heartbeat.h's SignalDrain or by the `shutdown` RPC): stop
-/// accepting, close the queue (the backlog still executes), join the
-/// workers -- so every admitted request gets its response -- then
-/// half-close the connections to unblock the handlers and join them.
-/// In-flight `scenario` engines see the drain flag as their cancel
-/// signal, so a million-job stream ends promptly in a `cancelled` done
-/// frame rather than stalling the drain.
+/// obs/heartbeat.h's SignalDrain or by the `shutdown` RPC): set the drain
+/// bit (later admissions get `shutting_down`), stop accepting, wait until
+/// every admitted request -- waiters included -- has written its
+/// response, then half-close the connections to unblock the handlers and
+/// join them.  In-flight `scenario` engines see the drain flag as their
+/// cancel signal, so a million-job stream ends promptly in a `cancelled`
+/// done frame rather than stalling the drain.
 ///
 /// Concurrent cold `plan` requests for one fingerprint are serialized
 /// through a KeyedMutex (service/single_flight.h): the store compiles
@@ -62,15 +60,16 @@
 /// Request-scoped observability: every successfully parsed frame gets a
 /// unique server request id (`"req"` echoed in responses and errors).
 /// Admitted-lane requests are timed per stage -- admission (frame read
-/// to enqueue), queue wait, execution, emission -- with the stage spans
-/// tagged by the id on the timeline (obs/timeline.h RequestTagScope), a
-/// record appended to the request journal when one is configured, and
-/// the total folded into the rolling SLO gauges (service/slo.h).  With
-/// no journal and the timeline off, the extra cost per request is two
-/// steady-clock reads.
+/// to the admission decision), queue wait (the wait for a permit),
+/// execution, emission -- with the stage spans tagged by the id on the
+/// timeline (obs/timeline.h RequestTagScope), a record appended to the
+/// request journal when one is configured, and the total folded into the
+/// rolling SLO gauges (service/slo.h).  With no journal and the timeline
+/// off, the extra cost per request is three steady-clock reads.
 namespace wsn {
 
 class Simulator;
+struct JobMatrix;
 
 struct ServiceConfig {
   /// Non-empty: listen on this Unix-domain socket path (wins over TCP).
@@ -78,10 +77,12 @@ struct ServiceConfig {
   /// Loopback TCP port when `unix_path` is empty; 0 = ephemeral (read it
   /// back via `port()`).
   int tcp_port = 0;
-  /// Executor threads; 0 resolves to 2.
+  /// Requests executing at once (each on its connection's thread); 0
+  /// resolves to 2.  `simulate` scratch is bounded by it too: at most
+  /// this many simulators ever exist.
   std::size_t workers = 0;
-  /// Admission queue capacity; 0 = max(2 x workers, 8).  Beyond it,
-  /// requests shed with `overloaded`.
+  /// Requests that may wait for a permit beyond `workers`; 0 =
+  /// max(2 x workers, 8).  Beyond it, requests shed with `overloaded`.
   std::size_t queue_capacity = 0;
   /// Frame-size cap (the request-size knob): a declared length above
   /// this is answered with `oversized` and the connection dropped.
@@ -108,9 +109,10 @@ struct ServiceConfig {
   std::size_t heartbeat_ms = 0;
   /// Heartbeat sink; empty = stderr.
   std::function<void(const HeartbeatRecord&)> heartbeat_sink;
-  /// Test hook: runs on the worker thread just before a request
-  /// executes (nullable).  The determinism tests use it to hold
-  /// requests at a barrier and release them at once.
+  /// Test hook: runs on the executing (connection handler) thread once
+  /// the request holds its permit, just before it executes (nullable).
+  /// The determinism tests use it to hold requests at a barrier and
+  /// release them at once.
   std::function<void()> before_execute;
 };
 
@@ -121,7 +123,7 @@ class MeshbcastService {
   MeshbcastService(const MeshbcastService&) = delete;
   MeshbcastService& operator=(const MeshbcastService&) = delete;
 
-  /// Binds, spawns the pool and the accept thread.  False + `error` on
+  /// Binds and spawns the accept thread.  False + `error` on
   /// bind failure.  Call once.
   [[nodiscard]] bool start(std::string& error);
 
@@ -136,9 +138,8 @@ class MeshbcastService {
   void wait(const std::atomic<bool>* external_stop = nullptr);
 
   /// Graceful drain as described above.  Idempotent; must not be called
-  /// from a handler or worker thread (they cannot join themselves) --
-  /// the `shutdown` RPC therefore only sets a flag that `wait()`
-  /// observes.
+  /// from a handler thread (it cannot join itself) -- the `shutdown` RPC
+  /// therefore only sets a flag that `wait()` observes.
   void shutdown();
 
   [[nodiscard]] bool shutdown_requested() const noexcept {
@@ -163,25 +164,14 @@ class MeshbcastService {
     std::atomic<bool> finished{false};
   };
 
-  /// Per-request completion latch; lives on the handler's stack (the
-  /// handler always outlives the wait -- every admitted request is
-  /// executed, because drain closes the queue instead of cancelling it).
-  struct Pending {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    bool write_ok = true;
-  };
+  /// Outcome of the admission decision.
+  enum class Admission { kRunning, kWaiting, kOverloaded, kDraining };
 
-  struct Work {
-    std::shared_ptr<Connection> conn;
-    RpcRequest req;
-    Pending* pending = nullptr;
-    std::chrono::steady_clock::time_point admitted;
-    /// Wall clock at admission (journal timestamp).
-    std::uint64_t ts_micros = 0;
-    /// Frame read -> enqueue, measured by the handler.
-    double admission_ms = 0.0;
+  /// Admission-lane timing, measured by the handler.
+  struct Admitted {
+    std::chrono::steady_clock::time_point at;  // decision; queue wait starts
+    std::uint64_t ts_micros = 0;  // wall clock, for the journal (or 0)
+    double admission_ms = 0.0;    // frame read -> admission decision
   };
 
   /// Per-request execution trace filled by the respond_* handlers and
@@ -225,15 +215,31 @@ class MeshbcastService {
   void accept_loop();
   void reap_finished();
   void handle_connection(const std::shared_ptr<Connection>& conn);
-  void worker_loop();
-  void execute(Work& work, Simulator& sim);
+  /// Counts the request in, or refuses it.  kWaiting hands back the
+  /// ticket whose grant is the request's permit.
+  [[nodiscard]] Admission admit(std::uint64_t& ticket);
+  void release_permit();
+  /// Runs an admitted request holding its permit; false when the
+  /// response could not be written (the connection is gone).
+  [[nodiscard]] bool execute(Socket& sock, const RpcRequest& req,
+                             const Admitted& admitted);
   [[nodiscard]] std::string respond_plan(const RpcRequest& req, bool& ok,
                                          StageTrace& trace);
-  [[nodiscard]] std::string respond_simulate(const RpcRequest& req,
-                                             Simulator& sim, bool& ok,
+  /// Parses and expands a simulate/scenario spec document; "" when the
+  /// matrix is servable, else the error response.
+  [[nodiscard]] std::string expand_spec(const RpcRequest& req,
+                                        const JsonValue& doc,
+                                        JobMatrix& matrix, StageTrace& trace);
+  [[nodiscard]] std::string respond_simulate(const RpcRequest& req, bool& ok,
                                              StageTrace& trace);
-  void respond_scenario(Work& work, bool& ok, StageTrace& trace);
-  void journal_append(const JournalRecord& record);
+  /// Streams the scenario to `sock`; false when a frame failed to write.
+  [[nodiscard]] bool respond_scenario(Socket& sock, const RpcRequest& req,
+                                      bool& ok, StageTrace& trace);
+  /// Appends the request's journal record (when a journal is open) and
+  /// folds its total into the SLO window.
+  void record_request(const RpcRequest& req, const Admitted& admitted,
+                      double queue_ms, const StageTrace& trace,
+                      JournalOutcome outcome, std::uint8_t flags);
   void update_lifetime_gauges();
   [[nodiscard]] std::string health_json(const RpcRequest& req);
   [[nodiscard]] std::string metrics_json(const RpcRequest& req);
@@ -243,16 +249,32 @@ class MeshbcastService {
 
   ServiceConfig config_;
   std::size_t worker_count_ = 0;
+  std::size_t queue_capacity_ = 0;
   Listener listener_;
   std::string address_;
-  std::unique_ptr<BoundedQueue<Work>> queue_;
-  std::vector<std::thread> workers_;
   std::thread accept_thread_;
   std::unique_ptr<HeartbeatEmitter> heartbeat_;
   KeyedMutex flights_;
 
   std::mutex connections_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
+
+  /// kDrainBit plus the count of admitted requests that hold or wait for
+  /// a permit.  One word, so nothing is admitted once drain has set the
+  /// bit, and drain's "count reached zero" is final.
+  static constexpr std::uint64_t kDrainBit = std::uint64_t{1} << 63;
+  std::atomic<std::uint64_t> admitted_{0};
+  /// Waiters take tickets in admission order; each release that frees a
+  /// permit while someone waits grants the next one.  permit_cv_ also
+  /// wakes the drain when the count reaches zero.
+  std::mutex permit_mutex_;
+  std::condition_variable permit_cv_;
+  std::uint64_t tickets_ = 0;
+  std::uint64_t grants_ = 0;
+
+  /// Idle `simulate` scratch, at most `workers` simulators.
+  std::mutex simulators_mutex_;
+  std::vector<std::unique_ptr<Simulator>> idle_simulators_;
 
   std::mutex topologies_mutex_;
   std::unordered_map<std::string, std::unique_ptr<TopoEntry>> topologies_;
@@ -275,7 +297,6 @@ class MeshbcastService {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> sheds_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
-  std::atomic<std::size_t> busy_{0};
   std::atomic<std::size_t> connections_open_{0};
 };
 

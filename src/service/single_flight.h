@@ -13,7 +13,7 @@
 /// racing the same key both compile and install identical plans, which is
 /// harmless inside one batch run.  A *service* is different -- a load
 /// spike of identical cold requests would burn a core per duplicate
-/// compile while the admission queue backs up.  KeyedMutex serializes the
+/// compile while later requests wait for admission.  KeyedMutex serializes the
 /// compile per fingerprint: the first requester compiles, the rest block
 /// briefly and then hit the memory tier, so the store's `compiles`
 /// counter moves by exactly one per distinct key no matter how many

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <chrono>
@@ -21,6 +22,7 @@
 #include "common/json.h"
 #include "common/socket.h"
 #include "obs/metrics.h"
+#include "obs/timeline.h"
 #include "scenario/engine.h"
 #include "scenario/spec.h"
 #include "service/client.h"
@@ -556,6 +558,198 @@ TEST(ServiceTest, WaitHonorsAnExternalStopFlag) {
   });
   service.wait(&stop);  // must return once the flag flips
   trigger.join();
+}
+
+/// Polls `done` until it holds or five seconds pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A gate for `before_execute`: each request that reaches it records its
+/// request id and parks until the gate opens.
+struct Gate {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool open = false;
+  std::vector<std::uint64_t> order;  // request ids, in execution order
+
+  void arrive() {
+    std::unique_lock<std::mutex> lock(mutex);
+    order.push_back(obs_detail::request_tag());
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return open; });
+  }
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  std::size_t arrived() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    return order.size();
+  }
+};
+
+TEST(ServiceTest, PermitsBoundConcurrentExecution) {
+  // Four connections on two permits: a probe inside before_execute (the
+  // request already holds its permit there) must never see more than two
+  // requests at once, and every request still ends ok.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kPerClient = 12;
+  std::atomic<std::size_t> inside{0};
+  std::atomic<std::size_t> peak{0};
+  MetricsRegistry metrics;
+  ServiceConfig config;
+  config.workers = 2;
+  config.metrics = &metrics;
+  config.before_execute = [&] {
+    const std::size_t now = inside.fetch_add(1) + 1;
+    std::size_t seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    inside.fetch_sub(1);
+  };
+  MeshbcastService service(std::move(config));
+  std::string error;
+  ASSERT_TRUE(service.start(error)) << error;
+
+  std::atomic<std::size_t> ok{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      RpcClient client = connect_to(service);
+      for (std::size_t k = 0; k < kPerClient; ++k) {
+        if (call(client, plan_request(k, c)).bool_or("ok", false)) ++ok;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(ok.load(), kClients * kPerClient);
+  EXPECT_LE(peak.load(), 2u);
+  EXPECT_GE(peak.load(), 1u);
+
+  // A permit is released just after its response is written; once every
+  // one is back, both signals read zero.
+  RpcClient probe = connect_to(service);
+  JsonValue health;
+  EXPECT_TRUE(eventually([&] {
+    health = call(probe, "{\"type\":\"health\"}");
+    return health.number_or("workers_busy", -1) == 0.0 &&
+           health.number_or("queue_depth", -1) == 0.0;
+  })) << "workers_busy=" << health.number_or("workers_busy", -1)
+      << " queue_depth=" << health.number_or("queue_depth", -1);
+  (void)call(probe, "{\"type\":\"metrics\"}");
+  EXPECT_EQ(metrics.gauge("service.workers_busy").value(), 0.0);
+  EXPECT_EQ(metrics.gauge("service.queue_depth").value(), 0.0);
+  const MeshbcastService::Counters counters = service.counters();
+  EXPECT_EQ(counters.sheds, 0u);
+  EXPECT_EQ(counters.errors, 0u);
+  service.shutdown();
+}
+
+TEST(ServiceTest, WaitersRunInAdmissionOrderAndTheOverflowSheds) {
+  // One permit and room for two waiters: A runs (parked at the gate), B
+  // then C wait, D is shed.  Opening the gate runs A, B, C in that order.
+  Gate gate;
+  ServiceConfig config;
+  config.workers = 1;
+  config.queue_capacity = 2;
+  config.before_execute = [&] { gate.arrive(); };
+  MeshbcastService service(std::move(config));
+  std::string error;
+  ASSERT_TRUE(service.start(error)) << error;
+
+  constexpr std::size_t kAdmitted = 3;
+  std::vector<JsonValue> responses(kAdmitted);
+  std::vector<std::thread> threads;
+  threads.reserve(kAdmitted);
+  for (std::size_t i = 0; i < kAdmitted; ++i) {
+    threads.emplace_back([&, i] {
+      RpcClient client = connect_to(service);
+      responses[i] = call(client, plan_request(i, i));
+    });
+    // The next request is sent only once this one is admitted: A has
+    // reached the gate, B and C are counted in (and so hold a ticket).
+    if (i == 0) {
+      EXPECT_TRUE(eventually([&] { return gate.arrived() == 1; }));
+    } else {
+      EXPECT_TRUE(
+          eventually([&] { return service.counters().requests == i + 1; }));
+    }
+  }
+  RpcClient shed_client = connect_to(service);
+  const JsonValue shed = call(shed_client, plan_request(9, 3));
+  EXPECT_EQ(shed.find("error")->string_or("code", ""), "overloaded");
+
+  gate.release();
+  for (std::thread& thread : threads) thread.join();
+  std::vector<std::uint64_t> admitted_order;
+  for (const JsonValue& response : responses) {
+    EXPECT_TRUE(response.bool_or("ok", false));
+    admitted_order.push_back(
+        static_cast<std::uint64_t>(response.number_or("req", 0)));
+  }
+  EXPECT_TRUE(std::is_sorted(admitted_order.begin(), admitted_order.end()));
+  EXPECT_EQ(gate.order, admitted_order);
+  EXPECT_EQ(service.counters().sheds, 1u);
+  service.shutdown();
+}
+
+TEST(ServiceTest, DrainServesWaitersAndRefusesLaterFrames) {
+  // A runs (parked), B waits for the permit; the drain starts.  A frame
+  // sent now is refused with shutting_down, yet A and B -- admitted
+  // before the drain -- still get ok replies before the drain returns.
+  Gate gate;
+  ServiceConfig config;
+  config.workers = 1;
+  config.before_execute = [&] { gate.arrive(); };
+  MeshbcastService service(std::move(config));
+  std::string error;
+  ASSERT_TRUE(service.start(error)) << error;
+  // Connected before the drain, which stops accepting.
+  RpcClient late = connect_to(service);
+  RpcClient probe = connect_to(service);
+
+  JsonValue response_a, response_b;
+  std::thread a([&] {
+    RpcClient client = connect_to(service);
+    response_a = call(client, plan_request(1, 0));
+  });
+  EXPECT_TRUE(eventually([&] { return gate.arrived() == 1; }));
+  std::thread b([&] {
+    RpcClient client = connect_to(service);
+    response_b = call(client, plan_request(2, 1));
+  });
+  EXPECT_TRUE(eventually([&] { return service.counters().requests == 2; }));
+
+  std::thread drain([&] { service.shutdown(); });
+  EXPECT_TRUE(eventually([&] {
+    return call(probe, "{\"type\":\"health\"}").string_or("status", "") ==
+           "draining";
+  }));
+  const JsonValue refused = call(late, plan_request(3, 2));
+  EXPECT_EQ(refused.find("error")->string_or("code", ""), "shutting_down");
+
+  gate.release();
+  a.join();
+  b.join();
+  drain.join();
+  EXPECT_TRUE(response_a.bool_or("ok", false));
+  EXPECT_TRUE(response_b.bool_or("ok", false));
+  const MeshbcastService::Counters counters = service.counters();
+  EXPECT_EQ(counters.served, 2u);
+  EXPECT_EQ(counters.sheds, 0u);
+  EXPECT_EQ(gate.order.size(), 2u);
 }
 
 }  // namespace

@@ -17,8 +17,11 @@
 // responses return); `--rate R` switches to open-loop with a global
 // target of R requests/second, which is how the shed path is exercised:
 // outrun the queue and count the structured `overloaded` errors.
-// `runs_per_sec` gates in bench_diff; latency percentiles, `shed_rate` and
-// the run parameters (`connections`, `rate`) ride along ungated.
+// `runs_per_sec` gates in bench_diff, and so do `sheds_count` and
+// `errors_count`, exactly: both are 0 whenever --connections is at most the
+// daemon's workers + queue capacity (each connection has one request in
+// flight), on any host.  Latency percentiles, `shed_rate` and the run
+// parameters (`connections`, `rate`) ride along ungated.
 //
 // After each phase one `meshbcast.loadgen` v1 JSON line is printed to
 // stdout -- the client-observed view (sent/ok/shed/error counts and
@@ -199,8 +202,8 @@ BenchRow bench_row(const std::string& name, const PhaseStats& stats,
            {"rate", rate},
            {"requests", static_cast<double>(total)},
            {"ok", static_cast<double>(stats.ok)},
-           {"sheds", static_cast<double>(stats.sheds)},
-           {"errors", static_cast<double>(stats.errors)},
+           {"sheds_count", static_cast<double>(stats.sheds)},
+           {"errors_count", static_cast<double>(stats.errors)},
            {"elapsed_s", stats.elapsed_s},
            {"runs_per_sec",
             stats.elapsed_s > 0.0

@@ -47,8 +47,10 @@ int main(int argc, char** argv) {
   CliParser cli("meshbcastd", "broadcast-planning service daemon", 2);
   cli.add_option("port", "loopback TCP port (0 = ephemeral)", "0");
   cli.add_option("unix", "Unix-domain socket path (wins over --port)", "");
-  cli.add_option("workers", "executor threads", "2");
-  cli.add_option("queue-cap", "admission queue capacity (0 = 2x workers)",
+  cli.add_option("workers", "requests executing at once", "2");
+  cli.add_option("queue-cap",
+                 "requests waiting for a permit before more are shed"
+                 " (0 = max(2x workers, 8))",
                  "0");
   cli.add_option("max-request-bytes",
                  "per-frame request size cap in bytes", "1048576");
